@@ -3,13 +3,19 @@
 //!
 //! These are *not* paper figures — the paper's timing is reproduced by
 //! the simulated experiments — but they measure the actual Rust
-//! implementations: Rabin table fingerprinting, sequential vs parallel
-//! CDC, fixed-size chunking, and SHA-256.
+//! implementations: Rabin table fingerprinting and construction,
+//! sequential vs parallel CDC, fixed-size chunking, SHA-256, one GPU
+//! kernel launch on a small buffer, and the online service path over a
+//! growing number of small requests (whose per-request cost should stay
+//! flat as the count grows).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use shredder_core::{ChunkRequest, ShredderConfig, ShredderService, SliceSource, Workload};
+use shredder_gpu::kernel::{ChunkKernel, KernelVariant};
+use shredder_gpu::DeviceConfig;
 use shredder_hash::sha256;
 use shredder_rabin::{
-    chunk_all, chunk_fixed, ChunkParams, GearKernel, ParallelChunker, RabinTables,
+    chunk_all, chunk_fixed, ChunkParams, GearKernel, ParallelChunker, Polynomial, RabinTables,
 };
 
 fn test_data(len: usize) -> Vec<u8> {
@@ -37,6 +43,14 @@ fn bench_rabin_tables(c: &mut Criterion) {
             }
             fp
         })
+    });
+    group.finish();
+
+    // Table construction, paid once per detector (every `chunk_all`
+    // call, every fresh `ChunkKernel`).
+    let mut group = c.benchmark_group("rabin_tables");
+    group.bench_function("new_lbfs_48", |b| {
+        b.iter(|| RabinTables::new(Polynomial::LBFS, 48))
     });
     group.finish();
 }
@@ -87,6 +101,50 @@ fn bench_chunking(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_kernel_small_buffer(c: &mut Criterion) {
+    // One launch on a service-sized request: the functional scan plus
+    // the timing model, with the kernel's detector reused across runs.
+    let data = test_data(4 << 10);
+    let config = DeviceConfig::tesla_c2050();
+    let kernel = ChunkKernel::new(ChunkParams::paper(), KernelVariant::Coalesced);
+    let mut group = c.benchmark_group("gpu_kernel");
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.bench_function("run_4KiB", |b| b.iter(|| kernel.run(&config, &data)));
+    group.finish();
+}
+
+fn bench_service_requests(c: &mut Criterion) {
+    // Open-loop Poisson arrivals of 4 KiB requests on one service. The
+    // reported rate is requests per second: equal rates at both counts
+    // mean a flat per-request cost.
+    const PAYLOAD: usize = 4 << 10;
+    let corpus = test_data(256 * PAYLOAD);
+    let config = ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10);
+    let mut group = c.benchmark_group("service_poisson_4KiB");
+    group.sample_size(3);
+    for requests in [1024usize, 8192] {
+        group.throughput(Throughput::Elements(requests as u64));
+        group.bench_with_input(
+            BenchmarkId::new("requests", requests),
+            &requests,
+            |b, &requests| {
+                b.iter(|| {
+                    let mut service = ShredderService::new(config.clone());
+                    for i in 0..requests {
+                        let k = (i * 7) % 256;
+                        let payload = &corpus[k * PAYLOAD..(k + 1) * PAYLOAD];
+                        service.submit(ChunkRequest::new(SliceSource::new(payload)));
+                    }
+                    service
+                        .run(&Workload::poisson(20_000.0, 1))
+                        .expect("service run")
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_sha256(c: &mut Criterion) {
     let data = test_data(1 << 20);
     let mut group = c.benchmark_group("sha256");
@@ -100,6 +158,8 @@ criterion_group!(
     bench_rabin_tables,
     bench_gear_hash,
     bench_chunking,
+    bench_kernel_small_buffer,
+    bench_service_requests,
     bench_sha256
 );
 criterion_main!(benches);

@@ -76,6 +76,7 @@ use crate::bufpool::{BufferPool, PooledBuf};
 use crate::config::ShredderConfig;
 use crate::error::ChunkError;
 use crate::fault::{FaultKind, FaultReport};
+use crate::ready::ReadyQueues;
 use crate::report::{
     percentile, BufferTimeline, ClassLatency, DeviceReport, EngineReport, RequestReport,
     ServiceReport, SessionReport, StageBusy, StageReport,
@@ -887,12 +888,8 @@ struct FaultRt {
 
 /// Central admission state shared by the event closures.
 struct Sched {
-    /// Per-session queue of buffer indices not yet admitted.
-    queues: Vec<VecDeque<usize>>,
-    weights: Vec<u32>,
-    credits: Vec<u32>,
-    cursor: usize,
-    policy: AdmissionPolicy,
+    /// Per-session buffers not yet admitted, and the policy over them.
+    queues: ReadyQueues,
     in_flight: usize,
     depth: usize,
     /// When each session's current head-of-line buffer became head.
@@ -911,47 +908,7 @@ impl Sched {
         if self.in_flight >= self.depth {
             return None;
         }
-        let n = self.queues.len();
-        let chosen = match self.policy {
-            AdmissionPolicy::SessionOrder => (0..n).find(|&s| !self.queues[s].is_empty()),
-            AdmissionPolicy::RoundRobin => {
-                let found = (0..n)
-                    .map(|k| (self.cursor + k) % n)
-                    .find(|&s| !self.queues[s].is_empty());
-                if let Some(s) = found {
-                    self.cursor = (s + 1) % n;
-                }
-                found
-            }
-            AdmissionPolicy::Weighted => {
-                let mut found = None;
-                for pass in 0..2 {
-                    found = (0..n)
-                        .map(|k| (self.cursor + k) % n)
-                        .find(|&s| !self.queues[s].is_empty() && self.credits[s] > 0);
-                    if found.is_some() || pass == 1 {
-                        break;
-                    }
-                    // Quantum exhausted everywhere: refill pending
-                    // sessions for the next round.
-                    for s in 0..n {
-                        if !self.queues[s].is_empty() {
-                            self.credits[s] = self.weights[s].max(1);
-                        }
-                    }
-                }
-                if let Some(s) = found {
-                    self.credits[s] -= 1;
-                    if self.credits[s] == 0 {
-                        self.cursor = (s + 1) % n;
-                    }
-                }
-                found
-            }
-        }?;
-
-        // shredder-lint: allow(R5) — the scheduler loop above only selects `chosen` from queues it observed non-empty
-        let bidx = self.queues[chosen].pop_front().expect("queue non-empty");
+        let (chosen, bidx) = self.queues.pop()?;
         self.in_flight += 1;
         self.queue_wait[chosen] += now.saturating_since(self.head_since[chosen]);
         self.head_since[chosen] = now;
@@ -1263,7 +1220,7 @@ fn dispatch(ctx: &PipeCtx, sim: &mut Simulation, sid: usize) {
     let nbuf = ctx.buffers[sid].len();
     {
         let mut sched = ctx.sched.borrow_mut();
-        sched.queues[sid] = (0..nbuf).collect();
+        sched.queues.enqueue(sid, nbuf);
         sched.head_since[sid] = sim.now();
     }
     if nbuf == 0 {
@@ -1757,11 +1714,7 @@ fn simulate_service<'a>(
     // Buffer-level admission state: queues start *empty* — a session's
     // buffers only become schedulable when the service dispatches it.
     let sched = Sched {
-        queues: vec![VecDeque::new(); n],
-        weights: plans.iter().map(|p| p.weight).collect(),
-        credits: plans.iter().map(|p| p.weight.max(1)).collect(),
-        cursor: 0,
-        policy,
+        queues: ReadyQueues::new(plans.iter().map(|p| p.weight).collect(), policy),
         in_flight: 0,
         depth: config.pipeline_depth,
         head_since: vec![SimTime::ZERO; n],

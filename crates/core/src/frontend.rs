@@ -473,6 +473,18 @@ mod tests {
     }
 
     #[test]
+    fn window_zero_service_run_is_invalid_config() {
+        let mut params = shredder_rabin::ChunkParams::paper();
+        params.window = 0;
+        let mut service = ShredderService::new(small_config().with_params(params));
+        service.submit(ChunkRequest::new(MemorySource::pseudo_random(10_000, 1)));
+        match service.run(&Workload::Batch) {
+            Err(ChunkError::InvalidConfig(msg)) => assert!(msg.contains("window")),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn undefined_class_is_rejected() {
         let mut service = ShredderService::new(small_config());
         service.submit(

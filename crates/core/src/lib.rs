@@ -156,6 +156,7 @@ pub mod fault;
 pub mod frontend;
 pub mod host_chunker;
 pub mod pipeline;
+mod ready;
 pub mod report;
 pub mod service;
 pub mod session;

@@ -23,6 +23,8 @@
 //! [`BoundaryKernel`] implementations as the CPU chunkers — and tests
 //! enforce equality. Only the *timing descriptors* differ.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 use shredder_des::Dur;
 use shredder_rabin::boundary::BoundaryKernel;
@@ -164,6 +166,16 @@ pub struct ChunkKernel {
     variant: KernelVariant,
     /// Thread blocks resident per SM for the launch-size computation.
     blocks_per_sm: u32,
+    /// The boundary detector, built on first use so that `new` never
+    /// panics on parameters the caller has not validated yet.
+    detector: OnceLock<Detector>,
+}
+
+/// The concrete detector behind a [`ChunkKernel`].
+#[derive(Debug, Clone)]
+enum Detector {
+    Rabin(Box<RabinKernel>),
+    Gear(GearKernel),
 }
 
 impl ChunkKernel {
@@ -173,6 +185,7 @@ impl ChunkKernel {
             params,
             variant,
             blocks_per_sm: 8,
+            detector: OnceLock::new(),
         }
     }
 
@@ -196,11 +209,24 @@ impl ChunkKernel {
     /// The boundary detector behind this variant: Rabin for
     /// `Basic`/`Coalesced`, Gear (with [`shredder_rabin::GearParams`]
     /// matched to the Rabin parameters) for the gear variants.
-    pub fn boundary(&self) -> Box<dyn BoundaryKernel> {
-        if self.variant.is_gear() {
-            Box::new(GearKernel::matched(&self.params))
-        } else {
-            Box::new(RabinKernel::new(&self.params))
+    ///
+    /// Built once, on the first call, and shared by every later
+    /// [`run`](Self::run) and [`apply_policy`](Self::apply_policy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters fail [`ChunkParams::validate`].
+    pub fn boundary(&self) -> &dyn BoundaryKernel {
+        let detector = self.detector.get_or_init(|| {
+            if self.variant.is_gear() {
+                Detector::Gear(GearKernel::matched(&self.params))
+            } else {
+                Detector::Rabin(Box::new(RabinKernel::new(&self.params)))
+            }
+        });
+        match detector {
+            Detector::Rabin(k) => k.as_ref(),
+            Detector::Gear(k) => k,
         }
     }
 
@@ -501,6 +527,24 @@ mod tests {
         assert_eq!(full, cfg.sms * cfg.threads_per_block * 8);
         assert_eq!(k.thread_count(&cfg, 0), 1);
         assert!(k.thread_count(&cfg, 4800) <= 100);
+    }
+
+    #[test]
+    fn detector_is_built_once_per_kernel() {
+        for variant in [KernelVariant::Basic, KernelVariant::Gear] {
+            let k = ChunkKernel::new(ChunkParams::paper(), variant);
+            assert!(std::ptr::addr_eq(k.boundary(), k.boundary()), "{variant}");
+        }
+    }
+
+    #[test]
+    fn invalid_params_do_not_panic_at_construction() {
+        let params = ChunkParams {
+            window: 0,
+            ..ChunkParams::paper()
+        };
+        let k = ChunkKernel::new(params, KernelVariant::Basic);
+        assert_eq!(k.overlap(), 0);
     }
 
     #[test]

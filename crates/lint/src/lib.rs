@@ -80,7 +80,8 @@ pub struct LintConfig {
     /// and the lint itself.
     pub wallclock_exempt_dirs: Vec<String>,
     /// Path suffixes of the hot-path library files R5 covers: the
-    /// engine, the pipeline, the sink stages and the store commit path.
+    /// engine and its admission queues, the pipeline, the sink stages
+    /// and the store commit path.
     pub hot_path_files: Vec<String>,
     /// Directory prefixes (workspace-relative) where R6 forbids *any*
     /// wall clock (`SystemTime`, `Instant::now`, any `std::time` path,
@@ -96,6 +97,7 @@ impl Default for LintConfig {
             wallclock_exempt_dirs: vec!["crates/bench".into(), "crates/lint".into()],
             hot_path_files: [
                 "crates/core/src/engine.rs",
+                "crates/core/src/ready.rs",
                 "crates/core/src/pipeline.rs",
                 "crates/core/src/sink.rs",
                 "crates/core/src/host_chunker.rs",

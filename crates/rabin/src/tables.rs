@@ -64,18 +64,9 @@ impl RabinTables {
         let fp_mask = (1u64 << degree) - 1;
 
         // push[t] = (t * x^degree) mod P
-        let mut push = [0u64; 256];
-        let x_k = x_pow_mod(degree, poly);
-        for (t, entry) in push.iter_mut().enumerate() {
-            *entry = Polynomial::new(t as u64).mul_mod(x_k, poly).bits();
-        }
-
+        let push = linear_table(x_pow_mod(degree, poly), poly);
         // pop[b] = (b * x^{8(window-1)}) mod P
-        let mut pop = [0u64; 256];
-        let x_out = x_pow_mod(8 * (window as u32 - 1), poly);
-        for (b, entry) in pop.iter_mut().enumerate() {
-            *entry = Polynomial::new(b as u64).mul_mod(x_out, poly).bits();
-        }
+        let pop = linear_table(x_pow_mod(8 * (window as u32 - 1), poly), poly);
 
         RabinTables {
             poly,
@@ -153,6 +144,26 @@ impl std::fmt::Debug for RabinTables {
             .field("degree", &self.degree)
             .finish()
     }
+}
+
+/// The table `T[t] = (t · m) mod P` for every byte value `t`.
+///
+/// Multiplication by `m` is linear over GF(2), so `T[a ^ b] = T[a] ^
+/// T[b]`: the eight single-bit entries take one `mul_mod` each and every
+/// other entry is the XOR of its lowest set bit's entry and the entry
+/// with that bit cleared, which is already filled.
+fn linear_table(m: Polynomial, poly: Polynomial) -> [u64; 256] {
+    let mut table = [0u64; 256];
+    for bit in 0..8 {
+        table[1 << bit] = Polynomial::new(1 << bit).mul_mod(m, poly).bits();
+    }
+    for t in 3..256usize {
+        let low = t & t.wrapping_neg();
+        if low != t {
+            table[t] = table[t ^ low] ^ table[low];
+        }
+    }
+    table
 }
 
 /// Computes `x^e mod P` by repeated multiply-by-x.
@@ -265,6 +276,44 @@ mod tests {
         let t2 = RabinTables::new(p2, w);
         let window: Vec<u8> = (1..=w as u8).collect();
         assert_ne!(t1.fingerprint(&window), t2.fingerprint(&window));
+    }
+
+    /// Reference construction: one `mul_mod` per table entry.
+    fn per_entry_tables(poly: Polynomial, window: usize) -> ([u64; 256], [u64; 256]) {
+        let degree = poly.degree().unwrap();
+        let x_k = x_pow_mod(degree, poly);
+        let x_out = x_pow_mod(8 * (window as u32 - 1), poly);
+        let mut push = [0u64; 256];
+        let mut pop = [0u64; 256];
+        for t in 0..256 {
+            push[t] = Polynomial::new(t as u64).mul_mod(x_k, poly).bits();
+            pop[t] = Polynomial::new(t as u64).mul_mod(x_out, poly).bits();
+        }
+        (push, pop)
+    }
+
+    #[test]
+    fn linear_tables_equal_per_entry_construction() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut polys = vec![Polynomial::LBFS, Polynomial::new((1 << 31) | 0b1001)];
+        for degree in [9, 32, 47, 56] {
+            polys.push(Polynomial::random_irreducible(degree, &mut next));
+        }
+        for poly in polys {
+            assert!(poly.is_irreducible(), "{poly:?}");
+            for window in [1usize, 2, 16, 48, 64, 257] {
+                let t = RabinTables::new(poly, window);
+                let (push, pop) = per_entry_tables(poly, window);
+                assert_eq!(t.push, push, "push {poly:?} window {window}");
+                assert_eq!(t.pop, pop, "pop {poly:?} window {window}");
+            }
+        }
     }
 
     #[test]
