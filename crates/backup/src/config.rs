@@ -34,11 +34,11 @@ pub struct BackupConfig {
     pub ship_chunk_overhead: Dur,
     /// Pointer size shipped for a duplicate chunk, bytes.
     pub pointer_bytes: usize,
-    /// Pipeline buffer size (one Reader admission unit).
+    /// Pipeline buffer size (one Reader admission unit). The server does
+    /// not read it: the chunking service's own
+    /// `ShredderConfig::buffer_size` sets the buffers its sink stages
+    /// batch on.
     pub buffer_size: usize,
-    /// Buffers in flight (the backup server reuses Shredder's 4-stage
-    /// streaming pipeline, §7.2 "as a separate pipeline stage").
-    pub pipeline_depth: usize,
 }
 
 impl BackupConfig {
@@ -54,7 +54,6 @@ impl BackupConfig {
             ship_chunk_overhead: Dur::from_micros(2),
             pointer_bytes: 40, // digest + offset/len bookkeeping
             buffer_size: 32 << 20,
-            pipeline_depth: 4,
         }
     }
 

@@ -33,14 +33,11 @@
 //!
 //! ```
 //! use shredder_backup::{BackupConfig, BackupServer};
-//! use shredder_core::{HostChunker, HostChunkerConfig};
+//! use shredder_core::{Shredder, ShredderConfig};
 //! use shredder_rabin::ChunkParams;
 //!
 //! let mut server = BackupServer::new(BackupConfig::paper());
-//! let service = HostChunker::new(HostChunkerConfig {
-//!     params: ChunkParams::backup(),
-//!     ..HostChunkerConfig::optimized()
-//! });
+//! let service = Shredder::new(ShredderConfig::cpu_pthreads().with_params(ChunkParams::backup()));
 //!
 //! let image = shredder_workloads::compressible_bytes(1 << 20, 256, 1);
 //! let report = server.backup_image(&image, &service).unwrap();

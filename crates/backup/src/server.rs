@@ -8,11 +8,10 @@
 //! bandwidth (Figure 18) is `image bytes / makespan`.
 //!
 //! The hash → lookup → ship tail is a [`DedupSink`] graph: its stages
-//! execute *inside* the chunking service's simulation (the shared
-//! engine simulation for [`Shredder`], a staged pipeline behind the
-//! measured chunking rate otherwise), so fingerprinting genuinely
-//! overlaps — and backpressures — chunking instead of being
-//! post-processed with analytic formulas.
+//! execute *inside* the chunking service's engine simulation, on the
+//! GPU pool or on the host device of the pthreads baseline alike, so
+//! fingerprinting genuinely overlaps — and backpressures — chunking
+//! instead of being post-processed with analytic formulas.
 
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use shredder_core::{
     AdmissionControl, ChunkError, ChunkRequest, ChunkVerdict, ChunkingService, DedupSink,
     DedupSinkConfig, EngineReport, ServiceReport, Shredder, ShredderEngine, ShredderService,
-    SinkPipelineHints, SliceSource, TenantClass, Workload,
+    SliceSource, TenantClass, Workload,
 };
 use shredder_des::Dur;
 
@@ -157,14 +156,11 @@ impl BatchBackupReport {
 ///
 /// ```
 /// use shredder_backup::{BackupConfig, BackupServer};
-/// use shredder_core::{HostChunker, HostChunkerConfig};
+/// use shredder_core::{Shredder, ShredderConfig};
 /// use shredder_rabin::ChunkParams;
 ///
 /// let mut server = BackupServer::new(BackupConfig::paper());
-/// let service = HostChunker::new(HostChunkerConfig {
-///     params: ChunkParams::backup(),
-///     ..HostChunkerConfig::optimized()
-/// });
+/// let service = Shredder::new(ShredderConfig::cpu_pthreads().with_params(ChunkParams::backup()));
 /// let image = shredder_workloads::compressible_bytes(512 << 10, 128, 3);
 ///
 /// let first = server.backup_image(&image, &service).unwrap();
@@ -214,7 +210,7 @@ impl BackupServer {
     }
 
     /// The server's consumer graph configuration: hash → dedup → ship at
-    /// the §7.3 stage rates, batched at the server's buffer size.
+    /// the §7.3 stage rates.
     ///
     /// The per-site ingest cap is *not* part of the sink: the legacy
     /// single-image path ([`backup_image`](Self::backup_image)) passes
@@ -230,10 +226,6 @@ impl BackupServer {
             ship_bw: self.config.ship_bw,
             pointer_bytes: self.config.pointer_bytes,
             ship_chunk_overhead: self.config.ship_chunk_overhead,
-            hints: SinkPipelineHints {
-                granularity: self.config.buffer_size,
-                depth: self.config.pipeline_depth,
-            },
         }
     }
 
@@ -257,7 +249,7 @@ impl BackupServer {
         Ok(self.commit_image(
             image,
             &sink.into_verdicts(),
-            outcome.report.makespan(),
+            outcome.report.makespan,
             outcome.makespan,
         ))
     }
@@ -483,15 +475,19 @@ impl BackupServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shredder_core::{HostChunker, HostChunkerConfig, ShredderConfig};
+    use shredder_core::ShredderConfig;
     use shredder_rabin::ChunkParams;
     use shredder_workloads::{MasterImage, SimilarityTable};
 
-    fn cpu_service() -> HostChunker {
-        HostChunker::new(HostChunkerConfig {
-            params: ChunkParams::backup(),
-            ..HostChunkerConfig::optimized()
-        })
+    /// 1 MiB buffers: small enough that an 8 MB image pipelines, large
+    /// enough that the per-buffer SPMD sync stays a small share of the
+    /// host's scan time.
+    fn cpu_service() -> Shredder {
+        Shredder::new(
+            ShredderConfig::cpu_pthreads()
+                .with_params(ChunkParams::backup())
+                .with_buffer_size(1 << 20),
+        )
     }
 
     fn gpu_service() -> Shredder {

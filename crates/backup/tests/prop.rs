@@ -3,18 +3,19 @@
 
 use proptest::prelude::*;
 use shredder_backup::{BackupConfig, BackupServer};
-use shredder_core::{HostChunker, HostChunkerConfig};
+use shredder_core::{Shredder, ShredderConfig};
 use shredder_rabin::ChunkParams;
 
-fn service() -> HostChunker {
-    HostChunker::new(HostChunkerConfig {
-        params: ChunkParams {
-            min_size: 256,
-            max_size: 4096,
-            ..ChunkParams::paper().with_expected_size(1024)
-        },
-        ..HostChunkerConfig::optimized()
-    })
+fn service() -> Shredder {
+    Shredder::new(
+        ShredderConfig::cpu_pthreads()
+            .with_params(ChunkParams {
+                min_size: 256,
+                max_size: 4096,
+                ..ChunkParams::paper().with_expected_size(1024)
+            })
+            .with_buffer_size(64 << 10),
+    )
 }
 
 fn config() -> BackupConfig {

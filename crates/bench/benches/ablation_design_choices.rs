@@ -16,7 +16,7 @@ fn throughput(cfg: ShredderConfig, data: &[u8]) -> f64 {
     let out = Shredder::new(cfg)
         .chunk_stream(data)
         .expect("chunking failed");
-    out.report.bytes() as f64 / out.report.makespan().as_secs_f64()
+    out.report.bytes as f64 / out.report.makespan.as_secs_f64()
 }
 
 fn main() {

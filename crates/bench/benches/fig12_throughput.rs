@@ -5,6 +5,8 @@
 //!
 //! * CPU w/o Hoard — 12 pthreads, serializing `malloc`;
 //! * CPU w/  Hoard — 12 pthreads, scalable allocator (§5.1);
+//!   both run as one host device in the same engine as the GPU
+//!   systems, reading through the same SAN reader;
 //! * GPU Basic — the §3.1 design (pageable buffers, serialized
 //!   copy/exec, unoptimized kernel);
 //! * GPU Streams — + double buffering, pinned ring, 4-stage pipeline;
@@ -14,7 +16,7 @@
 //! identical boundaries or the harness fails.
 
 use shredder_bench::{check, dump_bench_json, gbps, header, result_line};
-use shredder_core::{ChunkingService, HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
+use shredder_core::{ChunkingService, Shredder, ShredderConfig};
 use shredder_gpu::kernel::KernelVariant;
 
 fn main() {
@@ -29,11 +31,15 @@ fn main() {
     let engines: Vec<(&str, Box<dyn ChunkingService>)> = vec![
         (
             "CPU w/o Hoard",
-            Box::new(HostChunker::new(HostChunkerConfig::unoptimized())),
+            Box::new(Shredder::new(
+                ShredderConfig::cpu_pthreads_malloc().with_buffer_size(buffer),
+            )),
         ),
         (
             "CPU w/ Hoard",
-            Box::new(HostChunker::new(HostChunkerConfig::optimized())),
+            Box::new(Shredder::new(
+                ShredderConfig::cpu_pthreads().with_buffer_size(buffer),
+            )),
         ),
         (
             "GPU Basic",
@@ -59,7 +65,7 @@ fn main() {
     let mut boundaries: Option<Vec<shredder_rabin::Chunk>> = None;
     for (name, engine) in &engines {
         let outcome = engine.chunk_stream(&data).expect("chunking failed");
-        let bps = outcome.report.bytes() as f64 / outcome.report.makespan().as_secs_f64();
+        let bps = outcome.report.bytes as f64 / outcome.report.makespan.as_secs_f64();
         result_line(name, gbps(bps));
         throughputs.push(bps);
         match &boundaries {
@@ -82,7 +88,7 @@ fn main() {
             .with_chunk_kernel(KernelVariant::GearCoalesced),
     );
     let gear_outcome = gear_engine.chunk_stream(&data).expect("chunking failed");
-    let gear = gear_outcome.report.bytes() as f64 / gear_outcome.report.makespan().as_secs_f64();
+    let gear = gear_outcome.report.bytes as f64 / gear_outcome.report.makespan.as_secs_f64();
     result_line("GPU Streams + Memory (Gear)", gbps(gear));
 
     let cpu_malloc = throughputs[0];

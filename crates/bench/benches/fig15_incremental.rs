@@ -10,7 +10,7 @@
 //! meaningless.
 
 use shredder_bench::{check, dump_bench_json, header, table};
-use shredder_core::{HostChunker, HostChunkerConfig};
+use shredder_core::{Shredder, ShredderConfig};
 use shredder_hdfs::{IncHdfs, TextInputFormat};
 use shredder_mapreduce::apps::{Cooccurrence, KMeans, KMeansDriver, WordCount};
 use shredder_mapreduce::runner::IncrementalRunner;
@@ -20,18 +20,15 @@ use shredder_workloads::{mutate, MutationSpec};
 
 const CHANGE_PERCENTS: [usize; 6] = [0, 2, 5, 10, 15, 25];
 
-fn chunking_service() -> HostChunker {
-    HostChunker::new(HostChunkerConfig {
-        params: ChunkParams {
-            // Map-task-sized splits, bounded like Hadoop InputSplits:
-            // without a max size the exponential chunk-size tail creates
-            // straggler map tasks that dominate incremental makespans.
-            min_size: 32 << 10,
-            max_size: 128 << 10,
-            ..ChunkParams::paper().with_expected_size(64 << 10)
-        },
-        ..HostChunkerConfig::optimized()
-    })
+fn chunking_service() -> Shredder {
+    Shredder::new(ShredderConfig::cpu_pthreads().with_params(ChunkParams {
+        // Map-task-sized splits, bounded like Hadoop InputSplits:
+        // without a max size the exponential chunk-size tail creates
+        // straggler map tasks that dominate incremental makespans.
+        min_size: 32 << 10,
+        max_size: 128 << 10,
+        ..ChunkParams::paper().with_expected_size(64 << 10)
+    }))
 }
 
 /// Runs one (app, change%) cell for a stateless job; returns speedup.

@@ -10,7 +10,7 @@
 
 use shredder_backup::{BackupConfig, BackupServer};
 use shredder_bench::{check, dump_bench_json, header, table};
-use shredder_core::{HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
+use shredder_core::{Shredder, ShredderConfig};
 use shredder_rabin::ChunkParams;
 use shredder_workloads::{MasterImage, SimilarityTable};
 
@@ -28,16 +28,17 @@ fn main() {
         .unwrap_or(128);
     let master = MasterImage::synthesize(mb << 20, 256 << 10, 0xf18);
 
-    let cpu = HostChunker::new(HostChunkerConfig {
-        params: ChunkParams::backup(),
-        ..HostChunkerConfig::optimized()
-    });
     // The §7.2 server reuses Shredder's streaming pipeline as a stage of
-    // its own: one shared buffer size end to end. The sink stages batch
-    // their work per pipeline buffer, so the buffer size sets the
-    // hash/lookup/ship pipelining grain — 4 MiB keeps the downstream
-    // stages overlapped with chunking (Figure 3 shows DMA is already
-    // near peak bandwidth at this size).
+    // its own: one shared buffer size end to end, on both executors. The
+    // sink stages batch their work per pipeline buffer, so the buffer
+    // size sets the hash/lookup/ship pipelining grain — 4 MiB keeps the
+    // downstream stages overlapped with chunking (Figure 3 shows DMA is
+    // already near peak bandwidth at this size).
+    let cpu = Shredder::new(
+        ShredderConfig::cpu_pthreads()
+            .with_params(ChunkParams::backup())
+            .with_buffer_size(4 << 20),
+    );
     let gpu = Shredder::new(
         ShredderConfig::gpu_streams_memory()
             .with_params(ChunkParams::backup())

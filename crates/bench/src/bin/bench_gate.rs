@@ -1,15 +1,17 @@
 //! CI bench-regression gate.
 //!
-//! Compares the `aggregate_gbps` headline of freshly-dumped bench JSON
-//! files (`SHREDDER_BENCH_JSON`) against the checked-in
-//! `bench/baseline.json` and fails (exit 1) if any bench dropped by more
-//! than the allowed percentage. The simulation is deterministic, so a
-//! drop is a real model/pipeline regression, not machine noise.
+//! Compares the headlines of freshly-dumped bench JSON files
+//! (`SHREDDER_BENCH_JSON`) against the checked-in `bench/baseline.json`
+//! and fails (exit 1) if any gated value differs from its baseline by
+//! more than [`TOLERANCE`], in either direction. The simulation is
+//! deterministic and the dumps print six decimals, so any larger
+//! difference is a real model/pipeline change, not machine noise: an
+//! intended change refreshes the baseline in the same change.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_gate --baseline bench/baseline.json [--max-drop-pct 20] \
+//! bench_gate --baseline bench/baseline.json \
 //!     fig12_throughput=bench-out/fig12_throughput.json \
 //!     multi_tenant=bench-out/multi_tenant.json \
 //!     service_load:sustained_rps=bench-out/service_load.json
@@ -19,13 +21,21 @@
 //! defaults to `aggregate_gbps`, and a `name:key` prefix gates a
 //! different numeric headline (e.g. the service-load bench's sustained
 //! req/s at its latency SLO). The baseline maps each bench name to an
-//! object holding the expected value under the same key; improvements
-//! are reported (refresh the baseline to ratchet the gate) but never
-//! fail. The vendored `serde` stub cannot deserialize, so the parser
-//! here is a purpose-built scanner for the hand-rolled dumps — it only
+//! object holding the expected value under the same key. The vendored
+//! `serde` stub cannot deserialize, so the parser here is a
+//! purpose-built scanner for the hand-rolled dumps — it only
 //! understands `"key": number` fields.
 
 use std::process::ExitCode;
+
+/// Largest accepted `|measured − baseline|`: the dumps' six-decimal
+/// precision.
+const TOLERANCE: f64 = 1e-6;
+
+/// Whether a measured headline reproduces its baseline.
+fn reproduces(measured: f64, expected: f64) -> bool {
+    (measured - expected).abs() <= TOLERANCE
+}
 
 /// Extracts the numeric value of `"key": <number>` from `json`,
 /// starting at `from`. Returns the value and the index after the match.
@@ -107,7 +117,6 @@ fn fail(msg: &str) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut baseline_path: Option<String> = None;
-    let mut max_drop_pct = 20.0f64;
     // (bench name, gated key, current-dump path)
     let mut pairs: Vec<(String, String, String)> = Vec::new();
 
@@ -117,10 +126,6 @@ fn main() -> ExitCode {
             "--baseline" => match it.next() {
                 Some(p) => baseline_path = Some(p),
                 None => return fail("--baseline needs a path"),
-            },
-            "--max-drop-pct" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => max_drop_pct = v,
-                None => return fail("--max-drop-pct needs a number"),
             },
             other => match other.split_once('=') {
                 Some((spec, path)) => {
@@ -162,25 +167,22 @@ fn main() -> ExitCode {
             failed = true;
             continue;
         };
-        let delta_pct = (measured - expected) / expected * 100.0;
-        if delta_pct < -max_drop_pct {
+        let delta = measured - expected;
+        if reproduces(measured, expected) {
+            println!("  [ ok ] {name}: {key} {measured:.6} matches baseline {expected:.6}");
+        } else {
             eprintln!(
-                "  [FAIL] {name}: {key} {measured:.3} vs baseline {expected:.3} ({delta_pct:+.1}%, limit -{max_drop_pct:.0}%)"
+                "  [FAIL] {name}: {key} {measured:.6} vs baseline {expected:.6} (delta {delta:+.6}, tolerance {TOLERANCE:e})"
             );
             failed = true;
-        } else {
-            println!(
-                "  [ ok ] {name}: {key} {measured:.3} vs baseline {expected:.3} ({delta_pct:+.1}%)"
-            );
-            if delta_pct > max_drop_pct {
-                println!("         improvement — consider refreshing bench/baseline.json");
-            }
         }
     }
     if failed {
-        return fail("a gated bench headline regressed past the limit");
+        return fail(
+            "a gated bench headline changed; refresh bench/baseline.json if the change is intended",
+        );
     }
-    println!("bench_gate: all benches within -{max_drop_pct:.0}% of baseline");
+    println!("bench_gate: all benches reproduce the baseline (|delta| <= {TOLERANCE:e})");
     ExitCode::SUCCESS
 }
 
@@ -259,6 +261,16 @@ mod tests {
             parse_spec("service_load:sustained_rps"),
             ("service_load", "sustained_rps")
         );
+    }
+
+    #[test]
+    fn gate_is_two_sided_and_exact() {
+        assert!(reproduces(1.850409, 1.850409));
+        assert!(reproduces(1.8504095, 1.850409));
+        // A drop and a gain beyond the dumps' precision both fail.
+        assert!(!reproduces(1.850407, 1.850409));
+        assert!(!reproduces(1.850411, 1.850409));
+        assert!(!reproduces(f64::NAN, 1.0));
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! multi-threaded chunker (the with/without-Hoard gap of Figure 12); the
 //! engineering lesson is that the per-buffer hot loop must not allocate
 //! at all. A [`BufferPool`] makes that discipline checkable: every
-//! buffer the host path needs — the 1 MiB materialization scratch, the
-//! carry+buffer scan window, a retained stream for payload-reading
-//! sinks — is leased from the pool and returned on drop, and the pool
+//! buffer the engine's host side needs — the carry+buffer scan window,
+//! a retained stream for payload-reading sinks — is leased from the pool and returned on drop, and the pool
 //! counts how often it had to fall back to a fresh heap allocation.
 //! After the first lease of each shape, a steady-state loop reports
 //! **zero** new allocations (see the tests here and the engine's
@@ -23,7 +22,7 @@
 //! `Send`; clones of a pool share the same free list and counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Maximum buffers kept on the free list; returns beyond this are
 /// dropped (freeing the memory) rather than hoarded.
@@ -63,14 +62,6 @@ impl BufferPool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         BufferPool::default()
-    }
-
-    /// The process-wide pool used by entry points that have no owning
-    /// engine to hang a pool on (the default `ChunkingService`
-    /// materialization paths).
-    pub fn global() -> &'static BufferPool {
-        static GLOBAL: OnceLock<BufferPool> = OnceLock::new();
-        GLOBAL.get_or_init(BufferPool::new)
     }
 
     /// Leases a zero-filled buffer of exactly `len` bytes, recycling a

@@ -1,8 +1,9 @@
 //! Configuration for the Shredder pipeline and the host-only baseline.
 
 use serde::{Deserialize, Serialize};
+use shredder_des::Dur;
 use shredder_gpu::kernel::KernelVariant;
-use shredder_gpu::{calibration, DeviceConfig};
+use shredder_gpu::{calibration, DeviceConfig, PinnedRing};
 use shredder_rabin::ChunkParams;
 
 use shredder_telemetry::TelemetryConfig;
@@ -10,13 +11,14 @@ use shredder_telemetry::TelemetryConfig;
 use crate::engine::PlacementPolicy;
 use crate::fault::FaultPlan;
 
-/// Configuration of the GPU-accelerated Shredder pipeline.
+/// Configuration of the Shredder pipeline.
 ///
-/// The three presets correspond to the GPU systems compared in
-/// Figure 12:
+/// The five presets correspond to the systems compared in Figure 12:
 ///
 /// | preset | §  | copy/exec | host buffers | pipeline | kernel |
 /// |---|---|---|---|---|---|
+/// | [`cpu_pthreads_malloc`](ShredderConfig::cpu_pthreads_malloc) | 5.1 | no copies (host device) | `malloc` | 4 stages | 12 threads |
+/// | [`cpu_pthreads`](ShredderConfig::cpu_pthreads) | 5.1 | no copies (host device) | Hoard | 4 stages | 12 threads |
 /// | [`gpu_basic`](ShredderConfig::gpu_basic) | 3.1 | serialized (1 device buffer) | pageable, allocated per buffer | 2 in flight (AIO reader) | basic |
 /// | [`gpu_streams`](ShredderConfig::gpu_streams) | 4.1–4.2 | double buffered | pinned ring | 4 stages | basic |
 /// | [`gpu_streams_memory`](ShredderConfig::gpu_streams_memory) | 4.3 | double buffered | pinned ring | 4 stages | coalesced |
@@ -32,6 +34,9 @@ use crate::fault::FaultPlan;
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShredderConfig {
+    /// What scans the buffers: the GPU device pool, or the host's
+    /// pthreads baseline as one host device in the pool.
+    pub executor: Executor,
     /// Content-defined chunking parameters.
     pub params: ChunkParams,
     /// Size of each stream buffer fed through the pipeline, bytes.
@@ -40,11 +45,13 @@ pub struct ShredderConfig {
     /// Figure 9 "number of pipeline stages"); 1 = fully sequential.
     pub pipeline_depth: usize,
     /// Device-side buffers for copy/compute overlap: 1 = serialized
-    /// (§3.1), 2 = double buffering (§4.1.1, Figure 4).
+    /// (§3.1), 2 = double buffering (§4.1.1, Figure 4). On the host
+    /// executor, the buffers queued for its threads.
     pub twin_buffers: usize,
     /// Use the pre-pinned circular ring (§4.1.2). When `false`, host
     /// buffers are pageable and allocated every iteration (the basic
-    /// design), which both slows DMA and adds allocation time.
+    /// design), which both slows DMA and adds allocation time. The host
+    /// executor copies nothing, so it ignores this.
     pub pinned_ring: bool,
     /// Chunking kernel variant (§3.1 basic vs §4.3 coalesced).
     pub kernel: KernelVariant,
@@ -102,6 +109,7 @@ impl ShredderConfig {
     /// The basic GPU design of §3.1 / Figure 2.
     pub fn gpu_basic() -> Self {
         ShredderConfig {
+            executor: Executor::Gpu,
             params: ChunkParams::paper(),
             buffer_size: 32 << 20,
             pipeline_depth: 2, // Reader is its own thread even in Fig. 2
@@ -139,6 +147,43 @@ impl ShredderConfig {
         ShredderConfig {
             kernel: KernelVariant::Coalesced,
             ..ShredderConfig::gpu_streams()
+        }
+    }
+
+    /// The host-only pthreads baseline with the Hoard allocator (§5.1) —
+    /// Figure 12's "CPU w/ Hoard". Twelve Xeon threads scan each buffer
+    /// on one host device in the pool; see [`Executor::Host`] for the
+    /// cost model.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use shredder_core::{ChunkingService, Shredder, ShredderConfig};
+    ///
+    /// let data: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+    /// let hoard = Shredder::new(ShredderConfig::cpu_pthreads().with_buffer_size(256 << 10));
+    /// let malloc = Shredder::new(ShredderConfig::cpu_pthreads_malloc().with_buffer_size(256 << 10));
+    ///
+    /// let a = hoard.chunk_stream(&data).unwrap();
+    /// let b = malloc.chunk_stream(&data).unwrap();
+    /// assert_eq!(a.chunks, b.chunks); // same boundaries
+    /// // Hoard removes allocator serialization (§5.1).
+    /// assert!(a.report.throughput_gbps() > b.report.throughput_gbps());
+    /// ```
+    pub fn cpu_pthreads() -> Self {
+        ShredderConfig {
+            executor: Executor::Host(Allocator::Hoard),
+            pinned_ring: false,
+            ..ShredderConfig::gpu_streams()
+        }
+    }
+
+    /// The host-only pthreads baseline with stock `malloc` — Figure
+    /// 12's "CPU w/o Hoard".
+    pub fn cpu_pthreads_malloc() -> Self {
+        ShredderConfig {
+            executor: Executor::Host(Allocator::Malloc),
+            ..ShredderConfig::cpu_pthreads()
         }
     }
 
@@ -297,6 +342,23 @@ impl ShredderConfig {
         }
     }
 
+    /// Whether buffers stage through each device's pinned ring: the
+    /// GPU executor with [`pinned_ring`](Self::pinned_ring) on.
+    pub(crate) fn stages_through_ring(&self) -> bool {
+        self.pinned_ring && self.executor == Executor::Gpu
+    }
+
+    /// One-time pinned-ring setup cost across the pool (the ring is
+    /// allocated once per device at system init, §4.1.2); zero without
+    /// a ring.
+    pub(crate) fn ring_setup(&self) -> Dur {
+        if self.stages_through_ring() {
+            PinnedRing::new(self.ring_slots(), self.buffer_size).setup_time() * self.gpus as u64
+        } else {
+            Dur::ZERO
+        }
+    }
+
     /// Number of pinned ring slots per device: the configured override,
     /// or "as low as the number of stages in the streaming pipeline"
     /// (§4.1.2).
@@ -341,6 +403,20 @@ impl ShredderConfig {
                 "device pool must have at least one GPU".into(),
             ));
         }
+        if let Executor::Host(_) = self.executor {
+            if self.gpus != 1 {
+                return Err(InvalidConfig(format!(
+                    "the host executor is one device, got gpus = {}",
+                    self.gpus
+                )));
+            }
+            if self.kernel.is_gear() {
+                return Err(InvalidConfig(format!(
+                    "the host executor is costed for Rabin, got the {} kernel",
+                    self.kernel
+                )));
+            }
+        }
         if self.ring_slots == Some(0) {
             return Err(InvalidConfig(
                 "pinned ring must have at least one slot".into(),
@@ -383,6 +459,23 @@ impl Default for ShredderConfig {
     }
 }
 
+/// What scans a run's buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Executor {
+    /// The simulated GPU device pool (§3–§4).
+    Gpu,
+    /// The host-only pthreads baseline (§5.1) as one host device in the
+    /// pool: no H2D, no D2H, no staging ring. A buffer of `b` bytes
+    /// scans in `b · CPU_RABIN_CYCLES_PER_BYTE / (HOST_CLOCK_HZ ·
+    /// HOST_THREADS) / (1 − loss)` plus `HOST_THREADS ·
+    /// HOST_SYNC_NS_PER_THREAD` of SPMD synchronization, where `loss`
+    /// is the allocator's [`contention_loss`](Allocator::contention_loss)
+    /// (constants in `shredder_gpu::calibration`). Chunk boundaries
+    /// still come from the configured Rabin kernel, so they equal the
+    /// GPU executor's.
+    Host(Allocator),
+}
+
 /// The memory allocator used by the host-only chunker (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Allocator {
@@ -409,46 +502,6 @@ impl std::fmt::Display for Allocator {
             Allocator::Malloc => f.write_str("malloc"),
             Allocator::Hoard => f.write_str("hoard"),
         }
-    }
-}
-
-/// Configuration of the host-only pthreads chunker (§5.1, §5.3: 12
-/// threads on the Xeon X5650 testbed).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HostChunkerConfig {
-    /// Chunking parameters.
-    pub params: ChunkParams,
-    /// Worker thread count (paper: 12).
-    pub threads: usize,
-    /// Allocator model.
-    pub allocator: Allocator,
-    /// Host clock in Hz (Table 2 / §5.3: 2.67 GHz).
-    pub clock_hz: f64,
-}
-
-impl HostChunkerConfig {
-    /// The paper's optimized host baseline: 12 threads with Hoard.
-    pub fn optimized() -> Self {
-        HostChunkerConfig {
-            params: ChunkParams::paper(),
-            threads: 12,
-            allocator: Allocator::Hoard,
-            clock_hz: calibration::HOST_CLOCK_HZ,
-        }
-    }
-
-    /// The unoptimized baseline: 12 threads with stock `malloc`.
-    pub fn unoptimized() -> Self {
-        HostChunkerConfig {
-            allocator: Allocator::Malloc,
-            ..HostChunkerConfig::optimized()
-        }
-    }
-}
-
-impl Default for HostChunkerConfig {
-    fn default() -> Self {
-        HostChunkerConfig::optimized()
     }
 }
 
@@ -641,11 +694,45 @@ mod tests {
 
     #[test]
     fn host_configs() {
-        assert_eq!(HostChunkerConfig::optimized().threads, 12);
         assert_eq!(
-            HostChunkerConfig::unoptimized().allocator,
-            Allocator::Malloc
+            ShredderConfig::cpu_pthreads().executor,
+            Executor::Host(Allocator::Hoard)
         );
-        assert_eq!(HostChunkerConfig::default().allocator, Allocator::Hoard);
+        assert_eq!(
+            ShredderConfig::cpu_pthreads_malloc().executor,
+            Executor::Host(Allocator::Malloc)
+        );
+        assert_eq!(ShredderConfig::cpu_pthreads().validate(), Ok(()));
+        assert_eq!(ShredderConfig::cpu_pthreads_malloc().validate(), Ok(()));
+        assert_eq!(ShredderConfig::default().executor, Executor::Gpu);
+    }
+
+    #[test]
+    fn host_executor_rejects_a_device_pool() {
+        use crate::ChunkError;
+        for gpus in [2, 4] {
+            match ShredderConfig::cpu_pthreads().with_gpus(gpus).validate() {
+                Err(ChunkError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("host executor"), "{msg}")
+                }
+                other => panic!("expected InvalidConfig for gpus = {gpus}, got {other:?}"),
+            }
+        }
+        // The GPU executor shards over any pool size.
+        assert_eq!(ShredderConfig::default().with_gpus(4).validate(), Ok(()));
+    }
+
+    #[test]
+    fn host_executor_rejects_gear_kernels() {
+        use crate::ChunkError;
+        for kernel in [KernelVariant::Gear, KernelVariant::GearCoalesced] {
+            let cfg = ShredderConfig::cpu_pthreads_malloc().with_chunk_kernel(kernel);
+            match cfg.validate() {
+                Err(ChunkError::InvalidConfig(msg)) => assert!(msg.contains("Rabin"), "{msg}"),
+                other => panic!("expected InvalidConfig for {kernel}, got {other:?}"),
+            }
+        }
+        let rabin = ShredderConfig::cpu_pthreads().with_chunk_kernel(KernelVariant::Coalesced);
+        assert_eq!(rabin.validate(), Ok(()));
     }
 }

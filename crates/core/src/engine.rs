@@ -24,6 +24,12 @@
 //!   and each device's staging-ring slots are DES resources held from
 //!   SAN read through H2D — ring exhaustion backpressures admission.
 //!
+//! The host-only pthreads baseline (§5.1) runs through the same
+//! simulation: under [`Executor::Host`](crate::Executor) the pool is
+//! one host device whose buffers go Reader → threads → Store with no
+//! transfers and no ring, each costed by the calibrated per-byte Xeon
+//! rate.
+//!
 //! The legacy one-shot [`Shredder::chunk_stream`](crate::Shredder) API is now a thin
 //! single-session convenience over this engine (see
 //! [`crate::pipeline`]).
@@ -64,16 +70,16 @@ use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 use shredder_des::{BandwidthChannel, Dur, FifoServer, SimTime, Simulation, TimeSeries};
+use shredder_gpu::calibration;
 use shredder_gpu::hostmem::{HostAllocModel, HostMemKind};
 use shredder_gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder_gpu::pool::{BufferJob, DevicePool, PooledDevice};
-use shredder_gpu::{calibration, PinnedRing};
 use shredder_rabin::chunker::cuts_to_chunks;
 use shredder_rabin::{Chunk, RawCut};
 use shredder_telemetry::{ArgValue, Lane, TelemetryReport, TraceRecorder};
 
 use crate::bufpool::{BufferPool, PooledBuf};
-use crate::config::ShredderConfig;
+use crate::config::{Allocator, Executor, ShredderConfig};
 use crate::error::ChunkError;
 use crate::fault::{FaultKind, FaultReport};
 use crate::ready::ReadyQueues;
@@ -598,13 +604,7 @@ impl<'a> ShredderEngine<'a> {
             }));
         }
 
-        // The ring is allocated once per device at system init (§4.1.2).
-        let ring_setup = if self.config.pinned_ring {
-            PinnedRing::new(self.config.ring_slots(), self.config.buffer_size).setup_time()
-                * self.config.gpus as u64
-        } else {
-            Dur::ZERO
-        };
+        let ring_setup = self.config.ring_setup();
 
         let makespan = sim.end.saturating_since(SimTime::ZERO);
         let devices = sim
@@ -721,10 +721,14 @@ impl<'a> ShredderEngine<'a> {
                     })
                     .filter(|c| c.offset > start),
             );
+            let kernel_dur = match self.config.executor {
+                Executor::Gpu => out.stats.duration,
+                Executor::Host(allocator) => host_scan_time(filled as u64, allocator),
+            };
             buffers.push(PlannedBuffer {
                 bytes: filled as u64,
                 cut_count: (cuts.len() - before) as u64,
-                kernel_dur: out.stats.duration,
+                kernel_dur,
             });
 
             // Keep the last `window − 1` scanned bytes for the next buffer.
@@ -771,6 +775,20 @@ impl<'a> ShredderEngine<'a> {
             },
         )
     }
+}
+
+/// Simulated time for the host executor's threads to scan one buffer
+/// of `bytes` bytes (§5.1): the calibrated per-byte Rabin cost spread
+/// over `HOST_THREADS` Xeon threads and slowed by the allocator's
+/// contention loss, plus the SPMD spawn + boundary-merge
+/// synchronization every buffer pays.
+pub(crate) fn host_scan_time(bytes: u64, allocator: Allocator) -> Dur {
+    let threads = calibration::HOST_THREADS;
+    let rate = calibration::HOST_CLOCK_HZ / calibration::CPU_RABIN_CYCLES_PER_BYTE
+        * threads as f64
+        * (1.0 - allocator.contention_loss());
+    Dur::from_bytes_at(bytes, rate)
+        + Dur::from_nanos(threads * calibration::HOST_SYNC_NS_PER_THREAD)
 }
 
 /// The result of a service-frontend run: one outcome per request
@@ -1653,12 +1671,15 @@ fn simulate_service<'a>(
     // on the infallible analytic path (`simulate_synthetic`) the pool's
     // own non-empty assert fires instead of silently coercing to 1.
     let gpus = config.gpus;
-    let pool = DevicePool::homogeneous(
-        gpus,
-        &config.device,
-        config.twin_buffers,
-        config.ring_slots(),
-    );
+    let pool = match config.executor {
+        Executor::Gpu => DevicePool::homogeneous(
+            gpus,
+            &config.device,
+            config.twin_buffers,
+            config.ring_slots(),
+        ),
+        Executor::Host(_) => DevicePool::host(config.twin_buffers),
+    };
     // Faults already in force at t = 0 are pre-existing conditions:
     // they bias the initial placement (LeastLoaded routes around known
     // stragglers and skips dead devices). Every fault event — t = 0
@@ -1702,9 +1723,11 @@ fn simulate_service<'a>(
     } else {
         HostMemKind::Pageable
     };
-    // Without the ring, the host allocates a fresh pageable buffer every
-    // iteration (§4.1.2's counterfactual).
-    let prep_time = if config.pinned_ring {
+    // Without the ring, a GPU host allocates a fresh pageable buffer
+    // every iteration (§4.1.2's counterfactual). The host executor
+    // scans in place; its allocator cost is in the scan rate.
+    let pinned_ring = config.stages_through_ring();
+    let prep_time = if pinned_ring || config.executor != Executor::Gpu {
         Dur::ZERO
     } else {
         alloc_model.alloc_time(HostMemKind::Pageable, config.buffer_size)
@@ -1839,7 +1862,7 @@ fn simulate_service<'a>(
         faults,
         host_kind,
         variant: config.kernel,
-        pinned_ring: config.pinned_ring,
+        pinned_ring,
         prep_time,
         stage_servers: stage_servers.clone(),
         stage_acct: stage_acct.clone(),

@@ -5,8 +5,10 @@
 //! one-shot slice API into a **session-based multi-stream engine**:
 //!
 //! * [`config`] — [`ShredderConfig`] with presets matching the Figure 12
-//!   systems: `gpu_basic()` (§3.1), `gpu_streams()` (double buffering +
-//!   pinned ring + 4-stage pipeline, §4.1–§4.2) and
+//!   systems: `cpu_pthreads_malloc()` / `cpu_pthreads()` (the §5.1
+//!   host-only baseline without/with Hoard, as one host device in the
+//!   engine's pool), `gpu_basic()` (§3.1), `gpu_streams()` (double
+//!   buffering + pinned ring + 4-stage pipeline, §4.1–§4.2) and
 //!   `gpu_streams_memory()` (adds the coalesced kernel, §4.3).
 //! * [`engine`] — the [`ShredderEngine`]: N concurrent [`ChunkSession`]s
 //!   scheduled through **one shared** discrete-event pipeline (one SAN
@@ -54,12 +56,11 @@
 //!   meeting a p99 SLO. The legacy `open_*_session` + `run()` path *is*
 //!   the batch workload with unbounded admission — chunks and digests
 //!   are bit-identical.
-//! * [`pipeline`] — the legacy single-stream [`Shredder`] service, now a
-//!   thin one-session convenience over the engine.
-//! * [`host_chunker`] — the host-only pthreads baseline of §5.1.
+//! * [`pipeline`] — the single-stream [`Shredder`] service, a thin
+//!   one-session convenience over the engine for either executor.
 //! * [`service`] — the fallible [`ChunkingService`] trait the case
 //!   studies (Inc-HDFS, cloud backup) program against; its upcall-style
-//!   boundary delivery of §3.1 is the degenerate (stage-less) sink.
+//!   boundary delivery of §3.1 is the stage-less sink.
 //!
 //! Everywhere, chunk boundaries are **real** (computed by the shared
 //! Rabin tables over the actual bytes, identical across every engine and
@@ -99,7 +100,7 @@
 //! use std::collections::HashSet;
 //! use std::rc::Rc;
 //! use shredder_core::{
-//!     ChunkingService, DedupSink, DedupSinkConfig, Shredder, ShredderConfig, SinkPipelineHints,
+//!     ChunkingService, DedupSink, DedupSinkConfig, Shredder, ShredderConfig,
 //! };
 //! use shredder_des::Dur;
 //!
@@ -113,7 +114,6 @@
 //!         ship_bw: 0.9e9,
 //!         pointer_bytes: 40,
 //!         ship_chunk_overhead: Dur::from_micros(2),
-//!         hints: SinkPipelineHints::default(),
 //!     },
 //!     index,
 //! );
@@ -125,18 +125,19 @@
 //! // simulation — and the stages overlapped the chunking pipeline.
 //! assert!(!sink.verdicts().is_empty());
 //! assert_eq!(outcome.stages.len(), 3);
-//! assert!(outcome.makespan >= outcome.report.makespan());
+//! assert!(outcome.makespan >= outcome.report.makespan);
 //! ```
 //!
-//! The single-stream convenience (identical boundaries, one session):
+//! The single-stream convenience (identical boundaries, one session),
+//! on the GPU pool and on the host device of the pthreads baseline:
 //!
 //! ```
-//! use shredder_core::{ChunkingService, HostChunker, Shredder, ShredderConfig};
+//! use shredder_core::{ChunkingService, Shredder, ShredderConfig};
 //!
 //! let data: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(0x9e3779b9) >> 11) as u8).collect();
 //!
 //! let gpu = Shredder::new(ShredderConfig::gpu_streams_memory());
-//! let cpu = HostChunker::with_defaults();
+//! let cpu = Shredder::new(ShredderConfig::cpu_pthreads());
 //!
 //! let g = gpu.chunk_stream(&data).unwrap();
 //! let c = cpu.chunk_stream(&data).unwrap();
@@ -154,7 +155,6 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod frontend;
-pub mod host_chunker;
 pub mod pipeline;
 mod ready;
 pub mod report;
@@ -165,7 +165,7 @@ pub mod source;
 pub mod workload;
 
 pub use bufpool::{BufferPool, PooledBuf};
-pub use config::{Allocator, HostChunkerConfig, ShredderConfig};
+pub use config::{Allocator, Executor, ShredderConfig};
 pub use engine::{AdmissionPolicy, EngineOutcome, PlacementPolicy, ShredderEngine};
 pub use error::ChunkError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultReport};
@@ -173,18 +173,17 @@ pub use frontend::{
     capacity_search, CapacityReport, CapacityTrial, ChunkRequest, RequestId, RequestResult,
     ServiceOutcome, ShredderService,
 };
-pub use host_chunker::HostChunker;
 pub use pipeline::Shredder;
 pub use report::{
-    BufferTimeline, ClassLatency, DeviceReport, EngineReport, HostReport, PipelineReport, Report,
-    RequestReport, ServiceReport, SessionReport, StageBusy, StageReport,
+    BufferTimeline, ClassLatency, DeviceReport, EngineReport, PipelineReport, RequestReport,
+    ServiceReport, SessionReport, StageBusy, StageReport,
 };
 pub use service::{ChunkOutcome, ChunkingService};
 pub use session::{ChunkSession, SessionId, SessionOutcome};
 pub use sink::{
     ChunkSink, ChunkVerdict, DedupSink, DedupSinkConfig, DedupStage, FingerprintIndex,
-    FingerprintStage, ShipStage, SinkOutcome, SinkPipelineHints, StageKind, StageSpec, StoreSink,
-    StoreSinkConfig, StoreStage, UpcallSink,
+    FingerprintStage, ShipStage, SinkOutcome, StageKind, StageSpec, StoreSink, StoreSinkConfig,
+    StoreStage, UpcallSink,
 };
 pub use source::{MemorySource, SliceSource, StreamSource};
 pub use workload::{AdmissionControl, TenantClass, Workload};

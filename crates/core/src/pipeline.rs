@@ -1,6 +1,12 @@
 //! The single-stream Shredder pipeline: Reader → Transfer → Kernel →
 //! Store, as a thin convenience over the session engine.
 //!
+//! The same facade runs the host-only pthreads baseline of §5.1: with
+//! [`ShredderConfig::cpu_pthreads`] the session's buffers run on one
+//! host device in the engine's pool (Reader → threads → Store, no
+//! transfers), so both executors share one simulator and one report
+//! shape.
+//!
 //! Historically this module owned the whole discrete-event pipeline;
 //! that machinery now lives in [`crate::engine`], where any number of
 //! tenant streams share it. [`Shredder`] keeps the original surface —
@@ -20,18 +26,17 @@
 //!   (fast DMA, §4.1.2) vs pageable buffers allocated every iteration.
 
 use shredder_des::Dur;
-use shredder_gpu::PinnedRing;
-use shredder_rabin::Chunk;
 
-use crate::config::ShredderConfig;
+use crate::config::{Executor, ShredderConfig};
 use crate::engine::{PlannedBuffer, SessionPlan, ShredderEngine};
 use crate::error::ChunkError;
-use crate::report::{PipelineReport, Report, StageBusy};
+use crate::report::{PipelineReport, StageBusy};
 use crate::service::ChunkingService;
-use crate::sink::{ChunkSink, SinkOutcome, UpcallSink};
+use crate::sink::{ChunkSink, SinkOutcome};
 use crate::source::StreamSource;
 
-/// The GPU-accelerated Shredder chunking engine (single-stream view).
+/// The Shredder chunking engine (single-stream view), on the GPU pool
+/// or on the host device of the pthreads baseline.
 ///
 /// # Examples
 ///
@@ -111,12 +116,6 @@ impl Shredder {
                 sim.end.saturating_since(shredder_des::SimTime::ZERO),
             )
         };
-        let ring_setup = if self.config.pinned_ring {
-            PinnedRing::new(self.config.ring_slots(), self.config.buffer_size).setup_time()
-                * self.config.gpus as u64
-        } else {
-            Dur::ZERO
-        };
         PipelineReport {
             bytes: (buffers * bytes) as u64,
             buffers,
@@ -124,23 +123,13 @@ impl Shredder {
             stage_busy,
             kernel_time: kernel_dur * buffers as u64,
             timeline,
-            ring_setup,
+            ring_setup: self.config.ring_setup(),
             raw_cuts: cuts_per_buffer * buffers,
         }
     }
 }
 
 impl ChunkingService for Shredder {
-    fn chunk_source_with(
-        &self,
-        source: &mut dyn StreamSource,
-        upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError> {
-        // The upcall interface is the degenerate (stage-less) sink.
-        let mut sink = UpcallSink::new(upcall);
-        Ok(self.chunk_source_sink(source, &mut sink)?.report)
-    }
-
     /// Runs the sink's stages inside the engine's shared simulation: one
     /// session, chunking pipeline and downstream stages contending and
     /// overlapping on the same virtual clock. The caller's `ingest_bw`
@@ -162,9 +151,9 @@ impl ChunkingService for Shredder {
             engine.run()?
         };
         let per = &outcome.report.sessions[0];
-        // The legacy report keeps chunk-only semantics: with downstream
-        // stages attached, chunking ends when the last buffer leaves the
-        // Store thread, not when the sink drains.
+        // The report keeps chunk-only semantics: with downstream stages
+        // attached, chunking ends when the last buffer leaves the Store
+        // thread, not when the sink drains.
         let chunk_makespan = if outcome.report.sink_stages.is_empty() {
             outcome.report.makespan
         } else {
@@ -173,7 +162,7 @@ impl ChunkingService for Shredder {
                 .map(|t| t.store_end.saturating_since(per.first_admit))
                 .unwrap_or(Dur::ZERO)
         };
-        let report = Report::Pipeline(PipelineReport {
+        let report = PipelineReport {
             bytes: per.bytes,
             buffers: per.buffers,
             makespan: chunk_makespan,
@@ -182,7 +171,7 @@ impl ChunkingService for Shredder {
             timeline: per.timeline.clone(),
             ring_setup: outcome.report.ring_setup,
             raw_cuts: per.raw_cuts,
-        });
+        };
         Ok(SinkOutcome {
             report,
             makespan: outcome.report.makespan,
@@ -191,6 +180,12 @@ impl ChunkingService for Shredder {
     }
 
     fn service_name(&self) -> String {
+        if let Executor::Host(allocator) = self.config.executor {
+            return format!(
+                "pthreads-cpu({} threads, {allocator})",
+                shredder_gpu::calibration::HOST_THREADS
+            );
+        }
         format!(
             "shredder-gpu({} kernel, depth {}, twins {}, {}, {} gpu{})",
             self.config.kernel,
@@ -211,6 +206,9 @@ impl ChunkingService for Shredder {
 mod tests {
     use super::*;
     use crate::config::ShredderConfig;
+    use crate::engine::host_scan_time;
+    use crate::source::SliceSource;
+    use shredder_gpu::calibration;
     use shredder_rabin::{chunk_all, ChunkParams};
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
@@ -289,7 +287,7 @@ mod tests {
         let out = Shredder::new(small(ShredderConfig::gpu_streams_memory()))
             .chunk_stream(&data)
             .unwrap();
-        let report = out.report.as_pipeline().unwrap().clone();
+        let report = out.report.clone();
         assert_eq!(report.buffers, report.timeline.len());
         for t in &report.timeline {
             assert!(t.read_start <= t.read_end);
@@ -315,7 +313,7 @@ mod tests {
             .chunk_stream(&data)
             .unwrap()
             .report
-            .makespan()
+            .makespan
         };
         let seq = t(1);
         let pipe4 = t(4);
@@ -329,8 +327,8 @@ mod tests {
             .chunk_stream(&[])
             .unwrap();
         assert!(out.chunks.is_empty());
-        assert_eq!(out.report.bytes(), 0);
-        assert_eq!(out.report.makespan(), Dur::ZERO);
+        assert_eq!(out.report.bytes, 0);
+        assert_eq!(out.report.makespan, Dur::ZERO);
     }
 
     #[test]
@@ -340,7 +338,7 @@ mod tests {
             .chunk_stream(&data)
             .unwrap();
         assert_eq!(out.chunks, chunk_all(&data, &ChunkParams::paper()));
-        assert_eq!(out.report.as_pipeline().unwrap().buffers, 1);
+        assert_eq!(out.report.buffers, 1);
     }
 
     #[test]
@@ -352,8 +350,8 @@ mod tests {
         let without = Shredder::new(small(ShredderConfig::gpu_basic()))
             .chunk_stream(&data)
             .unwrap();
-        assert!(with_ring.report.as_pipeline().unwrap().ring_setup > Dur::ZERO);
-        assert_eq!(without.report.as_pipeline().unwrap().ring_setup, Dur::ZERO);
+        assert!(with_ring.report.ring_setup > Dur::ZERO);
+        assert_eq!(without.report.ring_setup, Dur::ZERO);
     }
 
     #[test]
@@ -362,7 +360,7 @@ mod tests {
         let out = Shredder::new(small(ShredderConfig::gpu_streams_memory()))
             .chunk_stream(&data)
             .unwrap();
-        let busy = out.report.as_pipeline().unwrap().stage_busy;
+        let busy = out.report.stage_busy;
         assert!(busy.read > Dur::ZERO);
         assert!(busy.transfer > Dur::ZERO);
         assert!(busy.kernel > Dur::ZERO);
@@ -376,6 +374,213 @@ mod tests {
         let shredder = Shredder::new(ShredderConfig::default().with_params(params));
         let result = shredder.chunk_stream(&[1, 2, 3]);
         assert!(matches!(result, Err(ChunkError::InvalidConfig(_))));
+    }
+
+    /// Fig. 15's map-task-sized split parameters.
+    fn split_params() -> ChunkParams {
+        ChunkParams {
+            min_size: 32 << 10,
+            max_size: 128 << 10,
+            ..ChunkParams::paper().with_expected_size(64 << 10)
+        }
+    }
+
+    #[test]
+    fn host_boundaries_match_sequential() {
+        // Lengths straddle the 64 KiB host buffers, so windows and
+        // min/max runs cross buffer seams.
+        let buffer = 64 << 10;
+        let data = pseudo_random((1 << 20) + 5, 5);
+        for params in [ChunkParams::paper(), ChunkParams::backup(), split_params()] {
+            let host = Shredder::new(
+                ShredderConfig::cpu_pthreads()
+                    .with_params(params.clone())
+                    .with_buffer_size(buffer),
+            );
+            for len in [
+                0,
+                1,
+                buffer - 1,
+                buffer,
+                buffer + 1,
+                3 * buffer + 17,
+                data.len(),
+            ] {
+                let slice = &data[..len];
+                let out = host.chunk_stream(slice).unwrap();
+                assert_eq!(
+                    out.chunks,
+                    chunk_all(slice, &params),
+                    "{params:?} len {len}"
+                );
+                assert_eq!(out.report.bytes, len as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn host_hoard_beats_malloc() {
+        let data = pseudo_random(1 << 21, 6);
+        let run = |cfg: ShredderConfig| {
+            Shredder::new(cfg.with_buffer_size(256 << 10))
+                .chunk_stream(&data)
+                .unwrap()
+        };
+        let hoard = run(ShredderConfig::cpu_pthreads());
+        let malloc = run(ShredderConfig::cpu_pthreads_malloc());
+        assert_eq!(hoard.chunks, malloc.chunks);
+        assert!(hoard.report.throughput_gbps() > malloc.report.throughput_gbps());
+        assert!(hoard.report.kernel_time < malloc.report.kernel_time);
+    }
+
+    #[test]
+    fn host_rate_near_figure12() {
+        // ~0.4 GB/s for 12 threads with Hoard at the paper's 32 MiB
+        // buffers, sync included.
+        let bytes = 32u64 << 20;
+        for (allocator, lo, hi) in [
+            (crate::Allocator::Hoard, 0.35e9, 0.45e9),
+            (crate::Allocator::Malloc, 0.28e9, 0.35e9),
+        ] {
+            let rate = bytes as f64 / host_scan_time(bytes, allocator).as_secs_f64();
+            assert!(rate > lo && rate < hi, "{allocator}: {rate}");
+        }
+    }
+
+    #[test]
+    fn host_scan_time_scales_linearly() {
+        let sync =
+            Dur::from_nanos(calibration::HOST_THREADS * calibration::HOST_SYNC_NS_PER_THREAD);
+        let scan = |bytes: u64| host_scan_time(bytes, crate::Allocator::Hoard) - sync;
+        let ratio = scan(1 << 29).as_secs_f64() / scan(1 << 28).as_secs_f64();
+        assert!((ratio - 2.0).abs() < 1e-6, "{ratio}");
+        assert_eq!(host_scan_time(0, crate::Allocator::Hoard), sync);
+    }
+
+    #[test]
+    fn host_sessions_are_allocation_free_in_steady_state() {
+        let data = pseudo_random(768 << 10, 9);
+        let mut engine =
+            Shredder::new(ShredderConfig::cpu_pthreads().with_buffer_size(128 << 10)).engine();
+        engine.open_session(SliceSource::new(&data));
+        engine.run().unwrap();
+        let warm = engine.buffer_pool().allocations();
+        for _ in 0..5 {
+            engine.open_session(SliceSource::new(&data));
+            engine.run().unwrap();
+        }
+        assert_eq!(
+            engine.buffer_pool().allocations(),
+            warm,
+            "steady-state host sessions must not allocate"
+        );
+        assert!(engine.buffer_pool().recycles() >= 5);
+    }
+
+    #[test]
+    fn host_device_report_has_no_transfers() {
+        let data = pseudo_random(1 << 20, 7);
+        let mut engine =
+            Shredder::new(ShredderConfig::cpu_pthreads().with_buffer_size(256 << 10)).engine();
+        engine.open_session(SliceSource::new(&data));
+        let report = engine.run().unwrap().report;
+        assert_eq!(report.devices.len(), 1);
+        let dev = &report.devices[0];
+        assert_eq!(dev.transfer_busy, Dur::ZERO);
+        assert_eq!(dev.return_busy, Dur::ZERO);
+        assert_eq!(dev.overlap, 0.0);
+        assert_eq!(dev.buffers, 4);
+        assert_eq!(dev.bytes, data.len() as u64);
+        assert!(dev.kernel_busy > Dur::ZERO);
+        assert!(dev.utilization > 0.0 && dev.utilization <= 1.0);
+        assert_eq!(report.stage_busy.transfer, Dur::ZERO);
+        assert_eq!(report.ring_setup, Dur::ZERO);
+        // The store stage is the Store thread alone: no D2H return.
+        assert!(report.stage_busy.store > Dur::ZERO);
+    }
+
+    /// The closed-form terms for one `b`-byte buffer on the uncontended
+    /// Hoard host device, from the model's constants: `(read(b),
+    /// compute(b), store(b))` with a reader of `read_bw` bytes/s.
+    fn host_terms(b: usize, read_bw: f64) -> (Dur, Dur, Dur) {
+        let read = Dur::from_nanos(calibration::READER_IO_LATENCY_NS)
+            + Dur::from_bytes_at(b as u64, read_bw);
+        let rate = calibration::HOST_CLOCK_HZ / calibration::CPU_RABIN_CYCLES_PER_BYTE
+            * calibration::HOST_THREADS as f64
+            * (1.0 - calibration::HOARD_CONTENTION_LOSS);
+        let compute = Dur::from_bytes_at(b as u64, rate)
+            + Dur::from_nanos(calibration::HOST_THREADS * calibration::HOST_SYNC_NS_PER_THREAD);
+        let store = Dur::from_nanos(calibration::HOST_STAGE_OVERHEAD_NS);
+        (read, compute, store)
+    }
+
+    /// Runs `n` equal buffers of `b` bytes with no raw cuts through the
+    /// uncontended host executor (Hoard), with an optional ingest cap.
+    fn host_uncontended(n: u64, b: usize, ingest_bw: Option<f64>) -> PipelineReport {
+        // A constant byte never hits the Rabin marker, so every buffer's
+        // Store work is the bare per-buffer overhead.
+        let data = vec![0x42u8; n as usize * b];
+        let service = Shredder::new(ShredderConfig::cpu_pthreads().with_buffer_size(b));
+        let mut upcall = |_| {};
+        let mut sink = crate::sink::UpcallSink::new(&mut upcall);
+        let outcome = service
+            .chunk_stream_sink_capped(&data, &mut sink, ingest_bw)
+            .unwrap();
+        assert_eq!(outcome.report.raw_cuts, 0);
+        assert_eq!(outcome.report.buffers, n as usize);
+        outcome.report
+    }
+
+    /// Compute-bound closed form. With `b` = 1 MiB the SAN read
+    /// `read(b) = READER_IO_LATENCY_NS + b / READER_IO_BW` (≈0.57 ms)
+    /// is shorter than the host scan `compute(b) = b ·
+    /// CPU_RABIN_CYCLES_PER_BYTE / (HOST_CLOCK_HZ · HOST_THREADS) /
+    /// (1 − HOARD_CONTENTION_LOSS) + HOST_THREADS ·
+    /// HOST_SYNC_NS_PER_THREAD` (≈3.2 ms), and the Store thread's
+    /// `store(b) = HOST_STAGE_OVERHEAD_NS` (no cuts). With 4 admission
+    /// slots every later read hides behind the scans, so the makespan
+    /// is exactly `read(b) + n·compute(b) + store(b)`.
+    #[test]
+    fn host_compute_bound_makespan_is_closed_form() {
+        let (n, b) = (6u64, 1usize << 20);
+        let (read, compute, store) = host_terms(b, calibration::READER_IO_BW);
+        assert!(read < compute && store < compute);
+
+        let report = host_uncontended(n, b, None);
+        assert_eq!(
+            report.makespan.as_nanos(),
+            (read + compute * n + store).as_nanos()
+        );
+        assert_eq!(report.kernel_time, compute * n);
+    }
+
+    /// Read-bound closed form. An ingest cap of 100 MB/s — below the
+    /// host's ≈0.4 GB/s scan rate — makes the capped read `read(b) =
+    /// READER_IO_LATENCY_NS + b / 100 MB/s` (≈10.5 ms) longer than
+    /// `compute(b) + store(b)` (≈3.2 ms, terms as in the compute-bound
+    /// test). The reader then runs back to back and only the last
+    /// buffer's scan and store trail it: the makespan is exactly
+    /// `n·read(b) + compute(b) + store(b)`.
+    #[test]
+    fn host_read_bound_makespan_is_closed_form() {
+        let (n, b, cap) = (6u64, 1usize << 20, 100e6);
+        let (read, compute, store) = host_terms(b, cap);
+        assert!(compute + store < read);
+
+        let report = host_uncontended(n, b, Some(cap));
+        assert_eq!(
+            report.makespan.as_nanos(),
+            (read * n + compute + store).as_nanos()
+        );
+    }
+
+    #[test]
+    fn host_service_name_mentions_configuration() {
+        let name = Shredder::new(ShredderConfig::cpu_pthreads()).service_name();
+        assert!(name.contains("12"), "{name}");
+        assert!(name.contains("hoard"), "{name}");
+        let name = Shredder::new(ShredderConfig::cpu_pthreads_malloc()).service_name();
+        assert!(name.contains("malloc"), "{name}");
     }
 
     #[test]

@@ -3,42 +3,42 @@
 //! The Shredder library notifies applications of chunk boundaries via an
 //! upcall (§3.1: "the Store thread uses an upcall to notify the chunk
 //! boundaries to the application that is using the Shredder library").
-//! [`ChunkingService::chunk_source_with`] is that interface, now fed by
-//! a [`StreamSource`] instead of a bare slice and fallible so kernel
-//! errors propagate instead of panicking; the conveniences
+//! [`ChunkingService::chunk_source_with`] is that interface, fed by a
+//! [`StreamSource`] and fallible so kernel errors propagate instead of
+//! panicking; the conveniences
 //! [`chunk_stream`](ChunkingService::chunk_stream) and
 //! [`chunk_source`](ChunkingService::chunk_source) collect the upcalls
 //! into a [`ChunkOutcome`].
 //!
-//! Since the staged-sink redesign, the upcall path is simply the
-//! degenerate (stage-less) case of
-//! [`chunk_source_sink`](ChunkingService::chunk_source_sink): a
-//! [`ChunkSink`] with downstream stages (fingerprint, dedup, ship) runs
-//! those stages *inside* the service's simulation, so hashing genuinely
-//! overlaps chunking instead of being post-processed analytically. The
-//! default implementation pipelines the sink's stages behind a chunker
-//! running at the service's measured rate; engine-backed services
-//! ([`Shredder`](crate::Shredder)) override it to schedule the stages
-//! in the shared multi-session simulation.
+//! The upcall is the stage-less sink: every entry point funnels into
+//! [`chunk_source_sink_capped`](ChunkingService::chunk_source_sink_capped),
+//! and the upcall forms wrap their closure in an
+//! [`UpcallSink`]. A [`ChunkSink`] with downstream
+//! stages (fingerprint, dedup, ship) runs those stages *inside* the
+//! service's simulation, so hashing genuinely overlaps chunking.
+//! [`Shredder`](crate::Shredder) is the one implementation: a private
+//! single-session [`ShredderEngine`](crate::ShredderEngine) per call,
+//! on the GPU device pool or on the host device of the pthreads
+//! baseline ([`ShredderConfig::cpu_pthreads`](crate::ShredderConfig::cpu_pthreads)).
+//! Both executors report the same [`PipelineReport`].
 //!
 //! For chunking *many* streams through one shared pipeline, use the
-//! session API ([`ShredderEngine`](crate::ShredderEngine)) directly —
-//! these per-call entry points each run a private single-session engine.
+//! session API ([`ShredderEngine`](crate::ShredderEngine)) directly.
 //!
 //! Every entry point honors the full
 //! [`ShredderConfig`](crate::ShredderConfig), including the device pool:
 //! a service built with `gpus = N`
 //! ([`ShredderConfig::with_gpus`](crate::ShredderConfig::with_gpus))
-//! runs its sessions over N devices, and engine-backed reports expose
-//! the per-device utilization/overlap in
+//! runs its sessions over N devices, and engine reports expose the
+//! per-device utilization/overlap in
 //! [`EngineReport::devices`](crate::EngineReport).
 
 use shredder_hash::{sha256, Digest};
 use shredder_rabin::Chunk;
 
 use crate::error::ChunkError;
-use crate::report::Report;
-use crate::sink::{run_sink_after_chunking, ChunkSink, SinkOutcome};
+use crate::report::PipelineReport;
+use crate::sink::{ChunkSink, SinkOutcome, UpcallSink};
 use crate::source::{SliceSource, StreamSource};
 
 /// Result of chunking a stream: the chunks plus the engine's timing
@@ -48,7 +48,7 @@ pub struct ChunkOutcome {
     /// The chunks, tiling the input in order.
     pub chunks: Vec<Chunk>,
     /// Simulated timing report.
-    pub report: Report,
+    pub report: PipelineReport,
 }
 
 impl ChunkOutcome {
@@ -73,10 +73,10 @@ impl ChunkOutcome {
 /// # Examples
 ///
 /// ```
-/// use shredder_core::{ChunkingService, HostChunker};
+/// use shredder_core::{ChunkingService, Shredder, ShredderConfig};
 ///
 /// let data = vec![3u8; 100_000];
-/// let service = HostChunker::with_defaults();
+/// let service = Shredder::new(ShredderConfig::cpu_pthreads());
 /// let mut sizes: Vec<usize> = Vec::new();
 /// service
 ///     .chunk_stream_with(&data, &mut |chunk| sizes.push(chunk.len))
@@ -84,30 +84,59 @@ impl ChunkOutcome {
 /// assert_eq!(sizes.iter().sum::<usize>(), data.len());
 /// ```
 pub trait ChunkingService {
-    /// Chunks the stream delivered by `source`, calling `upcall` with
-    /// each chunk in stream order, and returns the timing report.
+    /// Chunks the stream delivered by `source` and drives `sink`'s
+    /// downstream stages inside the service's simulation, with an
+    /// optional ingest bandwidth cap in bytes/s modeling the link that
+    /// feeds the chunker (the §7.3 10 Gbps image source). `None` models
+    /// a resident stream. Callers with a per-stream cap (the backup
+    /// server's single-image path) pass it here; the request path
+    /// models the same cap as a
+    /// [`TenantClass::ingest_bw`](crate::TenantClass) limit instead.
+    ///
+    /// The sink's functional half (hashing, dedup decisions) runs for
+    /// real, chunk by chunk in stream order.
     ///
     /// # Errors
     ///
     /// [`ChunkError`] when the underlying engine rejects the
     /// configuration or a kernel launch fails.
+    fn chunk_source_sink_capped(
+        &self,
+        source: &mut dyn StreamSource,
+        sink: &mut dyn ChunkSink,
+        ingest_bw: Option<f64>,
+    ) -> Result<SinkOutcome, ChunkError>;
+
+    /// Human-readable engine name (used in experiment output).
+    fn service_name(&self) -> String;
+
+    /// Chunks the stream delivered by `source`, calling `upcall` with
+    /// each chunk in stream order, and returns the timing report. The
+    /// upcall runs as the stage-less [`UpcallSink`].
+    ///
+    /// # Errors
+    ///
+    /// See [`chunk_source_sink_capped`](Self::chunk_source_sink_capped).
     fn chunk_source_with(
         &self,
         source: &mut dyn StreamSource,
         upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError>;
+    ) -> Result<PipelineReport, ChunkError> {
+        let mut sink = UpcallSink::new(upcall);
+        Ok(self.chunk_source_sink(source, &mut sink)?.report)
+    }
 
     /// Chunks an in-memory stream, delivering each chunk through the
     /// `upcall` in stream order.
     ///
     /// # Errors
     ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
+    /// See [`chunk_source_sink_capped`](Self::chunk_source_sink_capped).
     fn chunk_stream_with(
         &self,
         data: &[u8],
         upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError> {
+    ) -> Result<PipelineReport, ChunkError> {
         self.chunk_source_with(&mut SliceSource::new(data), upcall)
     }
 
@@ -115,7 +144,7 @@ pub trait ChunkingService {
     ///
     /// # Errors
     ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
+    /// See [`chunk_source_sink_capped`](Self::chunk_source_sink_capped).
     fn chunk_source(&self, source: &mut dyn StreamSource) -> Result<ChunkOutcome, ChunkError> {
         let mut chunks = Vec::new();
         let report = self.chunk_source_with(source, &mut |c| chunks.push(c))?;
@@ -126,27 +155,16 @@ pub trait ChunkingService {
     ///
     /// # Errors
     ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
+    /// See [`chunk_source_sink_capped`](Self::chunk_source_sink_capped).
     fn chunk_stream(&self, data: &[u8]) -> Result<ChunkOutcome, ChunkError> {
         self.chunk_source(&mut SliceSource::new(data))
     }
 
-    /// Chunks the stream delivered by `source` and drives `sink`'s
-    /// downstream stages inside the service's simulation.
-    ///
-    /// The sink's functional half (hashing, dedup decisions) always runs
-    /// for real, chunk by chunk in stream order. The default
-    /// implementation is the *degenerate* path for engines without a
-    /// shared simulation: it chunks first, then pipelines the sink's
-    /// stages behind a chunker stage running at the service's measured
-    /// rate (batched at [`SinkPipelineHints::granularity`](crate::SinkPipelineHints)),
-    /// so downstream stages still overlap chunking in simulated time.
-    /// Engine-backed services override this to schedule the stages in
-    /// the same shared simulation as the chunking pipeline itself.
+    /// Chunks a source through a sink, uncapped.
     ///
     /// # Errors
     ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
+    /// See [`chunk_source_sink_capped`](Self::chunk_source_sink_capped).
     fn chunk_source_sink(
         &self,
         source: &mut dyn StreamSource,
@@ -155,49 +173,11 @@ pub trait ChunkingService {
         self.chunk_source_sink_capped(source, sink, None)
     }
 
-    /// Like [`chunk_source_sink`](Self::chunk_source_sink), with an
-    /// explicit ingest bandwidth cap in bytes/s modeling the link that
-    /// feeds the chunker (the §7.3 10 Gbps image source). `None` models
-    /// a resident stream. Callers with a per-stream cap (the backup
-    /// server's legacy single-image path) pass it here; the request path
-    /// models the same cap as a
-    /// [`TenantClass::ingest_bw`](crate::TenantClass) limit instead.
-    ///
-    /// # Errors
-    ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_source_sink_capped(
-        &self,
-        source: &mut dyn StreamSource,
-        sink: &mut dyn ChunkSink,
-        ingest_bw: Option<f64>,
-    ) -> Result<SinkOutcome, ChunkError> {
-        // Materialize the stream: the sink's functional pass needs real
-        // payloads for every (min/max-adjusted) chunk. Both buffers are
-        // pooled leases, so repeat calls allocate nothing in steady
-        // state.
-        let pool = crate::bufpool::BufferPool::global();
-        let mut data = pool.with_capacity(source.size_hint().unwrap_or(0) as usize);
-        let mut buf = pool.get(1 << 20);
-        loop {
-            let n = source.read(&mut buf);
-            if n == 0 {
-                break;
-            }
-            data.extend_from_slice(&buf[..n]);
-        }
-        let mut chunks = Vec::new();
-        let report = self.chunk_stream_with(&data, &mut |c| chunks.push(c))?;
-        Ok(run_sink_after_chunking(
-            &data, &chunks, report, sink, ingest_bw,
-        ))
-    }
-
     /// Chunks an in-memory stream through a sink.
     ///
     /// # Errors
     ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
+    /// See [`chunk_source_sink_capped`](Self::chunk_source_sink_capped).
     fn chunk_stream_sink(
         &self,
         data: &[u8],
@@ -212,7 +192,7 @@ pub trait ChunkingService {
     ///
     /// # Errors
     ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
+    /// See [`chunk_source_sink_capped`](Self::chunk_source_sink_capped).
     fn chunk_stream_sink_capped(
         &self,
         data: &[u8],
@@ -221,44 +201,57 @@ pub trait ChunkingService {
     ) -> Result<SinkOutcome, ChunkError> {
         self.chunk_source_sink_capped(&mut SliceSource::new(data), sink, ingest_bw)
     }
-
-    /// Human-readable engine name (used in experiment output).
-    fn service_name(&self) -> String;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::HostReport;
+    use crate::report::StageBusy;
     use shredder_des::Dur;
 
+    fn report(bytes: u64, makespan: Dur) -> PipelineReport {
+        PipelineReport {
+            bytes,
+            buffers: 1,
+            makespan,
+            stage_busy: StageBusy::default(),
+            timeline: Vec::new(),
+            kernel_time: makespan,
+            ring_setup: Dur::ZERO,
+            raw_cuts: 0,
+        }
+    }
+
+    /// Delivers the whole stream as one chunk.
     struct FakeService;
 
     impl ChunkingService for FakeService {
-        fn chunk_source_with(
+        fn chunk_source_sink_capped(
             &self,
             source: &mut dyn StreamSource,
-            upcall: &mut dyn FnMut(Chunk),
-        ) -> Result<Report, ChunkError> {
-            let mut total = 0usize;
+            sink: &mut dyn ChunkSink,
+            _ingest_bw: Option<f64>,
+        ) -> Result<SinkOutcome, ChunkError> {
+            let mut data = Vec::new();
             let mut buf = [0u8; 256];
             loop {
                 let n = source.read(&mut buf);
                 if n == 0 {
                     break;
                 }
-                total += n;
+                data.extend_from_slice(&buf[..n]);
             }
-            upcall(Chunk {
+            let chunk = Chunk {
                 offset: 0,
-                len: total,
-            });
-            Ok(Report::Host(HostReport {
-                bytes: total as u64,
-                threads: 1,
-                allocator: "none".into(),
+                len: data.len(),
+            };
+            sink.accept(chunk, &data);
+            sink.finish();
+            Ok(SinkOutcome {
+                report: report(data.len() as u64, Dur::from_micros(1)),
                 makespan: Dur::from_micros(1),
-            }))
+                stages: Vec::new(),
+            })
         }
 
         fn service_name(&self) -> String {
@@ -291,12 +284,7 @@ mod tests {
     fn empty_outcome_stats() {
         let out = ChunkOutcome {
             chunks: vec![],
-            report: Report::Host(HostReport {
-                bytes: 0,
-                threads: 1,
-                allocator: "none".into(),
-                makespan: Dur::ZERO,
-            }),
+            report: report(0, Dur::ZERO),
         };
         assert_eq!(out.mean_chunk_size(), 0.0);
         assert!(out.digests(&[]).is_empty());

@@ -28,10 +28,9 @@
 //! [`FingerprintStage`] (SHA-256 at a configurable `hash_bw`),
 //! [`DedupStage`] (fingerprint-index lookup/insert) and [`ShipStage`]
 //! (pointer-vs-payload transfer); [`DedupSink`] composes all three into
-//! the backup server's graph. [`UpcallSink`] is the degenerate sink —
-//! no stages, boundaries forwarded to an upcall — which is what the
-//! legacy [`ChunkingService`](crate::ChunkingService) entry points now
-//! run on.
+//! the backup server's graph. [`UpcallSink`] is the stage-less sink —
+//! boundaries forwarded to an upcall — which is what the upcall entry
+//! points of [`ChunkingService`](crate::ChunkingService) run on.
 //!
 //! # Examples
 //!
@@ -75,11 +74,11 @@ use std::collections::HashSet;
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
-use shredder_des::{BandwidthChannel, Dur, FifoServer, Semaphore, SimTime, Simulation};
+use shredder_des::Dur;
 use shredder_hash::{sha256, Digest};
 use shredder_rabin::Chunk;
 
-use crate::report::{Report, StageReport};
+use crate::report::{PipelineReport, StageReport};
 
 /// The typed identity of a downstream stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -123,28 +122,6 @@ pub struct StageSpec {
     pub name: &'static str,
 }
 
-/// Scheduling hints for running a sink behind a chunking service that
-/// has no shared engine simulation of its own (the degenerate
-/// collect-then-stage path of
-/// [`ChunkingService::chunk_source_sink`](crate::ChunkingService::chunk_source_sink)).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SinkPipelineHints {
-    /// Batch granularity in bytes: chunk work is grouped into batches of
-    /// this many stream bytes before being pipelined through the stages.
-    pub granularity: usize,
-    /// Batches in flight simultaneously.
-    pub depth: usize,
-}
-
-impl Default for SinkPipelineHints {
-    fn default() -> Self {
-        SinkPipelineHints {
-            granularity: 8 << 20,
-            depth: 4,
-        }
-    }
-}
-
 /// A typed graph of downstream stages consuming chunk boundaries inside
 /// the simulation.
 ///
@@ -172,11 +149,6 @@ pub trait ChunkSink {
         Vec::new()
     }
 
-    /// Scheduling hints for the engine-less degenerate path.
-    fn hints(&self) -> SinkPipelineHints {
-        SinkPipelineHints::default()
-    }
-
     /// Whether [`accept`](Self::accept) reads the payload. Sinks that
     /// only consume boundaries (e.g. [`UpcallSink`]) return `false`,
     /// which lets the engine skip retaining a copy of the stream; such
@@ -199,17 +171,13 @@ impl<S: ChunkSink + ?Sized> ChunkSink for &mut S {
         (**self).finish()
     }
 
-    fn hints(&self) -> SinkPipelineHints {
-        (**self).hints()
-    }
-
     fn needs_payload(&self) -> bool {
         (**self).needs_payload()
     }
 }
 
-/// The degenerate sink: no downstream stages, every boundary forwarded
-/// to an upcall — the §3.1 notification interface expressed as a sink.
+/// The stage-less sink: every boundary forwarded to an upcall — the
+/// §3.1 notification interface expressed as a sink.
 pub struct UpcallSink<'f> {
     upcall: &'f mut dyn FnMut(Chunk),
 }
@@ -500,8 +468,6 @@ pub struct StoreSinkConfig {
     pub index_insert: Dur,
     /// Bytes charged per manifest entry when the snapshot commits.
     pub manifest_entry_bytes: usize,
-    /// Scheduling hints for the degenerate (engine-less) path.
-    pub hints: SinkPipelineHints,
 }
 
 impl Default for StoreSinkConfig {
@@ -515,7 +481,6 @@ impl Default for StoreSinkConfig {
             index_lookup: Dur::from_micros(7),
             index_insert: Dur::from_micros(10),
             manifest_entry_bytes: 48,
-            hints: SinkPipelineHints::default(),
         }
     }
 }
@@ -561,7 +526,6 @@ pub struct StoreSink {
     store: Rc<RefCell<shredder_store::ChunkStore>>,
     manifest_entry_bytes: usize,
     write_bw: f64,
-    hints: SinkPipelineHints,
     recipe: Vec<(Digest, usize)>,
     generation: Option<u64>,
     new_chunks: usize,
@@ -583,7 +547,6 @@ impl StoreSink {
             store,
             manifest_entry_bytes: config.manifest_entry_bytes,
             write_bw: config.write_bw,
-            hints: config.hints,
             recipe: Vec::new(),
             generation: None,
             new_chunks: 0,
@@ -664,10 +627,6 @@ impl ChunkSink for StoreSink {
         let manifest_bytes = (self.recipe.len() * self.manifest_entry_bytes) as u64;
         vec![Dur::ZERO, Dur::from_bytes_at(manifest_bytes, self.write_bw)]
     }
-
-    fn hints(&self) -> SinkPipelineHints {
-        self.hints
-    }
 }
 
 impl std::fmt::Debug for StoreSink {
@@ -710,8 +669,6 @@ pub struct DedupSinkConfig {
     pub pointer_bytes: usize,
     /// Per-shipped-chunk protocol overhead.
     pub ship_chunk_overhead: Dur,
-    /// Scheduling hints for the degenerate (engine-less) path.
-    pub hints: SinkPipelineHints,
 }
 
 /// The backup server's consumer graph: fingerprint → dedup → ship, all
@@ -721,7 +678,6 @@ pub struct DedupSink {
     fingerprint: FingerprintStage,
     dedup: DedupStage,
     ship: ShipStage,
-    hints: SinkPipelineHints,
     verdicts: Vec<ChunkVerdict>,
 }
 
@@ -736,7 +692,6 @@ impl DedupSink {
                 config.pointer_bytes,
                 config.ship_chunk_overhead,
             ),
-            hints: config.hints,
             verdicts: Vec::new(),
         }
     }
@@ -769,10 +724,6 @@ impl ChunkSink for DedupSink {
         });
         vec![hash_service, dedup_service, ship_service]
     }
-
-    fn hints(&self) -> SinkPipelineHints {
-        self.hints
-    }
 }
 
 impl std::fmt::Debug for DedupSink {
@@ -788,55 +739,22 @@ impl std::fmt::Debug for DedupSink {
 /// downstream stages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SinkOutcome {
-    /// The chunking engine's report (chunk-only timings, as the legacy
-    /// collect path reported them).
-    pub report: Report,
+    /// The chunking engine's report (chunk-only timings, as the upcall
+    /// path reports them).
+    pub report: PipelineReport,
     /// End-to-end simulated makespan: stream start → last sink stage
-    /// completion. Equals `report.makespan()` for stage-less sinks.
+    /// completion. Equals `report.makespan` for stage-less sinks.
     pub makespan: Dur,
     /// Per-stage busy/queue-wait accounting from the simulation (empty
     /// for stage-less sinks).
     pub stages: Vec<StageReport>,
 }
 
-/// Per-stage accounting shared by the stage-chain closures.
-pub(crate) type StageAcct = Rc<RefCell<Vec<(Dur, u64)>>>;
-
-/// Runs one batch's tail through the stage servers, then releases the
-/// admission slot. Queue wait per stage is measured as
-/// `(completion − enqueue) − service`.
-fn degenerate_stage_chain(
-    servers: Rc<Vec<FifoServer>>,
-    acct: StageAcct,
-    services: Rc<Vec<Dur>>,
-    k: usize,
-    admission: Semaphore,
-    sim: &mut Simulation,
-) {
-    if k == services.len() {
-        admission.release(sim, 1);
-        return;
-    }
-    let service = services[k];
-    let enqueued = sim.now();
-    let server = servers[k].clone();
-    server.process(sim, service, move |sim| {
-        {
-            let mut acct_mut = acct.borrow_mut();
-            let wait = sim.now().saturating_since(enqueued).saturating_sub(service);
-            acct_mut[k].0 += wait;
-            acct_mut[k].1 += 1;
-        }
-        degenerate_stage_chain(servers, acct, services, k + 1, admission, sim);
-    });
-}
-
 /// The shared functional pass over one stream's final chunks: delivers
 /// every chunk to the sink in stream order and aggregates the returned
 /// per-stage service demand into `buckets` buckets of `bucket_size`
-/// stream bytes (pipeline buffers in the engine, batches on the
-/// degenerate path); [`ChunkSink::finish`]'s tail demand is charged to
-/// the last bucket. Sinks that don't
+/// stream bytes (the engine's pipeline buffers);
+/// [`ChunkSink::finish`]'s tail demand is charged to the last bucket. Sinks that don't
 /// [`need the payload`](ChunkSink::needs_payload) may be driven with
 /// `data` shorter than the stream; they receive empty payload slices.
 ///
@@ -875,153 +793,6 @@ pub(crate) fn drive_sink_functional(
         }
     }
     (specs, per_bucket)
-}
-
-/// One batch of the degenerate consumer pipeline.
-pub(crate) struct ConsumerBatch {
-    pub(crate) bytes: u64,
-    pub(crate) chunk_service: Dur,
-    pub(crate) stage_service: Vec<Dur>,
-}
-
-/// Simulates the degenerate consumer pipeline: optional intake link
-/// (`intake` bytes/s, the caller's ingest cap) → chunker (at the
-/// service's measured rate) → the sink's stages, with `depth` batches
-/// in flight. Returns the makespan and per-stage reports.
-pub(crate) fn simulate_consumer_pipeline(
-    batches: Vec<ConsumerBatch>,
-    specs: &[StageSpec],
-    hints: SinkPipelineHints,
-    intake: Option<f64>,
-) -> (Dur, Vec<StageReport>) {
-    if batches.is_empty() {
-        return (
-            Dur::ZERO,
-            specs
-                .iter()
-                .map(|s| StageReport {
-                    kind: s.kind,
-                    name: s.name.to_string(),
-                    busy: Dur::ZERO,
-                    queue_wait: Dur::ZERO,
-                    jobs: 0,
-                })
-                .collect(),
-        );
-    }
-
-    let mut sim = Simulation::new();
-    let admission = Semaphore::new("sink-admission", hints.depth.max(1));
-    let intake = intake.map(|bw| BandwidthChannel::new("sink-intake", bw, Dur::ZERO));
-    let chunker = FifoServer::new("chunker", 1);
-    let servers: Rc<Vec<FifoServer>> = Rc::new(
-        specs
-            .iter()
-            .map(|s| FifoServer::new(s.name.to_string(), 1))
-            .collect(),
-    );
-    let acct: StageAcct = Rc::new(RefCell::new(vec![(Dur::ZERO, 0); specs.len()]));
-
-    for batch in batches {
-        let services = Rc::new(batch.stage_service);
-        let admission2 = admission.clone();
-        let intake2 = intake.clone();
-        let chunker2 = chunker.clone();
-        let servers2 = servers.clone();
-        let acct2 = acct.clone();
-        admission.acquire(&mut sim, 1, move |sim| {
-            let run_chunker = move |sim: &mut Simulation| {
-                chunker2.process(sim, batch.chunk_service, move |sim| {
-                    degenerate_stage_chain(servers2, acct2, services, 0, admission2, sim);
-                });
-            };
-            match intake2 {
-                Some(link) => link.transfer(sim, batch.bytes.max(1), run_chunker),
-                None => run_chunker(sim),
-            }
-        });
-    }
-
-    let end = sim.run();
-    let acct = acct.borrow();
-    let stages = specs
-        .iter()
-        .enumerate()
-        .map(|(k, s)| StageReport {
-            kind: s.kind,
-            name: s.name.to_string(),
-            busy: servers[k].busy_time(),
-            queue_wait: acct[k].0,
-            jobs: acct[k].1,
-        })
-        .collect();
-    (end.saturating_since(SimTime::ZERO), stages)
-}
-
-/// The degenerate collect-then-stage path behind
-/// [`ChunkingService::chunk_source_sink`](crate::ChunkingService::chunk_source_sink):
-/// chunks are already computed (with the service's own report); the
-/// sink's functional pass runs here and its stages are pipelined behind
-/// a chunker running at the service's measured rate. `intake` is the
-/// caller's ingest cap in bytes/s (the §7.3 image source); `None`
-/// models a resident stream.
-pub(crate) fn run_sink_after_chunking(
-    data: &[u8],
-    chunks: &[Chunk],
-    report: Report,
-    sink: &mut dyn ChunkSink,
-    intake: Option<f64>,
-) -> SinkOutcome {
-    let hints = sink.hints();
-    let granularity = hints.granularity.max(1);
-    let batch_count = if data.is_empty() {
-        0
-    } else {
-        data.len().div_ceil(granularity)
-    };
-
-    let (specs, per_batch) = drive_sink_functional(sink, chunks, data, batch_count, granularity);
-
-    if specs.is_empty() {
-        let makespan = report.makespan();
-        return SinkOutcome {
-            report,
-            makespan,
-            stages: Vec::new(),
-        };
-    }
-
-    // Chunking itself is one pipeline stage running at the service's
-    // measured sustained rate, apportioned per batch by bytes.
-    let total_chunk_time = report.makespan();
-    let batches: Vec<ConsumerBatch> = per_batch
-        .into_iter()
-        .enumerate()
-        .map(|(i, stage_service)| {
-            let start = i * granularity;
-            let bytes = data.len().saturating_sub(start).min(granularity) as u64;
-            let chunk_service = if data.is_empty() {
-                Dur::ZERO
-            } else {
-                Dur::from_secs_f64(
-                    total_chunk_time.as_secs_f64() * bytes as f64 / data.len() as f64,
-                )
-            };
-            ConsumerBatch {
-                bytes,
-                chunk_service,
-                stage_service,
-            }
-        })
-        .collect();
-
-    let (makespan, stages) = simulate_consumer_pipeline(batches, &specs, hints, intake);
-    let makespan = makespan.max(report.makespan());
-    SinkOutcome {
-        report,
-        makespan,
-        stages,
-    }
 }
 
 #[cfg(test)]
@@ -1077,7 +848,6 @@ mod tests {
                 ship_bw: 0.9e9,
                 pointer_bytes: 40,
                 ship_chunk_overhead: Dur::from_micros(2),
-                hints: SinkPipelineHints::default(),
             },
             index,
         );
@@ -1224,49 +994,5 @@ mod tests {
             .accept(Chunk { offset: 0, len: 5 }, b"abcde")
             .is_empty());
         assert_eq!(seen.len(), 1);
-    }
-
-    #[test]
-    fn consumer_pipeline_overlaps_stages() {
-        // Two stages of equal cost over many batches: pipelining keeps
-        // the makespan well under the serial sum.
-        let specs = [
-            StageSpec {
-                kind: StageKind::Fingerprint,
-                name: "fingerprint",
-            },
-            StageSpec {
-                kind: StageKind::Ship,
-                name: "ship",
-            },
-        ];
-        let batches: Vec<ConsumerBatch> = (0..16)
-            .map(|_| ConsumerBatch {
-                bytes: 1 << 20,
-                chunk_service: Dur::from_micros(100),
-                stage_service: vec![Dur::from_micros(100), Dur::from_micros(100)],
-            })
-            .collect();
-        let (makespan, stages) = simulate_consumer_pipeline(
-            batches,
-            &specs,
-            SinkPipelineHints {
-                granularity: 1 << 20,
-                depth: 4,
-            },
-            None,
-        );
-        let busy_sum: Dur = stages.iter().map(|s| s.busy).sum::<Dur>() + Dur::from_micros(1600);
-        assert!(makespan < busy_sum, "{makespan} !< {busy_sum}");
-        assert_eq!(stages[0].jobs, 16);
-        assert!(stages[0].busy == Dur::from_micros(1600));
-    }
-
-    #[test]
-    fn empty_consumer_pipeline() {
-        let (makespan, stages) =
-            simulate_consumer_pipeline(Vec::new(), &[], SinkPipelineHints::default(), None);
-        assert_eq!(makespan, Dur::ZERO);
-        assert!(stages.is_empty());
     }
 }

@@ -122,6 +122,15 @@ pub const KERNEL_LAUNCH_NS: u64 = 30_000;
 /// ≈0.9 GB/s).
 pub const CPU_RABIN_CYCLES_PER_BYTE: f64 = 75.0;
 
+/// Worker threads of the host-only pthreads baseline (§5.1, §5.3: 12
+/// threads on the two six-core Xeon X5650s).
+pub const HOST_THREADS: u64 = 12;
+
+/// Per-thread cost of the host baseline's SPMD spawn + boundary-merge
+/// synchronization (§5.1 step 3), charged once per pipeline buffer,
+/// ns.
+pub const HOST_SYNC_NS_PER_THREAD: u64 = 50_000;
+
 /// Throughput fraction lost to serialized `malloc` under contention
 /// (§5.1: "dynamic memory allocation can become a bottleneck due to the
 /// serialization required to avoid race conditions").
@@ -200,7 +209,7 @@ mod tests {
     fn cpu_baseline_target() {
         // 12 threads with Hoard ≈ 0.4 GB/s (Fig. 12 host-optimized bar).
         let per_thread = HOST_CLOCK_HZ / CPU_RABIN_CYCLES_PER_BYTE;
-        let twelve = per_thread * 12.0 * (1.0 - HOARD_CONTENTION_LOSS);
+        let twelve = per_thread * HOST_THREADS as f64 * (1.0 - HOARD_CONTENTION_LOSS);
         assert!(twelve > 0.35e9 && twelve < 0.45e9, "cpu {twelve}");
     }
 

@@ -24,6 +24,12 @@
 //!   device's utilization and its *overlap fraction*: how much of the
 //!   DMA time was hidden behind kernel execution.
 //!
+//! A pool can instead hold one **host** device ([`DevicePool::host`]):
+//! the §5.1 pthreads baseline as a pool member. It scans each buffer
+//! where the reader left it, so its `submit` runs only the compute
+//! stream — no H2D, no D2H, no staging ring — and the caller supplies
+//! the host's per-buffer scan time as the job's kernel duration.
+//!
 //! [`Event`]: crate::stream::Event
 
 use std::cell::{Cell, RefCell};
@@ -112,6 +118,8 @@ struct DeviceStats {
 #[derive(Clone)]
 pub struct PooledDevice {
     id: usize,
+    /// A host (CPU) device: compute stream only, see [`DevicePool::host`].
+    host: bool,
     gpu: GpuExecutor,
     h2d: Stream,
     compute: Stream,
@@ -134,15 +142,17 @@ struct DeviceHealth {
 }
 
 impl PooledDevice {
-    fn new(id: usize, config: &DeviceConfig, lanes: usize, ring_slots: usize) -> Self {
+    fn new(id: usize, config: &DeviceConfig, lanes: usize, ring_slots: usize, host: bool) -> Self {
         let gpu = GpuExecutor::new(config);
+        let kind = if host { "host" } else { "gpu" };
         PooledDevice {
             id,
+            host,
             h2d: Stream::new(&gpu),
             compute: Stream::new(&gpu),
             d2h: Stream::new(&gpu),
-            lanes: Semaphore::new(format!("gpu{id}-lanes"), lanes),
-            ring: Semaphore::new(format!("gpu{id}-pinned-ring"), ring_slots),
+            lanes: Semaphore::new(format!("{kind}{id}-lanes"), lanes),
+            ring: Semaphore::new(format!("{kind}{id}-pinned-ring"), ring_slots),
             gpu,
             stats: Rc::default(),
             health: Rc::new(Cell::new(DeviceHealth {
@@ -261,7 +271,9 @@ impl PooledDevice {
     /// `on_transfer` fires when the payload lands on the device (release
     /// any staging slot here), `on_kernel` when the kernel completes
     /// (the lane is released just before), and `on_complete` when the
-    /// boundary array is back at the host.
+    /// boundary array is back at the host. A host device skips both
+    /// copies: `on_transfer` fires as soon as the lane is held, and
+    /// `on_complete` right after `on_kernel`.
     pub fn submit(
         &self,
         sim: &mut Simulation,
@@ -274,6 +286,19 @@ impl PooledDevice {
         self.lanes.clone().acquire(sim, 1, move |sim| {
             // Straggler factor in effect when the job actually starts.
             let kernel = dev.scaled_kernel(job.kernel);
+            if dev.host {
+                // The scan runs where the reader left the bytes.
+                on_transfer(sim);
+                dev.compute.enqueue_kernel(sim, kernel);
+                let chunked = dev.compute.record_event(sim);
+                chunked.on_fire(sim, move |sim| {
+                    dev.kernel_done(sim, kernel, job.bytes);
+                    on_kernel(sim);
+                    dev.count_job(&job);
+                    on_complete(sim);
+                });
+                return;
+            }
             // Issue the whole chain up front, in stream order. Each
             // stream is in-order; the events order work *across* the
             // streams (H2D → kernel → D2H) while leaving different
@@ -296,9 +321,7 @@ impl PooledDevice {
             });
             let d = dev.clone();
             chunked.on_fire(sim, move |sim| {
-                d.note(|s| &mut s.compute, sim.now().as_nanos(), kernel);
-                d.trace_engine_span(LaneEngine::Kernel, sim.now().as_nanos(), kernel, job.bytes);
-                d.lanes.release(sim, 1);
+                d.kernel_done(sim, kernel, job.bytes);
                 on_kernel(sim);
             });
             let d = dev;
@@ -306,19 +329,29 @@ impl PooledDevice {
                 let t = d.gpu.d2h_time(job.host, job.cut_bytes);
                 d.note(|s| &mut s.d2h, sim.now().as_nanos(), t);
                 d.trace_engine_span(LaneEngine::D2h, sim.now().as_nanos(), t, job.cut_bytes);
-                {
-                    let mut stats = d.stats.borrow_mut();
-                    stats.jobs += 1;
-                    stats.bytes += job.bytes;
-                    let slot = KernelVariant::ALL
-                        .iter()
-                        .position(|&v| v == job.variant)
-                        .expect("every variant is in ALL");
-                    stats.jobs_by_variant[slot] += 1;
-                }
+                d.count_job(&job);
                 on_complete(sim);
             });
         });
+    }
+
+    /// Books a kernel that completed now and frees its lane.
+    fn kernel_done(&self, sim: &mut Simulation, kernel: Dur, bytes: u64) {
+        self.note(|s| &mut s.compute, sim.now().as_nanos(), kernel);
+        self.trace_engine_span(LaneEngine::Kernel, sim.now().as_nanos(), kernel, bytes);
+        self.lanes.release(sim, 1);
+    }
+
+    /// Counts one completed job.
+    fn count_job(&self, job: &BufferJob) {
+        let mut stats = self.stats.borrow_mut();
+        stats.jobs += 1;
+        stats.bytes += job.bytes;
+        let slot = KernelVariant::ALL
+            .iter()
+            .position(|&v| v == job.variant)
+            .expect("every variant is in ALL");
+        stats.jobs_by_variant[slot] += 1;
     }
 
     /// Records a completed service interval ending now.
@@ -400,6 +433,7 @@ impl std::fmt::Debug for PooledDevice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PooledDevice")
             .field("id", &self.id)
+            .field("host", &self.host)
             .field("jobs", &self.jobs())
             .field("lanes", &self.lanes)
             .field("ring", &self.ring)
@@ -433,8 +467,30 @@ impl DevicePool {
             devices: configs
                 .iter()
                 .enumerate()
-                .map(|(id, c)| PooledDevice::new(id, c, lanes, ring_slots))
+                .map(|(id, c)| PooledDevice::new(id, c, lanes, ring_slots, false))
                 .collect(),
+        }
+    }
+
+    /// Creates a pool of one host (CPU) device with `lanes` buffers in
+    /// its compute queue. Its [`submit`](PooledDevice::submit) runs only
+    /// the compute stream: no H2D, no D2H, no staging ring, so its DMA
+    /// busy times stay zero. The job's kernel duration is the host's
+    /// per-buffer scan time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is zero.
+    pub fn host(lanes: usize) -> Self {
+        assert!(lanes > 0, "each device needs at least one lane");
+        DevicePool {
+            devices: vec![PooledDevice::new(
+                0,
+                &DeviceConfig::tesla_c2050(),
+                lanes,
+                1,
+                true,
+            )],
         }
     }
 
@@ -709,6 +765,25 @@ mod tests {
         assert_eq!(idle.busy_span(), Dur::ZERO);
         assert_eq!(idle.jobs(), 0);
         assert_eq!(idle.overlap_fraction(), 0.0);
+    }
+
+    #[test]
+    fn host_device_runs_compute_only() {
+        // Three jobs on a host device cost exactly three kernels: no
+        // copy precedes the first, none follows the last.
+        let mut sim = Simulation::new();
+        let pool = DevicePool::host(2);
+        let dev = pool.device(0);
+        for _ in 0..3 {
+            dev.submit(&mut sim, job(64, 50), |_| {}, |_| {}, |_| {});
+        }
+        assert_eq!(sim.run().as_nanos(), 3 * Dur::from_millis(50).as_nanos());
+        assert_eq!(dev.transfer_busy(), Dur::ZERO);
+        assert_eq!(dev.d2h_busy(), Dur::ZERO);
+        assert_eq!(dev.kernel_busy(), Dur::from_millis(150));
+        assert_eq!(dev.jobs(), 3);
+        assert_eq!(dev.bytes(), 3 * (64 << 20));
+        assert_eq!(dev.overlap_fraction(), 0.0);
     }
 
     #[test]

@@ -245,7 +245,7 @@ impl IncHdfs {
             path,
             data,
             &sink.into_aligned(),
-            outcome.report.makespan(),
+            outcome.report.makespan,
             outcome.makespan,
         ))
     }
@@ -510,18 +510,18 @@ impl IncHdfs {
 mod tests {
     use super::*;
     use crate::input_format::TextInputFormat;
-    use shredder_core::HostChunker;
+    use shredder_core::{Shredder, ShredderConfig};
     use shredder_rabin::ChunkParams;
 
     fn corpus(seed: u64) -> Vec<u8> {
         shredder_workloads::words_corpus(300_000, 300, seed)
     }
 
-    fn service() -> HostChunker {
-        HostChunker::new(shredder_core::HostChunkerConfig {
-            params: ChunkParams::paper().with_expected_size(4096),
-            ..shredder_core::HostChunkerConfig::optimized()
-        })
+    fn service() -> Shredder {
+        Shredder::new(
+            ShredderConfig::cpu_pthreads()
+                .with_params(ChunkParams::paper().with_expected_size(4096)),
+        )
     }
 
     #[test]

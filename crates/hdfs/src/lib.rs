@@ -24,11 +24,11 @@
 //! # Examples
 //!
 //! ```
-//! use shredder_core::HostChunker;
+//! use shredder_core::{Shredder, ShredderConfig};
 //! use shredder_hdfs::{input_format::TextInputFormat, IncHdfs};
 //!
 //! let mut fs = IncHdfs::new(4);
-//! let service = HostChunker::with_defaults();
+//! let service = Shredder::new(ShredderConfig::cpu_pthreads());
 //! let data = b"record one\nrecord two\nrecord three\n".repeat(2000);
 //!
 //! let report = fs

@@ -100,7 +100,6 @@ impl Default for LintConfig {
                 "crates/core/src/ready.rs",
                 "crates/core/src/pipeline.rs",
                 "crates/core/src/sink.rs",
-                "crates/core/src/host_chunker.rs",
                 "crates/core/src/frontend.rs",
                 "crates/core/src/service.rs",
                 "crates/core/src/bufpool.rs",

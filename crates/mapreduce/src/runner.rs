@@ -366,11 +366,10 @@ mod tests {
         assert_eq!(rerun.stats.memo_entries, splits.len(), "re-memoized");
     }
 
-    fn cdc_service() -> shredder_core::HostChunker {
-        shredder_core::HostChunker::new(shredder_core::HostChunkerConfig {
-            params: shredder_rabin_params(),
-            ..shredder_core::HostChunkerConfig::optimized()
-        })
+    fn cdc_service() -> shredder_core::Shredder {
+        shredder_core::Shredder::new(
+            shredder_core::ShredderConfig::cpu_pthreads().with_params(shredder_rabin_params()),
+        )
     }
 
     fn shredder_rabin_params() -> shredder_rabin::ChunkParams {

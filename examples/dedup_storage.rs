@@ -8,7 +8,7 @@
 //! (`copyFromLocalGPU`) — and compare how much each upload actually had
 //! to store after an insertion shifts all downstream offsets.
 
-use shredder::core::{HostChunker, HostChunkerConfig};
+use shredder::core::{Shredder, ShredderConfig};
 use shredder::hdfs::{IncHdfs, TextInputFormat};
 use shredder::rabin::ChunkParams;
 use shredder::workloads;
@@ -29,10 +29,10 @@ fn main() {
         },
     );
 
-    let service = HostChunker::new(HostChunkerConfig {
-        params: ChunkParams::paper().with_expected_size(64 << 10),
-        ..HostChunkerConfig::optimized()
-    });
+    let service = Shredder::new(
+        ShredderConfig::cpu_pthreads()
+            .with_params(ChunkParams::paper().with_expected_size(64 << 10)),
+    );
 
     let mut fixed = IncHdfs::new(8);
     let mut cdc = IncHdfs::new(8);

@@ -9,7 +9,7 @@
 //! incremental run beats the from-scratch run while producing the exact
 //! same output.
 
-use shredder::core::{HostChunker, HostChunkerConfig};
+use shredder::core::{Shredder, ShredderConfig};
 use shredder::hdfs::{IncHdfs, TextInputFormat};
 use shredder::mapreduce::apps::WordCount;
 use shredder::mapreduce::{ClusterConfig, IncrementalRunner};
@@ -22,11 +22,11 @@ fn main() {
     let v2 = workloads::mutate(&v1, &MutationSpec::replace(0.05, 11));
 
     // The chunking service the Inc-HDFS client offloads to (map-task
-    // sized splits: ~128 KiB expected).
-    let service = HostChunker::new(HostChunkerConfig {
-        params: ChunkParams::paper().with_expected_size(128 << 10),
-        ..HostChunkerConfig::optimized()
-    });
+    // sized splits: ~128 KiB expected), here the host-only baseline.
+    let service = Shredder::new(
+        ShredderConfig::cpu_pthreads()
+            .with_params(ChunkParams::paper().with_expected_size(128 << 10)),
+    );
 
     // Upload version 1 and prime the computation.
     let mut fs = IncHdfs::new(20);

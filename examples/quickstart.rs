@@ -3,13 +3,12 @@
 //! Run with `cargo run --release --example quickstart`.
 //!
 //! This walks the core API end to end: build a GPU-accelerated chunking
-//! service, chunk a data stream, compare against the host-only baseline,
-//! read the per-stage pipeline report, and scale the same workload onto
-//! a multi-GPU device pool with `gpus = N`.
+//! service, chunk a data stream, read the per-stage pipeline report,
+//! compare against the host-only baseline (the same engine with the
+//! `cpu_pthreads` preset), and scale the same workload onto a multi-GPU
+//! device pool with `gpus = N`.
 
-use shredder::core::{
-    ChunkingService, HostChunker, Shredder, ShredderConfig, ShredderEngine, SliceSource,
-};
+use shredder::core::{ChunkingService, Shredder, ShredderConfig, ShredderEngine, SliceSource};
 use shredder::gpu::kernel::KernelVariant;
 use shredder::workloads;
 
@@ -31,28 +30,28 @@ fn main() {
         outcome.report.throughput_gbps()
     );
 
-    if let Some(pipeline) = outcome.report.as_pipeline() {
-        println!("\nper-stage busy time over {} buffers:", pipeline.buffers);
-        println!(
-            "  reader   : {:.1} ms",
-            pipeline.stage_busy.read.as_millis_f64()
-        );
-        println!(
-            "  transfer : {:.1} ms",
-            pipeline.stage_busy.transfer.as_millis_f64()
-        );
-        println!(
-            "  kernel   : {:.1} ms",
-            pipeline.stage_busy.kernel.as_millis_f64()
-        );
-        println!(
-            "  store    : {:.1} ms",
-            pipeline.stage_busy.store.as_millis_f64()
-        );
-    }
+    let pipeline = &outcome.report;
+    println!("\nper-stage busy time over {} buffers:", pipeline.buffers);
+    println!(
+        "  reader   : {:.1} ms",
+        pipeline.stage_busy.read.as_millis_f64()
+    );
+    println!(
+        "  transfer : {:.1} ms",
+        pipeline.stage_busy.transfer.as_millis_f64()
+    );
+    println!(
+        "  kernel   : {:.1} ms",
+        pipeline.stage_busy.kernel.as_millis_f64()
+    );
+    println!(
+        "  store    : {:.1} ms",
+        pipeline.stage_busy.store.as_millis_f64()
+    );
 
-    // The host-only pthreads baseline produces identical boundaries.
-    let cpu = HostChunker::with_defaults();
+    // The host-only pthreads baseline runs through the same engine, as
+    // one host device, and produces identical boundaries.
+    let cpu = Shredder::new(ShredderConfig::cpu_pthreads().with_buffer_size(16 << 20));
     let cpu_outcome = cpu.chunk_stream(&data).expect("chunking failed");
     assert_eq!(cpu_outcome.chunks, outcome.chunks);
     println!(

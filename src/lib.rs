@@ -27,7 +27,9 @@
 //!   least-loaded / round-robin / pinned placement, per-device
 //!   utilization + overlap reporting), the single-stream
 //!   [`Shredder`](core::Shredder) convenience, the host-only
-//!   pthreads baseline — and the **online service frontend**
+//!   pthreads baseline as a host device in the same pool
+//!   ([`ShredderConfig::cpu_pthreads`](core::ShredderConfig::cpu_pthreads))
+//!   — and the **online service frontend**
 //!   ([`ShredderService`](core::ShredderService)): open-loop /
 //!   closed-loop / trace arrival workloads, bounded admission with
 //!   per-tenant fair share and load shedding, per-request latency
@@ -143,7 +145,8 @@
 //! # Quickstart: one stream
 //!
 //! The classic one-shot API is a thin single-session convenience over
-//! the same engine:
+//! the same engine — on the GPU pool, or on the host device of the
+//! paper's pthreads baseline, with identical boundaries:
 //!
 //! ```
 //! use shredder::core::{ChunkingService, Shredder, ShredderConfig};
@@ -156,6 +159,11 @@
 //!     data.len()
 //! );
 //! println!("simulated chunking bandwidth: {:.2} GB/s", outcome.report.throughput_gbps());
+//!
+//! let host = Shredder::new(ShredderConfig::cpu_pthreads());
+//! let baseline = host.chunk_stream(&data).expect("chunking failed");
+//! assert_eq!(baseline.chunks, outcome.chunks);
+//! println!("pthreads baseline: {:.2} GB/s", baseline.report.throughput_gbps());
 //! ```
 //!
 //! # Quickstart: the Gear kernel

@@ -5,15 +5,16 @@
 //! Shredder-GPU sustains higher backup bandwidth than pthreads-CPU.
 
 use shredder::backup::{BackupConfig, BackupServer};
-use shredder::core::{ChunkingService, HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
+use shredder::core::{ChunkingService, Shredder, ShredderConfig};
 use shredder::rabin::ChunkParams;
 use shredder::workloads::{MasterImage, SimilarityTable};
 
-fn cpu_service() -> HostChunker {
-    HostChunker::new(HostChunkerConfig {
-        params: ChunkParams::backup(),
-        ..HostChunkerConfig::optimized()
-    })
+fn cpu_service() -> Shredder {
+    Shredder::new(
+        ShredderConfig::cpu_pthreads()
+            .with_params(ChunkParams::backup())
+            .with_buffer_size(1 << 20),
+    )
 }
 
 fn gpu_service() -> Shredder {

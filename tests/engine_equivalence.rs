@@ -2,11 +2,11 @@
 //! bit-identical chunk boundaries.
 //!
 //! This is the load-bearing correctness property of the reproduction:
-//! the GPU kernels, the parallel SPMD host chunker, the streaming
-//! chunker and the batch chunker must all agree, with and without
-//! min/max constraints, on every kind of workload.
+//! the GPU kernels, the host executor, the parallel SPMD chunker, the
+//! streaming chunker and the batch chunker must all agree, with and
+//! without min/max constraints, on every kind of workload.
 
-use shredder::core::{ChunkingService, HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
+use shredder::core::{ChunkingService, Shredder, ShredderConfig};
 use shredder::gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder::gpu::DeviceConfig;
 use shredder::rabin::chunker::raw_cuts;
@@ -48,7 +48,9 @@ fn all_engines_agree_on_boundaries() {
             assert_eq!(out.chunks, reference, "{label}");
         }
 
-        let host = HostChunker::with_defaults().chunk_stream(&data).unwrap();
+        let host = Shredder::new(ShredderConfig::cpu_pthreads().with_buffer_size(256 << 10))
+            .chunk_stream(&data)
+            .unwrap();
         assert_eq!(host.chunks, reference, "{name}: host service");
     }
 }
@@ -59,10 +61,11 @@ fn engines_agree_with_min_max_constraints() {
     for (name, data) in workloads_under_test() {
         let reference = chunk_all(&data, &params);
 
-        let host = HostChunker::new(HostChunkerConfig {
-            params: params.clone(),
-            ..HostChunkerConfig::optimized()
-        })
+        let host = Shredder::new(
+            ShredderConfig::cpu_pthreads()
+                .with_params(params.clone())
+                .with_buffer_size(256 << 10),
+        )
         .chunk_stream(&data)
         .unwrap();
         assert_eq!(host.chunks, reference, "{name}: host");
@@ -139,6 +142,8 @@ fn chunk_digests_are_engine_independent() {
     let gpu = Shredder::new(ShredderConfig::default().with_buffer_size(256 << 10))
         .chunk_stream(&data)
         .unwrap();
-    let cpu = HostChunker::with_defaults().chunk_stream(&data).unwrap();
+    let cpu = Shredder::new(ShredderConfig::cpu_pthreads())
+        .chunk_stream(&data)
+        .unwrap();
     assert_eq!(gpu.digests(&data), cpu.digests(&data));
 }

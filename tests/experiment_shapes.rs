@@ -1,7 +1,7 @@
 //! Integration: small-scale versions of the paper's headline shapes, so
 //! plain `cargo test` exercises what the full bench harness validates.
 
-use shredder::core::{ChunkingService, HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
+use shredder::core::{ChunkingService, Shredder, ShredderConfig};
 use shredder::gpu::dma::Direction;
 use shredder::gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder::gpu::{DeviceConfig, DmaModel, HostMemKind, PinnedRing};
@@ -52,11 +52,15 @@ fn fig12_shape_engine_ordering() {
     let buffer = 2 << 20;
     let throughput = |svc: &dyn ChunkingService| {
         let out = svc.chunk_stream(&data).unwrap();
-        out.report.bytes() as f64 / out.report.makespan().as_secs_f64()
+        out.report.bytes as f64 / out.report.makespan.as_secs_f64()
     };
 
-    let cpu_malloc = throughput(&HostChunker::new(HostChunkerConfig::unoptimized()));
-    let cpu_hoard = throughput(&HostChunker::new(HostChunkerConfig::optimized()));
+    let cpu_malloc = throughput(&Shredder::new(
+        ShredderConfig::cpu_pthreads_malloc().with_buffer_size(buffer),
+    ));
+    let cpu_hoard = throughput(&Shredder::new(
+        ShredderConfig::cpu_pthreads().with_buffer_size(buffer),
+    ));
     let basic = throughput(&Shredder::new(
         ShredderConfig::gpu_basic().with_buffer_size(buffer),
     ));

@@ -5,18 +5,18 @@
 //! deduplicate at the storage level and their map tasks are memoized —
 //! while incremental outputs remain bit-identical to from-scratch runs.
 
-use shredder::core::{HostChunker, HostChunkerConfig};
+use shredder::core::{Shredder, ShredderConfig};
 use shredder::hdfs::{IncHdfs, TextInputFormat};
 use shredder::mapreduce::apps::{Cooccurrence, KMeans, KMeansDriver, WordCount};
 use shredder::mapreduce::{ClusterConfig, IncrementalRunner};
 use shredder::rabin::ChunkParams;
 use shredder::workloads::{self, MutationSpec};
 
-fn service() -> HostChunker {
-    HostChunker::new(HostChunkerConfig {
-        params: ChunkParams::paper().with_expected_size(32 << 10),
-        ..HostChunkerConfig::optimized()
-    })
+fn service() -> Shredder {
+    Shredder::new(
+        ShredderConfig::cpu_pthreads()
+            .with_params(ChunkParams::paper().with_expected_size(32 << 10)),
+    )
 }
 
 fn corpus() -> Vec<u8> {

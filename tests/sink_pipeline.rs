@@ -15,8 +15,8 @@ use std::rc::Rc;
 
 use shredder::backup::{BackupConfig, BackupServer};
 use shredder::core::{
-    ChunkSink, ChunkingService, DedupSink, DedupSinkConfig, FingerprintStage, HostChunker,
-    HostChunkerConfig, Shredder, ShredderConfig, SinkPipelineHints, StageKind, StageSpec,
+    ChunkSink, ChunkingService, DedupSink, DedupSinkConfig, FingerprintStage, Shredder,
+    ShredderConfig, StageKind, StageSpec,
 };
 use shredder::des::{Dur, SimTime};
 use shredder::hash::sha256;
@@ -63,10 +63,11 @@ fn sink_path_is_bit_identical_to_collect_path() {
     let data = workloads::compressible_bytes(6 << 20, 64, 0x51);
     for service in [
         Box::new(gpu_service()) as Box<dyn ChunkingService>,
-        Box::new(HostChunker::new(HostChunkerConfig {
-            params: ChunkParams::backup(),
-            ..HostChunkerConfig::optimized()
-        })),
+        Box::new(Shredder::new(
+            ShredderConfig::cpu_pthreads()
+                .with_params(ChunkParams::backup())
+                .with_buffer_size(1 << 20),
+        )),
     ] {
         let name = service.service_name();
 
@@ -107,7 +108,6 @@ fn dedup_sink_decisions_equal_legacy_postprocessing() {
         ship_bw: 0.9e9,
         pointer_bytes: 40,
         ship_chunk_overhead: Dur::from_micros(2),
-        hints: SinkPipelineHints::default(),
     };
 
     // Reference: collect, then hash + dedup by hand.
@@ -220,9 +220,52 @@ fn sink_backpressure_extends_session_completion() {
     assert_eq!(staged.stages.len(), 1);
     assert!(staged.stages[0].busy > Dur::ZERO);
     assert!(
-        staged.makespan > plain.report.makespan(),
+        staged.makespan > plain.report.makespan,
         "sink stages are free? {} !> {}",
         staged.makespan,
-        plain.report.makespan()
+        plain.report.makespan
     );
+}
+
+#[test]
+fn host_dedup_sink_stages_overlap_compute() {
+    // The pthreads baseline runs through the same engine as the GPU:
+    // its dedup graph's stages overlap the host scan of later buffers.
+    let data = workloads::compressible_bytes(8 << 20, 128, 0x73);
+    let service = Shredder::new(
+        ShredderConfig::cpu_pthreads()
+            .with_params(ChunkParams::backup())
+            .with_buffer_size(1 << 20),
+    );
+    let index: Rc<RefCell<HashSet<_>>> = Rc::default();
+    let mut sink = DedupSink::new(
+        DedupSinkConfig {
+            hash_bw: 1.5e9,
+            index_lookup: Dur::from_micros(7),
+            index_insert: Dur::from_micros(10),
+            ship_bw: 0.9e9,
+            pointer_bytes: 40,
+            ship_chunk_overhead: Dur::from_micros(2),
+        },
+        index,
+    );
+    let outcome = service.chunk_stream_sink(&data, &mut sink).unwrap();
+
+    assert_eq!(outcome.stages.len(), 3);
+    assert_eq!(
+        sink.verdicts().len(),
+        service.chunk_stream(&data).unwrap().chunks.len()
+    );
+    let compute = outcome.report.kernel_time;
+    let stage_busy: Dur = outcome.stages.iter().map(|s| s.busy).sum();
+    assert!(stage_busy > Dur::ZERO);
+    assert!(
+        outcome.makespan < compute + stage_busy,
+        "no overlap: makespan {} >= compute {} + stages {}",
+        outcome.makespan,
+        compute,
+        stage_busy
+    );
+    // The stages extend past the last scan, as they must.
+    assert!(outcome.makespan > outcome.report.makespan);
 }

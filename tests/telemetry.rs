@@ -22,8 +22,8 @@ use std::rc::Rc;
 
 use shredder::core::{
     AdmissionControl, ChunkRequest, DedupSink, DedupSinkConfig, EngineOutcome, FaultPlan,
-    MemorySource, ServiceOutcome, ShredderConfig, ShredderEngine, ShredderService,
-    SinkPipelineHints, SliceSource, TelemetryConfig, Workload,
+    MemorySource, ServiceOutcome, ShredderConfig, ShredderEngine, ShredderService, SliceSource,
+    TelemetryConfig, Workload,
 };
 use shredder::des::Dur;
 use shredder::telemetry::{validate_chrome_trace, Lane, LaneEngine};
@@ -207,7 +207,6 @@ fn trace_covers_request_device_stage_and_control_lanes() {
         ship_bw: 0.9e9,
         pointer_bytes: 40,
         ship_chunk_overhead: Dur::from_micros(2),
-        hints: SinkPipelineHints::default(),
     };
     let mut service = ShredderService::new(
         service_config().with_faults(FaultPlan::new().straggler(Dur::ZERO, 0, 3.0)),
