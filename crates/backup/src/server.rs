@@ -18,9 +18,9 @@ use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 use shredder_core::{
-    AdmissionControl, ChunkError, ChunkRequest, ChunkVerdict, ChunkingService, DedupSink,
-    DedupSinkConfig, EngineReport, ServiceReport, Shredder, ShredderEngine, ShredderService,
-    SliceSource, TenantClass, Workload,
+    AdmissionControl, ChunkError, ChunkRequest, ChunkVerdict, DedupSink, DedupSinkConfig,
+    EngineReport, ServiceReport, Shredder, ShredderEngine, ShredderService, SliceSource,
+    TenantClass, Workload,
 };
 use shredder_des::Dur;
 
@@ -212,12 +212,11 @@ impl BackupServer {
     /// The server's consumer graph configuration: hash → dedup → ship at
     /// the §7.3 stage rates.
     ///
-    /// The per-site ingest cap is *not* part of the sink: the legacy
-    /// single-image path ([`backup_image`](Self::backup_image)) passes
-    /// it explicitly through
-    /// [`chunk_stream_sink_capped`](ChunkingService::chunk_stream_sink_capped),
-    /// and the request path ([`backup_service`](Self::backup_service))
-    /// models it as a [`TenantClass`] bandwidth limit.
+    /// The per-site ingest cap is *not* part of the sink: the batch
+    /// path ([`backup_batch`](Self::backup_batch)) caps the engine's
+    /// reader, and the request path
+    /// ([`backup_service`](Self::backup_service)) models it as a
+    /// [`TenantClass`] bandwidth limit.
     fn sink_config(&self) -> DedupSinkConfig {
         DedupSinkConfig {
             hash_bw: self.config.hash_bw,
@@ -230,8 +229,7 @@ impl BackupServer {
     }
 
     /// Backs up one image snapshot through the given chunking engine:
-    /// the hash/dedup/ship tail runs as a [`DedupSink`] inside the
-    /// service's simulation.
+    /// the one-element case of [`backup_batch`](Self::backup_batch).
     ///
     /// # Errors
     ///
@@ -240,18 +238,10 @@ impl BackupServer {
     pub fn backup_image(
         &mut self,
         image: &[u8],
-        service: &dyn ChunkingService,
+        shredder: &Shredder,
     ) -> Result<BackupReport, ChunkError> {
-        let mut sink = DedupSink::new(self.sink_config(), self.index.clone());
-        // The §7.3 image source feeds the chunker at the ingest rate.
-        let outcome =
-            service.chunk_stream_sink_capped(image, &mut sink, Some(self.config.ingest_bw))?;
-        Ok(self.commit_image(
-            image,
-            &sink.into_verdicts(),
-            outcome.report.makespan,
-            outcome.makespan,
-        ))
+        let mut batch = self.backup_batch(&[image], shredder)?;
+        Ok(batch.reports.swap_remove(0))
     }
 
     /// Backs up several site streams in **one batch**: every image is a
@@ -289,18 +279,10 @@ impl BackupServer {
 
         let mut reports = Vec::with_capacity(images.len());
         for ((image, sink), per) in images.iter().zip(sinks).zip(&outcome.report.sessions) {
-            // Chunk-only duration of this session alone: first admission
-            // to the last buffer leaving the Store thread (the sink
-            // stages extend the session makespan beyond that).
-            let chunking_time = per
-                .timeline
-                .last()
-                .map(|t| t.store_end.saturating_since(per.first_admit))
-                .unwrap_or(Dur::ZERO);
             reports.push(self.commit_image(
                 image,
                 &sink.into_verdicts(),
-                chunking_time,
+                per.chunking_time(),
                 per.makespan,
             ));
         }
@@ -320,9 +302,8 @@ impl BackupServer {
     ///
     /// The per-site ingest cap (§7.3's 10 Gbps image source) is modeled
     /// as a [`TenantClass`] bandwidth limit on the `"site"` class — the
-    /// first-class form of the explicit per-call cap the legacy paths
-    /// ([`backup_image`](Self::backup_image),
-    /// [`backup_batch`](Self::backup_batch)) thread through by hand.
+    /// per-class form of the reader cap
+    /// [`backup_batch`](Self::backup_batch) sets on the whole engine.
     ///
     /// A shed request touches nothing: its image is not hashed, its
     /// fingerprints never enter the index, and the site stores no
@@ -388,14 +369,13 @@ impl BackupServer {
         for &i in &admitted {
             let sink = sinks[i].take().expect("each request commits once");
             let per = &outcome.report.sessions[i];
-            let chunking_time = per
-                .timeline
-                .last()
-                .map(|t| t.store_end.saturating_since(per.first_admit))
-                .unwrap_or(Dur::ZERO);
             let latency = service_report.requests[i].latency().unwrap_or(per.makespan);
-            reports[i] =
-                Ok(self.commit_image(images[i], &sink.into_verdicts(), chunking_time, latency));
+            reports[i] = Ok(self.commit_image(
+                images[i],
+                &sink.into_verdicts(),
+                per.chunking_time(),
+                latency,
+            ));
         }
 
         Ok(ServiceBackupReport {
@@ -502,6 +482,27 @@ mod tests {
         BackupConfig {
             buffer_size: 256 << 10,
             ..BackupConfig::paper()
+        }
+    }
+
+    /// `backup_image` is the one-element case of `backup_batch`: same
+    /// chunking time (hence `chunking_bw`), makespan and dedup verdicts,
+    /// on the GPU pool and on the host executor, for a first backup and
+    /// a deduplicating second one.
+    #[test]
+    fn single_image_equals_one_element_batch() {
+        let first = shredder_workloads::compressible_bytes(3 << 20, 128, 21);
+        let second = shredder_workloads::compressible_bytes(3 << 20, 128, 22);
+        for svc in [gpu_service(), cpu_service()] {
+            let mut single = BackupServer::new(small_config());
+            let mut batch = BackupServer::new(small_config());
+            for image in [&first, &second, &first] {
+                let a = single.backup_image(image, &svc).unwrap();
+                let b = batch.backup_batch(&[image], &svc).unwrap();
+                assert_eq!(b.reports.len(), 1);
+                assert_eq!(a, b.reports[0]);
+                assert!(a.chunking_bw.is_finite() && a.makespan > Dur::ZERO);
+            }
         }
     }
 

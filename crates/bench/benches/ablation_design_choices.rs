@@ -6,7 +6,7 @@
 //! dedup, and the future-work min/max skip optimization (§7.3, §9).
 
 use shredder_bench::{check, header, result_line, table};
-use shredder_core::{ChunkingService, Shredder, ShredderConfig};
+use shredder_core::{Shredder, ShredderConfig};
 use shredder_gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder_gpu::DeviceConfig;
 use shredder_rabin::{chunk_all, chunk_all_skipping, ChunkParams};

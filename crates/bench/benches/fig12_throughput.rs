@@ -16,7 +16,7 @@
 //! identical boundaries or the harness fails.
 
 use shredder_bench::{check, dump_bench_json, gbps, header, result_line};
-use shredder_core::{ChunkingService, Shredder, ShredderConfig};
+use shredder_core::{Shredder, ShredderConfig};
 use shredder_gpu::kernel::KernelVariant;
 
 fn main() {
@@ -28,36 +28,26 @@ fn main() {
     let data = shredder_workloads::random_bytes(shredder_bench::experiment_bytes(), 0xf12);
     let buffer = 32 << 20;
 
-    let engines: Vec<(&str, Box<dyn ChunkingService>)> = vec![
+    let engines: Vec<(&str, Shredder)> = vec![
         (
             "CPU w/o Hoard",
-            Box::new(Shredder::new(
-                ShredderConfig::cpu_pthreads_malloc().with_buffer_size(buffer),
-            )),
+            Shredder::new(ShredderConfig::cpu_pthreads_malloc().with_buffer_size(buffer)),
         ),
         (
             "CPU w/ Hoard",
-            Box::new(Shredder::new(
-                ShredderConfig::cpu_pthreads().with_buffer_size(buffer),
-            )),
+            Shredder::new(ShredderConfig::cpu_pthreads().with_buffer_size(buffer)),
         ),
         (
             "GPU Basic",
-            Box::new(Shredder::new(
-                ShredderConfig::gpu_basic().with_buffer_size(buffer),
-            )),
+            Shredder::new(ShredderConfig::gpu_basic().with_buffer_size(buffer)),
         ),
         (
             "GPU Streams",
-            Box::new(Shredder::new(
-                ShredderConfig::gpu_streams().with_buffer_size(buffer),
-            )),
+            Shredder::new(ShredderConfig::gpu_streams().with_buffer_size(buffer)),
         ),
         (
             "GPU Streams + Memory",
-            Box::new(Shredder::new(
-                ShredderConfig::gpu_streams_memory().with_buffer_size(buffer),
-            )),
+            Shredder::new(ShredderConfig::gpu_streams_memory().with_buffer_size(buffer)),
         ),
     ];
 

@@ -53,7 +53,7 @@ fn main() {
         let table_p = SimilarityTable::uniform(master.segments(), p);
         let snapshot = master.derive(&table_p, (p * 1000.0) as u64);
 
-        let run = |service: &dyn shredder_core::ChunkingService| {
+        let run = |service: &Shredder| {
             // 4 MiB pipeline buffers so the image streams through enough
             // admissions to reach steady state (the paper's servers
             // stream far more data than fits one pipeline fill).

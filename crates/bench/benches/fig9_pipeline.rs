@@ -51,9 +51,7 @@ fn main() {
             }
             .with_buffer_size(buffer)
             .with_pipeline_depth(depth);
-            Shredder::new(config)
-                .simulate_synthetic(buffers, buffer, kernel_dur, cuts)
-                .makespan
+            Shredder::new(config).simulate_synthetic(buffers, buffer, kernel_dur, cuts)
         };
 
         let sequential = time_at_depth(1);

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use shredder_bench::{check, dump_bench_json, header, result_line, table};
-use shredder_core::{ChunkingService, Shredder, ShredderConfig, StoreSink, StoreSinkConfig};
+use shredder_core::{Shredder, ShredderConfig, StoreSink, StoreSinkConfig};
 use shredder_des::Dur;
 use shredder_rabin::ChunkParams;
 use shredder_store::ChunkStore;
@@ -58,10 +58,10 @@ fn main() {
     let mut total_bytes = 0u64;
     for g in 0..generations {
         let mut sink = StoreSink::new("vm", StoreSinkConfig::default(), store.clone());
-        let outcome = gpu
+        let report = gpu
             .chunk_stream_sink(&data, &mut sink)
             .expect("ingest failed");
-        ingest_time += outcome.makespan;
+        ingest_time += report.makespan;
         total_bytes += data.len() as u64;
         let generation = sink.generation().expect("committed");
         let s = store.borrow();
@@ -76,7 +76,7 @@ fn main() {
                 ),
                 format!(
                     "{:>5.2} GB/s",
-                    data.len() as f64 / outcome.makespan.as_secs_f64() / 1e9
+                    data.len() as f64 / report.makespan.as_secs_f64() / 1e9
                 ),
             ],
         ));

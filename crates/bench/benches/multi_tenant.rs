@@ -22,8 +22,7 @@
 
 use shredder_bench::{check, dump_bench_json, gbps, header, result_line, table};
 use shredder_core::{
-    AdmissionPolicy, ChunkingService, EngineReport, Shredder, ShredderConfig, ShredderEngine,
-    SliceSource,
+    AdmissionPolicy, EngineReport, Shredder, ShredderConfig, ShredderEngine, SliceSource,
 };
 use shredder_rabin::{chunk_all, ChunkParams};
 
@@ -124,7 +123,7 @@ fn main() {
     let mut solo_gbps = Vec::new();
     for data in &streams {
         let out = solo.chunk_stream(data).expect("chunking failed");
-        solo_gbps.push(out.report.throughput_gbps());
+        solo_gbps.push(out.report.aggregate_gbps());
     }
     let solo_mean = solo_gbps.iter().sum::<f64>() / solo_gbps.len() as f64;
 

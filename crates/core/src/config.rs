@@ -158,7 +158,7 @@ impl ShredderConfig {
     /// # Examples
     ///
     /// ```
-    /// use shredder_core::{ChunkingService, Shredder, ShredderConfig};
+    /// use shredder_core::{Shredder, ShredderConfig};
     ///
     /// let data: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
     /// let hoard = Shredder::new(ShredderConfig::cpu_pthreads().with_buffer_size(256 << 10));
@@ -168,7 +168,7 @@ impl ShredderConfig {
     /// let b = malloc.chunk_stream(&data).unwrap();
     /// assert_eq!(a.chunks, b.chunks); // same boundaries
     /// // Hoard removes allocator serialization (§5.1).
-    /// assert!(a.report.throughput_gbps() > b.report.throughput_gbps());
+    /// assert!(a.report.aggregate_gbps() > b.report.aggregate_gbps());
     /// ```
     pub fn cpu_pthreads() -> Self {
         ShredderConfig {

@@ -30,9 +30,8 @@
 //! transfers and no ring, each costed by the calibrated per-byte Xeon
 //! rate.
 //!
-//! The legacy one-shot [`Shredder::chunk_stream`](crate::Shredder) API is now a thin
-//! single-session convenience over this engine (see
-//! [`crate::pipeline`]).
+//! [`Shredder`](crate::Shredder) is the single-stream convenience over
+//! this engine: one session per call (see [`crate::pipeline`]).
 //!
 //! # Examples
 //!
@@ -443,8 +442,6 @@ impl<'a> ShredderEngine<'a> {
     /// [`ChunkError::Gpu`] if a kernel launch fails. Errors from any
     /// session abort the whole run (no partial simulation is reported).
     pub fn run(&mut self) -> Result<EngineOutcome, ChunkError> {
-        // The legacy report keeps its closed-batch shape: no service
-        // frontend accounting (and none is built).
         let run = self.run_with_workload(
             &Workload::Batch,
             AdmissionControl::unbounded(),
@@ -666,7 +663,7 @@ impl<'a> ShredderEngine<'a> {
         let overlap = self.kernel.overlap();
         let size = self.config.buffer_size;
         // Retain the stream only when the sink actually reads payloads:
-        // boundary-only sinks (the legacy upcall path) stay zero-copy.
+        // boundary-only sinks (the upcall path) stay zero-copy.
         let retain = session.sink.as_ref().is_some_and(|s| s.needs_payload());
 
         let mut cuts: Vec<RawCut> = Vec::new();

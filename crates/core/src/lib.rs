@@ -53,14 +53,14 @@
 //!   [`ServiceReport`] (offered vs. achieved req/s and GB/s,
 //!   queue-depth timeline, per-class latency p50/p95/p99/max);
 //!   [`capacity_search`] bisects the highest sustained Poisson rate
-//!   meeting a p99 SLO. The legacy `open_*_session` + `run()` path *is*
-//!   the batch workload with unbounded admission — chunks and digests
-//!   are bit-identical.
-//! * [`pipeline`] — the single-stream [`Shredder`] service, a thin
-//!   one-session convenience over the engine for either executor.
-//! * [`service`] — the fallible [`ChunkingService`] trait the case
-//!   studies (Inc-HDFS, cloud backup) program against; its upcall-style
-//!   boundary delivery of §3.1 is the stage-less sink.
+//!   meeting a p99 SLO. The engine's `open_*_session` + `run()` path
+//!   *is* the batch workload with unbounded admission — chunks and
+//!   digests are bit-identical.
+//! * [`pipeline`] — the single-stream [`Shredder`] the case studies
+//!   (Inc-HDFS, cloud backup) call: a one-session run of the engine for
+//!   either executor, through [`Shredder::chunk_stream`] or
+//!   [`Shredder::chunk_stream_sink`] (the §3.1 upcall is the
+//!   stage-less [`UpcallSink`]), returning the run's [`EngineReport`].
 //!
 //! Everywhere, chunk boundaries are **real** (computed by the shared
 //! Rabin tables over the actual bytes, identical across every engine and
@@ -99,9 +99,7 @@
 //! use std::cell::RefCell;
 //! use std::collections::HashSet;
 //! use std::rc::Rc;
-//! use shredder_core::{
-//!     ChunkingService, DedupSink, DedupSinkConfig, Shredder, ShredderConfig,
-//! };
+//! use shredder_core::{DedupSink, DedupSinkConfig, Shredder, ShredderConfig};
 //! use shredder_des::Dur;
 //!
 //! let data: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(0x9e3779b9) >> 11) as u8).collect();
@@ -119,20 +117,20 @@
 //! );
 //!
 //! let gpu = Shredder::new(ShredderConfig::gpu_streams_memory().with_buffer_size(256 << 10));
-//! let outcome = gpu.chunk_stream_sink(&data, &mut sink).unwrap();
+//! let report = gpu.chunk_stream_sink(&data, &mut sink).unwrap();
 //!
 //! // Real digests and dedup decisions, per-stage timing from the shared
 //! // simulation — and the stages overlapped the chunking pipeline.
 //! assert!(!sink.verdicts().is_empty());
-//! assert_eq!(outcome.stages.len(), 3);
-//! assert!(outcome.makespan >= outcome.report.makespan);
+//! assert_eq!(report.sink_stages.len(), 3);
+//! assert!(report.makespan >= report.sessions[0].chunking_time());
 //! ```
 //!
 //! The single-stream convenience (identical boundaries, one session),
 //! on the GPU pool and on the host device of the pthreads baseline:
 //!
 //! ```
-//! use shredder_core::{ChunkingService, Shredder, ShredderConfig};
+//! use shredder_core::{Shredder, ShredderConfig};
 //!
 //! let data: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(0x9e3779b9) >> 11) as u8).collect();
 //!
@@ -143,7 +141,7 @@
 //! let c = cpu.chunk_stream(&data).unwrap();
 //! // Same boundaries, different (simulated) speed.
 //! assert_eq!(g.chunks, c.chunks);
-//! assert!(g.report.throughput_gbps() > c.report.throughput_gbps());
+//! assert!(g.report.aggregate_gbps() > c.report.aggregate_gbps());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -158,7 +156,6 @@ pub mod frontend;
 pub mod pipeline;
 mod ready;
 pub mod report;
-pub mod service;
 pub mod session;
 pub mod sink;
 pub mod source;
@@ -173,17 +170,16 @@ pub use frontend::{
     capacity_search, CapacityReport, CapacityTrial, ChunkRequest, RequestId, RequestResult,
     ServiceOutcome, ShredderService,
 };
-pub use pipeline::Shredder;
+pub use pipeline::{ChunkOutcome, Shredder};
 pub use report::{
-    BufferTimeline, ClassLatency, DeviceReport, EngineReport, PipelineReport, RequestReport,
-    ServiceReport, SessionReport, StageBusy, StageReport,
+    BufferTimeline, ClassLatency, DeviceReport, EngineReport, RequestReport, ServiceReport,
+    SessionReport, StageBusy, StageReport,
 };
-pub use service::{ChunkOutcome, ChunkingService};
 pub use session::{ChunkSession, SessionId, SessionOutcome};
 pub use sink::{
     ChunkSink, ChunkVerdict, DedupSink, DedupSinkConfig, DedupStage, FingerprintIndex,
-    FingerprintStage, ShipStage, SinkOutcome, StageKind, StageSpec, StoreSink, StoreSinkConfig,
-    StoreStage, UpcallSink,
+    FingerprintStage, ShipStage, StageKind, StageSpec, StoreSink, StoreSinkConfig, StoreStage,
+    UpcallSink,
 };
 pub use source::{MemorySource, SliceSource, StreamSource};
 pub use workload::{AdmissionControl, TenantClass, Workload};

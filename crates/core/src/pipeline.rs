@@ -7,33 +7,63 @@
 //! transfers), so both executors share one simulator and one report
 //! shape.
 //!
-//! Historically this module owned the whole discrete-event pipeline;
-//! that machinery now lives in [`crate::engine`], where any number of
-//! tenant streams share it. [`Shredder`] keeps the original surface —
-//! construct from a [`ShredderConfig`], call
-//! [`chunk_stream`](crate::ChunkingService::chunk_stream) — by opening
-//! exactly one [`ChunkSession`](crate::ChunkSession) on a private
-//! [`ShredderEngine`] per call. The configuration semantics are
-//! unchanged:
+//! [`Shredder`] opens exactly one [`ChunkSession`](crate::ChunkSession)
+//! on a private [`ShredderEngine`] per call and hands back that run's
+//! [`EngineReport`]. Chunk boundaries reach the application through a
+//! [`ChunkSink`] passed to [`Shredder::chunk_stream_sink`]; the upcall
+//! of §3.1 is the stage-less [`UpcallSink`], and
+//! [`Shredder::chunk_stream`] collects through one. The configuration
+//! semantics:
 //!
 //! * **pipeline depth** caps how many buffers are in flight — the §4.2
-//!   streaming pipeline, varied 1–4 in Figure 9 (now a *global* cap the
+//!   streaming pipeline, varied 1–4 in Figure 9 (a *global* cap the
 //!   engine shares across sessions);
 //! * **twin buffers** cap device buffers — 1 reproduces the serialized
 //!   copy→compute of the basic design, 2 the double buffering of §4.1.1
 //!   (Figure 4);
 //! * **pinned ring** picks the host-buffer kind: pre-pinned ring slots
 //!   (fast DMA, §4.1.2) vs pageable buffers allocated every iteration.
+//!
+//! For chunking *many* streams through one shared pipeline, use the
+//! session API ([`Shredder::engine`]) directly.
 
-use shredder_des::Dur;
+use shredder_des::{Dur, SimTime};
+use shredder_hash::{sha256, Digest};
+use shredder_rabin::Chunk;
 
 use crate::config::{Executor, ShredderConfig};
 use crate::engine::{PlannedBuffer, SessionPlan, ShredderEngine};
 use crate::error::ChunkError;
-use crate::report::{PipelineReport, StageBusy};
-use crate::service::ChunkingService;
-use crate::sink::{ChunkSink, SinkOutcome};
-use crate::source::StreamSource;
+use crate::report::EngineReport;
+use crate::sink::{ChunkSink, UpcallSink};
+use crate::source::SliceSource;
+
+/// Result of chunking a stream: the chunks plus the engine's report of
+/// the one-session run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChunkOutcome {
+    /// The chunks, tiling the input in order.
+    pub chunks: Vec<Chunk>,
+    /// The run's report; `report.sessions[0]` is the stream's own.
+    pub report: EngineReport,
+}
+
+impl ChunkOutcome {
+    /// Computes the SHA-256 digest of every chunk (the hashing step of
+    /// §2.1, performed by the Store thread in the backup case study).
+    pub fn digests(&self, data: &[u8]) -> Vec<Digest> {
+        self.chunks.iter().map(|c| sha256(c.slice(data))).collect()
+    }
+
+    /// Mean chunk size in bytes.
+    pub fn mean_chunk_size(&self) -> f64 {
+        if self.chunks.is_empty() {
+            return 0.0;
+        }
+        let total: usize = self.chunks.iter().map(|c| c.len).sum();
+        total as f64 / self.chunks.len() as f64
+    }
+}
 
 /// The Shredder chunking engine (single-stream view), on the GPU pool
 /// or on the host device of the pthreads baseline.
@@ -41,7 +71,7 @@ use crate::source::StreamSource;
 /// # Examples
 ///
 /// ```
-/// use shredder_core::{ChunkingService, Shredder, ShredderConfig};
+/// use shredder_core::{Shredder, ShredderConfig};
 /// use shredder_rabin::{chunk_all, ChunkParams};
 ///
 /// let data: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
@@ -72,114 +102,43 @@ impl Shredder {
         ShredderEngine::new(self.config.clone())
     }
 
-    /// Timing-only pipeline execution over `buffers` synthetic buffers of
-    /// `bytes` each, with a given per-buffer kernel duration and raw-cut
-    /// count.
+    /// Chunks an in-memory stream and collects its chunks through the
+    /// stage-less [`UpcallSink`].
     ///
-    /// The experiment harness uses this to sweep buffer sizes and
-    /// pipeline depths over the paper's 1 GB workload without re-running
-    /// the (strictly linear) functional chunking for every
-    /// configuration; the kernel duration is measured once per buffer
-    /// size on real data.
-    pub fn simulate_synthetic(
-        &self,
-        buffers: usize,
-        bytes: usize,
-        kernel_dur: Dur,
-        cuts_per_buffer: usize,
-    ) -> PipelineReport {
-        let plan = SessionPlan {
-            name: "synthetic".into(),
-            weight: 1,
-            class: 0,
-            pin: None,
-            bytes: (buffers * bytes) as u64,
-            // The timing pass never reads individual cut offsets — only
-            // the per-buffer counts below drive the D2H/Store costs.
-            cuts: Vec::new(),
-            buffers: vec![
-                PlannedBuffer {
-                    bytes: bytes as u64,
-                    cut_count: cuts_per_buffer as u64,
-                    kernel_dur,
-                };
-                buffers
-            ],
-        };
-        let (timeline, stage_busy, makespan) = if buffers == 0 {
-            (Vec::new(), StageBusy::default(), Dur::ZERO)
-        } else {
-            let sim = self.engine().simulate_planned(std::slice::from_ref(&plan));
-            (
-                sim.sessions[0].timeline.clone(),
-                sim.stage_busy,
-                sim.end.saturating_since(shredder_des::SimTime::ZERO),
-            )
-        };
-        PipelineReport {
-            bytes: (buffers * bytes) as u64,
-            buffers,
-            makespan,
-            stage_busy,
-            kernel_time: kernel_dur * buffers as u64,
-            timeline,
-            ring_setup: self.config.ring_setup(),
-            raw_cuts: cuts_per_buffer * buffers,
-        }
+    /// # Errors
+    ///
+    /// [`ChunkError`] when the engine rejects the configuration or a
+    /// kernel launch fails.
+    pub fn chunk_stream(&self, data: &[u8]) -> Result<ChunkOutcome, ChunkError> {
+        let mut chunks = Vec::new();
+        let mut upcall = |chunk| chunks.push(chunk);
+        let report = self.chunk_stream_sink(data, &mut UpcallSink::new(&mut upcall))?;
+        Ok(ChunkOutcome { chunks, report })
     }
-}
 
-impl ChunkingService for Shredder {
-    /// Runs the sink's stages inside the engine's shared simulation: one
-    /// session, chunking pipeline and downstream stages contending and
-    /// overlapping on the same virtual clock. The caller's `ingest_bw`
-    /// cap, when set, caps the engine's reader — here the reader *is*
-    /// the consumer's intake link (e.g. the §7.3 10 Gbps image source).
-    fn chunk_source_sink_capped(
+    /// Chunks an in-memory stream into `sink`, whose downstream stages
+    /// run inside the same simulation as the chunking pipeline, so
+    /// hashing overlaps (and backpressures) chunking. The sink's
+    /// functional half (hashing, dedup decisions) runs for real, chunk
+    /// by chunk in stream order. To model a capped intake link, lower
+    /// the config's
+    /// [`reader_bandwidth`](ShredderConfig::with_reader_bandwidth).
+    ///
+    /// # Errors
+    ///
+    /// See [`chunk_stream`](Self::chunk_stream).
+    pub fn chunk_stream_sink(
         &self,
-        source: &mut dyn StreamSource,
+        data: &[u8],
         sink: &mut dyn ChunkSink,
-        ingest_bw: Option<f64>,
-    ) -> Result<SinkOutcome, ChunkError> {
-        let mut config = self.config.clone();
-        if let Some(bw) = ingest_bw {
-            config.reader_bandwidth = config.reader_bandwidth.min(bw);
-        }
-        let outcome = {
-            let mut engine = ShredderEngine::new(config);
-            engine.open_sink_session("chunk-stream", 1, source, sink);
-            engine.run()?
-        };
-        let per = &outcome.report.sessions[0];
-        // The report keeps chunk-only semantics: with downstream stages
-        // attached, chunking ends when the last buffer leaves the Store
-        // thread, not when the sink drains.
-        let chunk_makespan = if outcome.report.sink_stages.is_empty() {
-            outcome.report.makespan
-        } else {
-            per.timeline
-                .last()
-                .map(|t| t.store_end.saturating_since(per.first_admit))
-                .unwrap_or(Dur::ZERO)
-        };
-        let report = PipelineReport {
-            bytes: per.bytes,
-            buffers: per.buffers,
-            makespan: chunk_makespan,
-            stage_busy: outcome.report.stage_busy,
-            kernel_time: per.kernel_time,
-            timeline: per.timeline.clone(),
-            ring_setup: outcome.report.ring_setup,
-            raw_cuts: per.raw_cuts,
-        };
-        Ok(SinkOutcome {
-            report,
-            makespan: outcome.report.makespan,
-            stages: outcome.report.sink_stages,
-        })
+    ) -> Result<EngineReport, ChunkError> {
+        let mut engine = self.engine();
+        engine.open_sink_session("chunk-stream", 1, SliceSource::new(data), sink);
+        Ok(engine.run()?.report)
     }
 
-    fn service_name(&self) -> String {
+    /// Human-readable engine name (used in experiment output).
+    pub fn service_name(&self) -> String {
         if let Executor::Host(allocator) = self.config.executor {
             return format!(
                 "pthreads-cpu({} threads, {allocator})",
@@ -200,6 +159,47 @@ impl ChunkingService for Shredder {
             if self.config.gpus == 1 { "" } else { "s" }
         )
     }
+
+    /// Timing-only pipeline execution over `buffers` synthetic buffers of
+    /// `bytes` each, with a given per-buffer kernel duration and raw-cut
+    /// count; returns the makespan.
+    ///
+    /// The experiment harness uses this to sweep buffer sizes and
+    /// pipeline depths over the paper's 1 GB workload without re-running
+    /// the (strictly linear) functional chunking for every
+    /// configuration; the kernel duration is measured once per buffer
+    /// size on real data.
+    pub fn simulate_synthetic(
+        &self,
+        buffers: usize,
+        bytes: usize,
+        kernel_dur: Dur,
+        cuts_per_buffer: usize,
+    ) -> Dur {
+        if buffers == 0 {
+            return Dur::ZERO;
+        }
+        let plan = SessionPlan {
+            name: "synthetic".into(),
+            weight: 1,
+            class: 0,
+            pin: None,
+            bytes: (buffers * bytes) as u64,
+            // The timing pass never reads individual cut offsets — only
+            // the per-buffer counts below drive the D2H/Store costs.
+            cuts: Vec::new(),
+            buffers: vec![
+                PlannedBuffer {
+                    bytes: bytes as u64,
+                    cut_count: cuts_per_buffer as u64,
+                    kernel_dur,
+                };
+                buffers
+            ],
+        };
+        let sim = self.engine().simulate_planned(std::slice::from_ref(&plan));
+        sim.end.saturating_since(SimTime::ZERO)
+    }
 }
 
 #[cfg(test)]
@@ -207,7 +207,7 @@ mod tests {
     use super::*;
     use crate::config::ShredderConfig;
     use crate::engine::host_scan_time;
-    use crate::source::SliceSource;
+    use crate::report::SessionReport;
     use shredder_gpu::calibration;
     use shredder_rabin::{chunk_all, ChunkParams};
 
@@ -225,6 +225,87 @@ mod tests {
 
     fn small(cfg: ShredderConfig) -> ShredderConfig {
         cfg.with_buffer_size(256 << 10)
+    }
+
+    #[test]
+    fn collect_outcome() {
+        let data = pseudo_random(1 << 20, 3);
+        let out = Shredder::new(small(ShredderConfig::gpu_streams_memory()))
+            .chunk_stream(&data)
+            .unwrap();
+        assert!(out.chunks.len() > 1);
+        let mean = data.len() as f64 / out.chunks.len() as f64;
+        assert_eq!(out.mean_chunk_size(), mean);
+        let digests = out.digests(&data);
+        assert_eq!(digests.len(), out.chunks.len());
+        for (chunk, digest) in out.chunks.iter().zip(&digests) {
+            assert_eq!(*digest, sha256(chunk.slice(&data)));
+        }
+    }
+
+    #[test]
+    fn empty_outcome_stats() {
+        let out = Shredder::new(ShredderConfig::cpu_pthreads())
+            .chunk_stream(&[])
+            .unwrap();
+        assert!(out.chunks.is_empty());
+        assert_eq!(out.mean_chunk_size(), 0.0);
+        assert!(out.digests(&[]).is_empty());
+    }
+
+    /// The chunk-only duration of one stream is the last buffer's Store
+    /// completion since its first admission: the whole makespan without
+    /// a sink, at most the makespan once sink stages extend it, and zero
+    /// for an empty stream.
+    #[test]
+    fn chunking_time_is_last_store_end_since_first_admit() {
+        use std::cell::RefCell;
+        use std::collections::HashSet;
+        use std::rc::Rc;
+
+        let data = pseudo_random(2 << 20, 43);
+        let dedup = || {
+            crate::sink::DedupSink::new(
+                crate::sink::DedupSinkConfig {
+                    hash_bw: 0.5e9,
+                    index_lookup: Dur::from_micros(7),
+                    index_insert: Dur::from_micros(10),
+                    ship_bw: 0.3e9,
+                    pointer_bytes: 40,
+                    ship_chunk_overhead: Dur::from_micros(2),
+                },
+                Rc::new(RefCell::new(HashSet::new())),
+            )
+        };
+        let by_hand = |per: &SessionReport| {
+            per.timeline
+                .last()
+                .map(|t| t.store_end.saturating_since(per.first_admit))
+                .unwrap_or(Dur::ZERO)
+        };
+        for cfg in [
+            small(ShredderConfig::gpu_streams_memory()),
+            small(ShredderConfig::cpu_pthreads()),
+        ] {
+            let service = Shredder::new(cfg);
+
+            let plain = service.chunk_stream(&data).unwrap().report;
+            let per = &plain.sessions[0];
+            assert!(plain.sink_stages.is_empty());
+            assert_eq!(per.chunking_time(), by_hand(per));
+            assert_eq!(per.chunking_time(), plain.makespan);
+
+            let staged = service.chunk_stream_sink(&data, &mut dedup()).unwrap();
+            let per = &staged.sessions[0];
+            assert_eq!(staged.sink_stages.len(), 3);
+            assert_eq!(per.chunking_time(), by_hand(per));
+            assert!(per.chunking_time() > Dur::ZERO);
+            assert!(per.chunking_time() <= per.makespan);
+            assert!(per.chunking_time() <= staged.makespan);
+
+            let empty = service.chunk_stream_sink(&[], &mut dedup()).unwrap();
+            assert_eq!(empty.sessions[0].chunking_time(), Dur::ZERO);
+        }
     }
 
     #[test]
@@ -260,7 +341,7 @@ mod tests {
                 .chunk_stream(&data)
                 .unwrap()
                 .report
-                .throughput_gbps()
+                .aggregate_gbps()
         };
         let basic = t(ShredderConfig::gpu_basic());
         let streams = t(ShredderConfig::gpu_streams());
@@ -277,7 +358,7 @@ mod tests {
         let out = Shredder::new(ShredderConfig::gpu_streams_memory().with_buffer_size(4 << 20))
             .chunk_stream(&data)
             .unwrap();
-        let gbps = out.report.throughput_gbps();
+        let gbps = out.report.aggregate_gbps();
         assert!(gbps > 1.5 && gbps < 2.1, "{gbps} GB/s");
     }
 
@@ -287,7 +368,7 @@ mod tests {
         let out = Shredder::new(small(ShredderConfig::gpu_streams_memory()))
             .chunk_stream(&data)
             .unwrap();
-        let report = out.report.clone();
+        let report = &out.report.sessions[0];
         assert_eq!(report.buffers, report.timeline.len());
         for t in &report.timeline {
             assert!(t.read_start <= t.read_end);
@@ -429,8 +510,8 @@ mod tests {
         let hoard = run(ShredderConfig::cpu_pthreads());
         let malloc = run(ShredderConfig::cpu_pthreads_malloc());
         assert_eq!(hoard.chunks, malloc.chunks);
-        assert!(hoard.report.throughput_gbps() > malloc.report.throughput_gbps());
-        assert!(hoard.report.kernel_time < malloc.report.kernel_time);
+        assert!(hoard.report.aggregate_gbps() > malloc.report.aggregate_gbps());
+        assert!(hoard.report.sessions[0].kernel_time < malloc.report.sessions[0].kernel_time);
     }
 
     #[test]
@@ -516,19 +597,20 @@ mod tests {
 
     /// Runs `n` equal buffers of `b` bytes with no raw cuts through the
     /// uncontended host executor (Hoard), with an optional ingest cap.
-    fn host_uncontended(n: u64, b: usize, ingest_bw: Option<f64>) -> PipelineReport {
+    fn host_uncontended(n: u64, b: usize, ingest_bw: Option<f64>) -> SessionReport {
         // A constant byte never hits the Rabin marker, so every buffer's
         // Store work is the bare per-buffer overhead.
         let data = vec![0x42u8; n as usize * b];
-        let service = Shredder::new(ShredderConfig::cpu_pthreads().with_buffer_size(b));
-        let mut upcall = |_| {};
-        let mut sink = crate::sink::UpcallSink::new(&mut upcall);
-        let outcome = service
-            .chunk_stream_sink_capped(&data, &mut sink, ingest_bw)
-            .unwrap();
-        assert_eq!(outcome.report.raw_cuts, 0);
-        assert_eq!(outcome.report.buffers, n as usize);
-        outcome.report
+        let mut cfg = ShredderConfig::cpu_pthreads().with_buffer_size(b);
+        if let Some(bw) = ingest_bw {
+            cfg = cfg.with_reader_bandwidth(bw);
+        }
+        let mut outcome = Shredder::new(cfg).chunk_stream(&data).unwrap();
+        let report = outcome.report.sessions.swap_remove(0);
+        assert_eq!(report.makespan, outcome.report.makespan);
+        assert_eq!(report.raw_cuts, 0);
+        assert_eq!(report.buffers, n as usize);
+        report
     }
 
     /// Compute-bound closed form. With `b` = 1 MiB the SAN read

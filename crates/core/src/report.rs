@@ -255,41 +255,6 @@ pub struct BufferTimeline {
     pub store_end: SimTime,
 }
 
-/// Report of one stream's chunking run on either executor (GPU pool
-/// or host device).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PipelineReport {
-    /// Total input bytes.
-    pub bytes: u64,
-    /// Buffers processed.
-    pub buffers: usize,
-    /// End-to-end simulated time (first read start → last store end).
-    pub makespan: Dur,
-    /// Per-stage busy times.
-    pub stage_busy: StageBusy,
-    /// Per-buffer timestamps.
-    pub timeline: Vec<BufferTimeline>,
-    /// Total kernel-only time (sum of kernel durations).
-    pub kernel_time: Dur,
-    /// One-time pinned-ring setup cost (not part of the makespan; the
-    /// ring is allocated once at system initialization, §4.1.2).
-    pub ring_setup: Dur,
-    /// Raw cuts found before min/max adjustment.
-    pub raw_cuts: usize,
-}
-
-impl PipelineReport {
-    /// Simulated chunking throughput in GB/s (10⁹ bytes per second, the
-    /// unit of the paper's Figure 12 y-axis).
-    pub fn throughput_gbps(&self) -> f64 {
-        let s = self.makespan.as_secs_f64();
-        if s == 0.0 {
-            return 0.0;
-        }
-        self.bytes as f64 / s / 1e9
-    }
-}
-
 /// Per-stream report of one session's trip through a shared
 /// [`ShredderEngine`](crate::ShredderEngine) run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -332,6 +297,17 @@ pub struct SessionReport {
 }
 
 impl SessionReport {
+    /// Chunk-only duration: first admission → the last buffer leaving
+    /// the Store thread. Equals [`makespan`](Self::makespan) without a
+    /// sink; sink stages extend the makespan beyond it. Zero for an
+    /// empty stream.
+    pub fn chunking_time(&self) -> Dur {
+        self.timeline
+            .last()
+            .map(|t| t.store_end.saturating_since(self.first_admit))
+            .unwrap_or(Dur::ZERO)
+    }
+
     /// This stream's own throughput in GB/s over its makespan.
     pub fn throughput_gbps(&self) -> f64 {
         let s = self.makespan.as_secs_f64();
@@ -374,8 +350,7 @@ pub struct EngineReport {
     /// Service-frontend accounting (offered vs. achieved load, queue
     /// depth, per-class latency percentiles). `Some` for runs driven by
     /// a [`ShredderService`](crate::ShredderService) workload; `None`
-    /// for the legacy closed-batch [`run`](crate::ShredderEngine::run)
-    /// path.
+    /// for [`ShredderEngine::run`](crate::ShredderEngine::run).
     pub service: Option<ServiceReport>,
     /// Per-fault counters from the injected
     /// [`FaultPlan`](crate::FaultPlan): deaths taken, buffers requeued,
@@ -423,28 +398,33 @@ impl EngineReport {
 mod tests {
     use super::*;
 
-    fn pipeline_report(bytes: u64, makespan: Dur) -> PipelineReport {
-        PipelineReport {
+    fn engine_report(bytes: u64, makespan: Dur) -> EngineReport {
+        EngineReport {
+            sessions: Vec::new(),
             bytes,
             buffers: 1,
+            pipeline_depth: 4,
             makespan,
             stage_busy: StageBusy::default(),
-            timeline: Vec::new(),
-            kernel_time: makespan,
+            devices: Vec::new(),
+            sink_stages: Vec::new(),
+            queue_wait: Dur::ZERO,
             ring_setup: Dur::ZERO,
-            raw_cuts: 0,
+            service: None,
+            faults: FaultReport::default(),
+            telemetry: None,
         }
     }
 
     #[test]
     fn throughput_computation() {
-        let r = pipeline_report(2_000_000_000, Dur::from_secs(2));
-        assert!((r.throughput_gbps() - 1.0).abs() < 1e-9);
+        let r = engine_report(2_000_000_000, Dur::from_secs(2));
+        assert!((r.aggregate_gbps() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_makespan_throughput_is_zero() {
-        assert_eq!(pipeline_report(0, Dur::ZERO).throughput_gbps(), 0.0);
+        assert_eq!(engine_report(0, Dur::ZERO).aggregate_gbps(), 0.0);
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //! [`DedupStage`] (fingerprint-index lookup/insert) and [`ShipStage`]
 //! (pointer-vs-payload transfer); [`DedupSink`] composes all three into
 //! the backup server's graph. [`UpcallSink`] is the stage-less sink —
-//! boundaries forwarded to an upcall — which is what the upcall entry
-//! points of [`ChunkingService`](crate::ChunkingService) run on.
+//! boundaries forwarded to an upcall, the §3.1 delivery path, passed
+//! to [`Shredder::chunk_stream_sink`](crate::Shredder::chunk_stream_sink)
+//! like any other sink.
 //!
 //! # Examples
 //!
@@ -77,8 +78,6 @@ use serde::{Deserialize, Serialize};
 use shredder_des::Dur;
 use shredder_hash::{sha256, Digest};
 use shredder_rabin::Chunk;
-
-use crate::report::{PipelineReport, StageReport};
 
 /// The typed identity of a downstream stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -505,7 +504,7 @@ impl Default for StoreSinkConfig {
 /// ```
 /// use std::cell::RefCell;
 /// use std::rc::Rc;
-/// use shredder_core::{ChunkingService, Shredder, ShredderConfig, StoreSink, StoreSinkConfig};
+/// use shredder_core::{Shredder, ShredderConfig, StoreSink, StoreSinkConfig};
 /// use shredder_store::ChunkStore;
 ///
 /// let data: Vec<u8> = (0..1u32 << 19).map(|i| (i.wrapping_mul(0x9e3779b9) >> 11) as u8).collect();
@@ -513,11 +512,11 @@ impl Default for StoreSinkConfig {
 /// let mut sink = StoreSink::new("vm", StoreSinkConfig::default(), store.clone());
 ///
 /// let gpu = Shredder::new(ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10));
-/// let outcome = gpu.chunk_stream_sink(&data, &mut sink).unwrap();
+/// let report = gpu.chunk_stream_sink(&data, &mut sink).unwrap();
 ///
 /// let generation = sink.generation().expect("committed at stream end");
 /// assert_eq!(store.borrow().restore("vm", generation).unwrap(), data);
-/// assert_eq!(outcome.stages.len(), 2); // fingerprint + store-commit
+/// assert_eq!(report.sink_stages.len(), 2); // fingerprint + store-commit
 /// ```
 pub struct StoreSink {
     stream: String,
@@ -732,22 +731,6 @@ impl std::fmt::Debug for DedupSink {
             .field("verdicts", &self.verdicts.len())
             .finish_non_exhaustive()
     }
-}
-
-/// The result of chunking a stream *through a sink*: the chunking
-/// engine's own report plus the end-to-end view including the sink's
-/// downstream stages.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SinkOutcome {
-    /// The chunking engine's report (chunk-only timings, as the upcall
-    /// path reports them).
-    pub report: PipelineReport,
-    /// End-to-end simulated makespan: stream start → last sink stage
-    /// completion. Equals `report.makespan` for stage-less sinks.
-    pub makespan: Dur,
-    /// Per-stage busy/queue-wait accounting from the simulation (empty
-    /// for stage-less sinks).
-    pub stages: Vec<StageReport>,
 }
 
 /// The shared functional pass over one stream's final chunks: delivers

@@ -281,8 +281,8 @@ pub struct TenantClass {
     /// Ingest bandwidth cap in bytes/s: all reads of this class's
     /// requests pass through one shared class link of this bandwidth
     /// before reaching the SAN reader. `None` means uncapped. This is
-    /// the first-class form of the explicit per-call cap of
-    /// [`ChunkingService::chunk_source_sink_capped`](crate::ChunkingService::chunk_source_sink_capped).
+    /// the per-class form of lowering the whole engine's
+    /// [`reader_bandwidth`](crate::ShredderConfig::with_reader_bandwidth).
     pub ingest_bw: Option<f64>,
 }
 

@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use shredder_core::{
-    AdmissionPolicy, ChunkSink, ChunkingService, FingerprintStage, Shredder, ShredderConfig,
-    ShredderEngine, SliceSource, StageSpec,
+    AdmissionPolicy, ChunkSink, FingerprintStage, Shredder, ShredderConfig, ShredderEngine,
+    SliceSource, StageSpec,
 };
 use shredder_des::Dur;
 use shredder_hash::sha256;
@@ -153,7 +153,7 @@ proptest! {
     /// Sink-delivery order ≡ collected order ≡ sequential scan: for any
     /// data and buffer size, the chunks a sink receives (with real
     /// payloads, fingerprinted in-simulation) are exactly the chunks the
-    /// legacy collect path returns, which are exactly a sequential scan.
+    /// collect path returns, which are exactly a sequential scan.
     #[test]
     fn sink_delivery_equals_collect_equals_sequential(
         data in proptest::collection::vec(any::<u8>(), 0..131_072),
@@ -164,9 +164,9 @@ proptest! {
 
         // Sink path.
         let mut sink = RecordingSink::new();
-        let sink_outcome = service.chunk_stream_sink(&data, &mut sink).unwrap();
+        let sink_report = service.chunk_stream_sink(&data, &mut sink).unwrap();
 
-        // Legacy collect path.
+        // Collect path.
         let collected = service.chunk_stream(&data).unwrap();
 
         // Sequential reference.
@@ -174,15 +174,15 @@ proptest! {
 
         prop_assert_eq!(&sink.delivered, &collected.chunks);
         prop_assert_eq!(&collected.chunks, &reference);
-        // Digests computed inside the simulation equal the legacy
+        // Digests computed inside the simulation equal the
         // post-processed digests.
-        let legacy_digests = collected.digests(&data);
-        prop_assert_eq!(sink.fingerprint.digests(), legacy_digests.as_slice());
+        let collected_digests = collected.digests(&data);
+        prop_assert_eq!(sink.fingerprint.digests(), collected_digests.as_slice());
         for (chunk, digest) in sink.delivered.iter().zip(sink.fingerprint.digests()) {
             prop_assert_eq!(*digest, sha256(chunk.slice(&data)));
         }
         // The end-to-end makespan extends (or equals) the chunk-only one.
-        prop_assert!(sink_outcome.makespan >= sink_outcome.report.makespan);
+        prop_assert!(sink_report.makespan >= sink_report.sessions[0].chunking_time());
     }
 
     /// Determinism: the same session set through the same engine twice

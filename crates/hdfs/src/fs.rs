@@ -2,17 +2,19 @@
 //!
 //! `copy_from_local` mimics plain HDFS (fixed-size splits);
 //! `copy_from_local_gpu` is the §6.3 extension: the client runs the
-//! computationally expensive chunking through a
-//! [`ChunkingService`] (the Shredder-enabled HDFS client of Figure 14)
-//! before uploading chunks to DataNodes, deduplicating splits whose
-//! content is already stored.
+//! computationally expensive chunking through a [`Shredder`] (the
+//! Shredder-enabled HDFS client of Figure 14) before uploading chunks
+//! to DataNodes, deduplicating splits whose content is already stored.
+//! Record alignment and split fingerprinting run as a
+//! [`RecordAlignedSink`] inside the engine's simulation, so the hash
+//! work overlaps chunking.
 
 use std::fmt;
 
 use bytes::Bytes;
 use shredder_core::{
-    AdmissionControl, ChunkError, ChunkRequest, ChunkingService, ServiceReport, Shredder,
-    ShredderService, SliceSource, Workload,
+    AdmissionControl, ChunkError, ChunkRequest, ServiceReport, Shredder, ShredderService,
+    SliceSource, Workload,
 };
 use shredder_des::Dur;
 use shredder_hash::{sha256, Digest};
@@ -224,10 +226,8 @@ impl IncHdfs {
     }
 
     /// Content-based upload through a Shredder chunking service with
-    /// semantic record alignment (`copyFromLocalGPU`, §6.3). Record
-    /// alignment and split fingerprinting run as a
-    /// [`RecordAlignedSink`] inside the service's simulation, so the
-    /// hash work overlaps chunking.
+    /// semantic record alignment (`copyFromLocalGPU`, §6.3): the
+    /// one-file case of [`copy_many_gpu`](Self::copy_many_gpu).
     ///
     /// # Errors
     ///
@@ -236,18 +236,11 @@ impl IncHdfs {
         &mut self,
         path: &str,
         data: &[u8],
-        service: &dyn ChunkingService,
+        shredder: &Shredder,
         format: &dyn InputFormat,
     ) -> Result<UploadReport, HdfsError> {
-        let mut sink = RecordAlignedSink::new(format);
-        let outcome = service.chunk_stream_sink(data, &mut sink)?;
-        Ok(self.commit(
-            path,
-            data,
-            &sink.into_aligned(),
-            outcome.report.makespan,
-            outcome.makespan,
-        ))
+        let mut reports = self.copy_many_gpu(&[(path, data)], shredder, format)?;
+        Ok(reports.swap_remove(0))
     }
 
     /// Batch ingestion: uploads several files in one multi-stream engine
@@ -286,16 +279,11 @@ impl IncHdfs {
         for ((sink, (path, data)), per) in
             sinks.into_iter().zip(files).zip(&outcome.report.sessions)
         {
-            let chunking_time = per
-                .timeline
-                .last()
-                .map(|t| t.store_end.saturating_since(per.first_admit))
-                .unwrap_or(Dur::ZERO);
             reports.push(self.commit(
                 path,
                 data,
                 &sink.into_aligned(),
-                chunking_time,
+                per.chunking_time(),
                 per.makespan,
             ));
         }
@@ -355,17 +343,12 @@ impl IncHdfs {
                 Ok(_) => {
                     let i = result.id.index();
                     let per = &outcome.report.sessions[i];
-                    let chunking_time = per
-                        .timeline
-                        .last()
-                        .map(|t| t.store_end.saturating_since(per.first_admit))
-                        .unwrap_or(Dur::ZERO);
                     let latency = service_report.requests[i].latency().unwrap_or(per.makespan);
                     reports.push(Ok(self.commit(
                         path,
                         data,
                         &sink.into_aligned(),
-                        chunking_time,
+                        per.chunking_time(),
                         latency,
                     )));
                 }
@@ -522,6 +505,34 @@ mod tests {
             ShredderConfig::cpu_pthreads()
                 .with_params(ChunkParams::paper().with_expected_size(4096)),
         )
+    }
+
+    /// `copy_from_local_gpu` is the one-file case of `copy_many_gpu`:
+    /// same chunking time, upload makespan and dedup, on both executors.
+    #[test]
+    fn single_upload_equals_one_file_batch() {
+        let (v1, v2) = (corpus(11), corpus(12));
+        let gpu = Shredder::new(
+            ShredderConfig::gpu_streams_memory()
+                .with_params(ChunkParams::paper().with_expected_size(4096))
+                .with_buffer_size(64 << 10),
+        );
+        for svc in [service(), gpu] {
+            let mut single = IncHdfs::new(3);
+            let mut batch = IncHdfs::new(3);
+            for data in [&v1, &v2, &v1] {
+                let a = single
+                    .copy_from_local_gpu("/f", data, &svc, &TextInputFormat)
+                    .unwrap();
+                let b = batch
+                    .copy_many_gpu(&[("/f", data)], &svc, &TextInputFormat)
+                    .unwrap();
+                assert_eq!(b.len(), 1);
+                assert_eq!(a, b[0]);
+                assert!(a.chunking_time > Dur::ZERO);
+                assert!(a.chunking_time <= a.upload_makespan);
+            }
+        }
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   alignment incrementally and fingerprints every aligned split as an
 //!   in-simulation stage, so hashing overlaps chunking.
 //! * [`fs`] — the client API: `copy_from_local` (fixed-size, plain HDFS
-//!   behaviour) and `copy_from_local_gpu` (content-based via any
-//!   [`ChunkingService`](shredder_core::ChunkingService) — the
-//!   `copyFromLocalGPU` shell command of §6.3).
+//!   behaviour) and `copy_from_local_gpu` (content-based via a
+//!   [`Shredder`](shredder_core::Shredder) — the `copyFromLocalGPU`
+//!   shell command of §6.3).
 //!
 //! # Examples
 //!

@@ -206,7 +206,7 @@ pub fn splits_from_bytes(data: &[u8], target_split: usize) -> Vec<SplitData> {
 }
 
 /// Builds record-aligned splits by **content-defined chunking** through
-/// any [`ChunkingService`](shredder_core::ChunkingService), consuming
+/// a [`Shredder`](shredder_core::Shredder), consuming
 /// the boundaries via a
 /// [`RecordAlignedSink`](shredder_hdfs::RecordAlignedSink): record
 /// alignment and split fingerprinting run inside the service's
@@ -223,7 +223,7 @@ pub fn splits_from_bytes(data: &[u8], target_split: usize) -> Vec<SplitData> {
 /// [`shredder_core::ChunkError`] if the chunking engine fails.
 pub fn content_defined_splits(
     data: &[u8],
-    service: &dyn shredder_core::ChunkingService,
+    service: &shredder_core::Shredder,
     format: &dyn shredder_hdfs::InputFormat,
 ) -> Result<Vec<SplitData>, shredder_core::ChunkError> {
     use shredder_hdfs::namenode::SplitMeta;

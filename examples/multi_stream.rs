@@ -10,9 +10,7 @@
 //! round-robin admission. Each client still gets chunks bit-identical
 //! to a sequential scan of its own stream.
 
-use shredder::core::{
-    AdmissionPolicy, ChunkingService, Shredder, ShredderConfig, ShredderEngine, SliceSource,
-};
+use shredder::core::{AdmissionPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource};
 use shredder::rabin::{chunk_all, ChunkParams};
 use shredder::workloads;
 
@@ -37,7 +35,7 @@ fn main() {
             solo.chunk_stream(data)
                 .expect("chunking failed")
                 .report
-                .throughput_gbps()
+                .aggregate_gbps()
         })
         .collect();
     let solo_mean = solo_gbps.iter().sum::<f64>() / solo_gbps.len() as f64;

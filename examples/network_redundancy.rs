@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use shredder::core::{ChunkingService, Shredder, ShredderConfig};
+use shredder::core::{Shredder, ShredderConfig};
 use shredder::hash::{sha256, Digest};
 use shredder::rabin::ChunkParams;
 use shredder::workloads;
@@ -36,7 +36,7 @@ impl Middlebox {
     }
 
     /// Sender side: encode a stream as literals + tokens.
-    fn encode(&mut self, data: &[u8], chunker: &dyn ChunkingService) -> Vec<WireItem> {
+    fn encode(&mut self, data: &[u8], chunker: &Shredder) -> Vec<WireItem> {
         let outcome = chunker.chunk_stream(data).expect("chunking failed");
         outcome
             .chunks

@@ -25,9 +25,8 @@ fn build_service<'a>(control: AdmissionControl) -> ShredderService<'a> {
             .with_admission(control);
     // Two tenant classes: paying traffic gets 4x the fair-share weight;
     // free traffic is additionally capped at a 10 Gbps ingest link via
-    // `TenantClass::with_ingest_bw` — the per-class successor of the
-    // old per-sink intake cap (one-shot consumers cap their reader with
-    // `ChunkingService::chunk_source_sink_capped` instead).
+    // `TenantClass::with_ingest_bw` (a one-shot `Shredder` caps its
+    // whole reader with `ShredderConfig::with_reader_bandwidth`).
     service.define_class(TenantClass::new("gold").with_weight(4));
     service.define_class(TenantClass::new("free").with_ingest_bw(1.25e9));
     for t in 0..REQUESTS as u64 {

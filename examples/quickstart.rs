@@ -8,7 +8,7 @@
 //! `cpu_pthreads` preset), and scale the same workload onto a multi-GPU
 //! device pool with `gpus = N`.
 
-use shredder::core::{ChunkingService, Shredder, ShredderConfig, ShredderEngine, SliceSource};
+use shredder::core::{Shredder, ShredderConfig, ShredderEngine, SliceSource};
 use shredder::gpu::kernel::KernelVariant;
 use shredder::workloads;
 
@@ -27,7 +27,7 @@ fn main() {
     println!("mean chunk size  : {:.0} bytes", outcome.mean_chunk_size());
     println!(
         "simulated speed  : {:.2} GB/s",
-        outcome.report.throughput_gbps()
+        outcome.report.aggregate_gbps()
     );
 
     let pipeline = &outcome.report;
@@ -56,12 +56,12 @@ fn main() {
     assert_eq!(cpu_outcome.chunks, outcome.chunks);
     println!(
         "\nhost baseline    : {:.2} GB/s ({})",
-        cpu_outcome.report.throughput_gbps(),
+        cpu_outcome.report.aggregate_gbps(),
         cpu.service_name()
     );
     println!(
         "gpu speedup      : {:.1}x",
-        outcome.report.throughput_gbps() / cpu_outcome.report.throughput_gbps()
+        outcome.report.aggregate_gbps() / cpu_outcome.report.aggregate_gbps()
     );
 
     // The same pipeline with the Gear/FastCDC kernel (chunk_kernel =
@@ -76,7 +76,7 @@ fn main() {
     let gear_outcome = gear.chunk_stream(&data).expect("chunking failed");
     println!(
         "\ngear kernel      : {:.2} GB/s ({} chunks, mean {:.0} bytes)",
-        gear_outcome.report.throughput_gbps(),
+        gear_outcome.report.aggregate_gbps(),
         gear_outcome.chunks.len(),
         gear_outcome.mean_chunk_size()
     );

@@ -98,9 +98,9 @@
 //! [`capacity_search`](core::capacity_search) bisects the highest
 //! sustained rate meeting a p99 SLO. Ingest-bandwidth caps are
 //! per tenant class ([`TenantClass::with_ingest_bw`](core::TenantClass))
-//! — or per request for one-shot consumers, via
-//! `ChunkingService::chunk_source_sink_capped` — rather than a
-//! property of the sink itself.
+//! — or, for a one-shot [`Shredder`](core::Shredder), the config's
+//! [`reader_bandwidth`](core::ShredderConfig::with_reader_bandwidth) —
+//! rather than a property of the sink itself.
 //!
 //! # Quickstart: multi-tenant chunking
 //!
@@ -144,12 +144,14 @@
 //!
 //! # Quickstart: one stream
 //!
-//! The classic one-shot API is a thin single-session convenience over
+//! [`Shredder`](core::Shredder) runs one stream as a single session of
 //! the same engine — on the GPU pool, or on the host device of the
-//! paper's pthreads baseline, with identical boundaries:
+//! paper's pthreads baseline, with identical boundaries — and returns
+//! the chunks with that run's
+//! [`EngineReport`](core::EngineReport):
 //!
 //! ```
-//! use shredder::core::{ChunkingService, Shredder, ShredderConfig};
+//! use shredder::core::{Shredder, ShredderConfig};
 //!
 //! let data: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 9) as u8).collect();
 //! let shredder = Shredder::new(ShredderConfig::default());
@@ -158,12 +160,12 @@
 //!     outcome.chunks.iter().map(|c| c.len).sum::<usize>(),
 //!     data.len()
 //! );
-//! println!("simulated chunking bandwidth: {:.2} GB/s", outcome.report.throughput_gbps());
+//! println!("simulated chunking bandwidth: {:.2} GB/s", outcome.report.aggregate_gbps());
 //!
 //! let host = Shredder::new(ShredderConfig::cpu_pthreads());
 //! let baseline = host.chunk_stream(&data).expect("chunking failed");
 //! assert_eq!(baseline.chunks, outcome.chunks);
-//! println!("pthreads baseline: {:.2} GB/s", baseline.report.throughput_gbps());
+//! println!("pthreads baseline: {:.2} GB/s", baseline.report.aggregate_gbps());
 //! ```
 //!
 //! # Quickstart: the Gear kernel
@@ -177,7 +179,7 @@
 //! stay content-defined, deterministic, and shift-resilient:
 //!
 //! ```
-//! use shredder::core::{ChunkingService, Shredder, ShredderConfig};
+//! use shredder::core::{Shredder, ShredderConfig};
 //! use shredder::gpu::kernel::KernelVariant;
 //! use shredder::workloads;
 //!
@@ -190,11 +192,11 @@
 //! );
 //! let r = rabin.chunk_stream(&data).expect("chunking failed");
 //! let g = gear.chunk_stream(&data).expect("chunking failed");
-//! assert!(g.report.throughput_gbps() > r.report.throughput_gbps());
+//! assert!(g.report.aggregate_gbps() > r.report.aggregate_gbps());
 //! println!(
 //!     "rabin {:.2} GB/s → gear {:.2} GB/s",
-//!     r.report.throughput_gbps(),
-//!     g.report.throughput_gbps(),
+//!     r.report.aggregate_gbps(),
+//!     g.report.aggregate_gbps(),
 //! );
 //! ```
 

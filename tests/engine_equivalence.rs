@@ -6,7 +6,7 @@
 //! streaming chunker and the batch chunker must all agree, with and
 //! without min/max constraints, on every kind of workload.
 
-use shredder::core::{ChunkingService, Shredder, ShredderConfig};
+use shredder::core::{Shredder, ShredderConfig};
 use shredder::gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder::gpu::DeviceConfig;
 use shredder::rabin::chunker::raw_cuts;

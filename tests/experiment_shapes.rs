@@ -1,7 +1,7 @@
 //! Integration: small-scale versions of the paper's headline shapes, so
 //! plain `cargo test` exercises what the full bench harness validates.
 
-use shredder::core::{ChunkingService, Shredder, ShredderConfig};
+use shredder::core::{Shredder, ShredderConfig};
 use shredder::gpu::dma::Direction;
 use shredder::gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder::gpu::{DeviceConfig, DmaModel, HostMemKind, PinnedRing};
@@ -50,7 +50,7 @@ fn fig11_shape_coalescing_speedup() {
 fn fig12_shape_engine_ordering() {
     let data = workloads::random_bytes(16 << 20, 2);
     let buffer = 2 << 20;
-    let throughput = |svc: &dyn ChunkingService| {
+    let throughput = |svc: &Shredder| {
         let out = svc.chunk_stream(&data).unwrap();
         out.report.bytes as f64 / out.report.makespan.as_secs_f64()
     };
@@ -92,7 +92,6 @@ fn fig9_shape_pipeline_depth() {
                 .with_pipeline_depth(depth),
         )
         .simulate_synthetic(16, 32 << 20, kernel_dur, 4000)
-        .makespan
     };
     let seq = makespan(1);
     let two = makespan(2);

@@ -9,9 +9,7 @@
 //! throughput scales once the reader is not the bottleneck, and the
 //! report exposes per-device utilization and copy–compute overlap.
 
-use shredder::core::{
-    ChunkingService, PlacementPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource,
-};
+use shredder::core::{PlacementPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource};
 use shredder::hash::sha256;
 use shredder::rabin::{chunk_all, ChunkParams};
 use shredder::workloads;
@@ -180,8 +178,8 @@ fn pinned_placement_isolates_a_tenant() {
 
 #[test]
 fn single_stream_convenience_is_a_one_device_pool() {
-    // The legacy Shredder service runs on a pool of one; its report
-    // still carries the device view.
+    // The single-stream Shredder runs on a pool of one; its report is
+    // the engine's, device view included.
     let data = workloads::random_bytes(4 << 20, 0x977);
     let shredder = Shredder::new(ShredderConfig::gpu_streams_memory().with_buffer_size(1 << 20));
     let engine_out = {
@@ -192,4 +190,5 @@ fn single_stream_convenience_is_a_one_device_pool() {
     assert_eq!(engine_out.report.devices.len(), 1);
     let out = shredder.chunk_stream(&data).expect("chunking failed");
     assert_eq!(out.chunks, engine_out.sessions[0].chunks);
+    assert_eq!(out.report.devices, engine_out.report.devices);
 }

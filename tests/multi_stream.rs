@@ -7,9 +7,7 @@
 //! configuration, and (c) behave deterministically.
 
 use shredder::backup::{BackupConfig, BackupServer};
-use shredder::core::{
-    AdmissionPolicy, ChunkingService, Shredder, ShredderConfig, ShredderEngine, SliceSource,
-};
+use shredder::core::{AdmissionPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource};
 use shredder::hdfs::{IncHdfs, TextInputFormat};
 use shredder::rabin::{chunk_all, ChunkParams};
 use shredder::workloads;
@@ -32,7 +30,7 @@ fn four_concurrent_streams_bit_identical_and_faster_in_aggregate() {
     let solo = Shredder::new(cfg());
     let solo_gbps: Vec<f64> = streams
         .iter()
-        .map(|d| solo.chunk_stream(d).unwrap().report.throughput_gbps())
+        .map(|d| solo.chunk_stream(d).unwrap().report.aggregate_gbps())
         .collect();
     let solo_best = solo_gbps.iter().cloned().fold(f64::MIN, f64::max);
 

@@ -15,8 +15,8 @@ use std::rc::Rc;
 
 use shredder::backup::{BackupConfig, BackupServer};
 use shredder::core::{
-    ChunkSink, ChunkingService, DedupSink, DedupSinkConfig, FingerprintStage, Shredder,
-    ShredderConfig, StageKind, StageSpec,
+    ChunkSink, DedupSink, DedupSinkConfig, FingerprintStage, Shredder, ShredderConfig, StageKind,
+    StageSpec,
 };
 use shredder::des::{Dur, SimTime};
 use shredder::hash::sha256;
@@ -62,12 +62,12 @@ fn gpu_service() -> Shredder {
 fn sink_path_is_bit_identical_to_collect_path() {
     let data = workloads::compressible_bytes(6 << 20, 64, 0x51);
     for service in [
-        Box::new(gpu_service()) as Box<dyn ChunkingService>,
-        Box::new(Shredder::new(
+        gpu_service(),
+        Shredder::new(
             ShredderConfig::cpu_pthreads()
                 .with_params(ChunkParams::backup())
                 .with_buffer_size(1 << 20),
-        )),
+        ),
     ] {
         let name = service.service_name();
 
@@ -217,8 +217,8 @@ fn sink_backpressure_extends_session_completion() {
     let mut sink = HashSink::new();
     let staged = service.chunk_stream_sink(&data, &mut sink).unwrap();
 
-    assert_eq!(staged.stages.len(), 1);
-    assert!(staged.stages[0].busy > Dur::ZERO);
+    assert_eq!(staged.sink_stages.len(), 1);
+    assert!(staged.sink_stages[0].busy > Dur::ZERO);
     assert!(
         staged.makespan > plain.report.makespan,
         "sink stages are free? {} !> {}",
@@ -249,23 +249,23 @@ fn host_dedup_sink_stages_overlap_compute() {
         },
         index,
     );
-    let outcome = service.chunk_stream_sink(&data, &mut sink).unwrap();
+    let report = service.chunk_stream_sink(&data, &mut sink).unwrap();
 
-    assert_eq!(outcome.stages.len(), 3);
+    assert_eq!(report.sink_stages.len(), 3);
     assert_eq!(
         sink.verdicts().len(),
         service.chunk_stream(&data).unwrap().chunks.len()
     );
-    let compute = outcome.report.kernel_time;
-    let stage_busy: Dur = outcome.stages.iter().map(|s| s.busy).sum();
+    let compute = report.sessions[0].kernel_time;
+    let stage_busy: Dur = report.sink_stages.iter().map(|s| s.busy).sum();
     assert!(stage_busy > Dur::ZERO);
     assert!(
-        outcome.makespan < compute + stage_busy,
+        report.makespan < compute + stage_busy,
         "no overlap: makespan {} >= compute {} + stages {}",
-        outcome.makespan,
+        report.makespan,
         compute,
         stage_busy
     );
     // The stages extend past the last scan, as they must.
-    assert!(outcome.makespan > outcome.report.makespan);
+    assert!(report.makespan > report.sessions[0].chunking_time());
 }
