@@ -19,8 +19,7 @@ use std::rc::Rc;
 use serde::{Deserialize, Serialize};
 use shredder_core::{
     AdmissionControl, ChunkError, ChunkRequest, ChunkVerdict, DedupSink, DedupSinkConfig,
-    EngineReport, ServiceReport, Shredder, ShredderEngine, ShredderService, SliceSource,
-    TenantClass, Workload,
+    EngineReport, Shredder, ShredderEngine, SliceSource, TenantClass, Workload,
 };
 use shredder_des::Dur;
 
@@ -81,18 +80,18 @@ pub struct BatchBackupReport {
     pub index_hits: u64,
 }
 
-/// Outcome of serving a stream of backup requests through the online
-/// service frontend ([`BackupServer::backup_service`]).
+/// Outcome of serving a stream of backup requests under an arrival
+/// workload ([`BackupServer::backup_service`]).
 #[derive(Debug)]
 pub struct ServiceBackupReport {
     /// Per-image outcomes, in submission order. Shed requests carry
     /// [`ChunkError::Overloaded`]; nothing of theirs was hashed,
     /// deduplicated or stored.
     pub reports: Vec<Result<BackupReport, ChunkError>>,
-    /// The shared engine report;
-    /// [`EngineReport::service`] holds the offered/achieved load, the
-    /// admission queue-depth timeline and per-class latency
-    /// percentiles.
+    /// The shared engine report; its
+    /// [`service`](EngineReport::service) report holds the
+    /// offered/achieved load, the admission queue-depth timeline and
+    /// per-class latency percentiles.
     pub engine: EngineReport,
     /// Cumulative dedup-index lookups on the server after this run.
     pub index_lookups: u64,
@@ -101,15 +100,6 @@ pub struct ServiceBackupReport {
 }
 
 impl ServiceBackupReport {
-    /// The service-level report (offered vs. achieved req/s and Gbps,
-    /// queue depth, latency percentiles).
-    pub fn service(&self) -> &ServiceReport {
-        self.engine
-            .service
-            .as_ref()
-            .expect("service runs always carry a ServiceReport")
-    }
-
     /// Images that completed.
     pub fn completed(&self) -> usize {
         self.reports.iter().filter(|r| r.is_ok()).count()
@@ -272,9 +262,13 @@ impl BackupServer {
         let outcome = {
             let mut engine = ShredderEngine::new(cfg);
             for (i, (image, sink)) in images.iter().zip(sinks.iter_mut()).enumerate() {
-                engine.open_sink_session(format!("site-{i}"), 1, SliceSource::new(image), sink);
+                engine.submit(
+                    ChunkRequest::new(SliceSource::new(image))
+                        .named(format!("site-{i}"))
+                        .with_sink(sink),
+                );
             }
-            engine.run()?
+            engine.run(&Workload::Batch)?
         };
 
         let mut reports = Vec::with_capacity(images.len());
@@ -294,11 +288,11 @@ impl BackupServer {
         })
     }
 
-    /// Serves a stream of backup requests through the **online service
-    /// frontend**: images arrive inside the simulation according to
-    /// `workload` (Poisson open loop, closed loop, trace replay, or
-    /// batch), pass through the bounded admission queue of `control`,
-    /// and may be shed with [`ChunkError::Overloaded`] under overload.
+    /// Serves a stream of backup requests on one shared engine: images
+    /// arrive inside the simulation according to `workload` (Poisson
+    /// open loop, closed loop, trace replay, or batch), pass through the
+    /// admission queue of `control`, and may be shed with
+    /// [`ChunkError::Overloaded`] under overload.
     ///
     /// The per-site ingest cap (§7.3's 10 Gbps image source) is modeled
     /// as a [`TenantClass`] bandwidth limit on the `"site"` class — the
@@ -327,56 +321,48 @@ impl BackupServer {
             .map(|_| DedupSink::new(self.sink_config(), self.index.clone()))
             .collect();
         let outcome = {
-            let mut service =
-                ShredderService::new(shredder.config().clone()).with_admission(control);
-            service.define_class(TenantClass::new("site").with_ingest_bw(self.config.ingest_bw));
+            let mut engine = shredder.engine().with_admission(control);
+            engine.define_class(TenantClass::new("site").with_ingest_bw(self.config.ingest_bw));
             for (i, (image, sink)) in images.iter().zip(sinks.iter_mut()).enumerate() {
-                service.submit(
+                engine.submit(
                     ChunkRequest::new(SliceSource::new(image))
                         .named(format!("site-{i}"))
                         .with_class("site")
                         .with_sink(sink),
                 );
             }
-            service.run(workload)?
+            engine.run(workload)?
         };
 
         // Commit completed images in *dispatch* order — the order their
         // sinks deduplicated against the shared index — so a pointer
-        // never precedes the chunk it references.
-        let service_report = outcome
-            .report
-            .service
-            .as_ref()
-            .expect("service runs always carry a ServiceReport");
-        let mut admitted: Vec<usize> = service_report
-            .requests
-            .iter()
-            .filter(|r| r.done.is_some())
-            .map(|r| r.id)
+        // never precedes the chunk it references. Shed images sort
+        // first (no admit time) and commit nothing.
+        let requests = &outcome.report.service.requests;
+        let mut by_dispatch: Vec<_> = sinks
+            .into_iter()
+            .zip(outcome.sessions)
+            .enumerate()
             .collect();
-        admitted.sort_by_key(|&i| (service_report.requests[i].admit, i));
-
-        let mut sinks: Vec<Option<DedupSink>> = sinks.into_iter().map(Some).collect();
-        let mut reports: Vec<Result<BackupReport, ChunkError>> = outcome
-            .requests
-            .iter()
-            .map(|r| match &r.outcome {
-                Ok(_) => Err(ChunkError::InvalidConfig("pending commit".into())),
-                Err(e) => Err(e.clone()),
+        by_dispatch.sort_by_key(|&(i, _)| (requests[i].admit, i));
+        let mut reports: Vec<(usize, Result<BackupReport, ChunkError>)> = by_dispatch
+            .into_iter()
+            .map(|(i, (sink, session))| {
+                let per = &outcome.report.sessions[i];
+                let latency = requests[i].latency().unwrap_or(per.makespan);
+                let report = session.map(|_| {
+                    self.commit_image(
+                        images[i],
+                        &sink.into_verdicts(),
+                        per.chunking_time(),
+                        latency,
+                    )
+                });
+                (i, report)
             })
             .collect();
-        for &i in &admitted {
-            let sink = sinks[i].take().expect("each request commits once");
-            let per = &outcome.report.sessions[i];
-            let latency = service_report.requests[i].latency().unwrap_or(per.makespan);
-            reports[i] = Ok(self.commit_image(
-                images[i],
-                &sink.into_verdicts(),
-                per.chunking_time(),
-                latency,
-            ));
-        }
+        reports.sort_by_key(|&(i, _)| i);
+        let reports = reports.into_iter().map(|(_, r)| r).collect();
 
         Ok(ServiceBackupReport {
             reports,
@@ -697,7 +683,7 @@ mod tests {
             .unwrap();
         assert_eq!(svc.completed(), 3);
         assert_eq!(svc.shed(), 0);
-        let report = svc.service();
+        let report = &svc.engine.service;
         assert_eq!(report.completed, 3);
         assert!(report.p99() > Dur::ZERO);
         assert!(report.class("site").is_some());

@@ -10,7 +10,9 @@
 //! flat as the count grows).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use shredder_core::{ChunkRequest, ShredderConfig, ShredderService, SliceSource, Workload};
+use shredder_core::{
+    AdmissionControl, ChunkRequest, ShredderConfig, ShredderEngine, SliceSource, Workload,
+};
 use shredder_gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder_gpu::DeviceConfig;
 use shredder_hash::sha256;
@@ -114,7 +116,8 @@ fn bench_kernel_small_buffer(c: &mut Criterion) {
 }
 
 fn bench_service_requests(c: &mut Criterion) {
-    // Open-loop Poisson arrivals of 4 KiB requests on one service. The
+    // Open-loop Poisson arrivals of 4 KiB requests on one engine under
+    // FIFO-4 admission. The
     // reported rate is requests per second: equal rates at both counts
     // mean a flat per-request cost.
     const PAYLOAD: usize = 4 << 10;
@@ -129,15 +132,16 @@ fn bench_service_requests(c: &mut Criterion) {
             &requests,
             |b, &requests| {
                 b.iter(|| {
-                    let mut service = ShredderService::new(config.clone());
+                    let mut engine = ShredderEngine::new(config.clone())
+                        .with_admission(AdmissionControl::default());
                     for i in 0..requests {
                         let k = (i * 7) % 256;
                         let payload = &corpus[k * PAYLOAD..(k + 1) * PAYLOAD];
-                        service.submit(ChunkRequest::new(SliceSource::new(payload)));
+                        engine.submit(ChunkRequest::new(SliceSource::new(payload)));
                     }
-                    service
+                    engine
                         .run(&Workload::poisson(20_000.0, 1))
-                        .expect("service run")
+                        .expect("engine run")
                 })
             },
         );

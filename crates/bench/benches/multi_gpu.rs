@@ -19,7 +19,9 @@
 //! the CI regression gate (see `src/bin/bench_gate.rs`).
 
 use shredder_bench::{check, dump_bench_json, gbps, header, result_line, table};
-use shredder_core::{EngineOutcome, ShredderConfig, ShredderEngine, SliceSource};
+use shredder_core::{
+    ChunkRequest, EngineOutcome, ShredderConfig, ShredderEngine, SliceSource, Workload,
+};
 use shredder_gpu::kernel::KernelVariant;
 use shredder_rabin::{chunk_all, BoundaryKernel, ChunkParams, GearKernel};
 
@@ -32,9 +34,9 @@ fn run_pool(streams: &[Vec<u8>], gpus: usize, kernel: KernelVariant) -> EngineOu
         .with_chunk_kernel(kernel);
     let mut engine = ShredderEngine::new(cfg);
     for (t, data) in streams.iter().enumerate() {
-        engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
+        engine.submit(ChunkRequest::new(SliceSource::new(data)).named(format!("tenant-{t}")));
     }
-    engine.run().expect("engine run failed")
+    engine.run(&Workload::Batch).expect("engine run failed")
 }
 
 fn main() {
@@ -55,7 +57,7 @@ fn main() {
     let mut outcomes = Vec::new();
     for &gpus in &pool_sizes {
         let out = run_pool(&streams, gpus, KernelVariant::Coalesced);
-        for (session, expected) in out.sessions.iter().zip(&reference) {
+        for (session, expected) in out.completed().zip(&reference) {
             assert_eq!(
                 &session.chunks, expected,
                 "{} diverged on a {gpus}-device pool",
@@ -75,7 +77,7 @@ fn main() {
     let mut gear_outcomes = Vec::new();
     for &gpus in &pool_sizes {
         let out = run_pool(&streams, gpus, KernelVariant::GearCoalesced);
-        for (session, expected) in out.sessions.iter().zip(&gear_reference) {
+        for (session, expected) in out.completed().zip(&gear_reference) {
             assert_eq!(
                 &session.chunks, expected,
                 "{} (gear) diverged on a {gpus}-device pool",

@@ -22,7 +22,8 @@
 
 use shredder_bench::{check, dump_bench_json, gbps, header, result_line, table};
 use shredder_core::{
-    AdmissionPolicy, EngineReport, Shredder, ShredderConfig, ShredderEngine, SliceSource,
+    AdmissionPolicy, ChunkRequest, EngineReport, Shredder, ShredderConfig, ShredderEngine,
+    SliceSource, Workload,
 };
 use shredder_rabin::{chunk_all, ChunkParams};
 
@@ -130,13 +131,13 @@ fn main() {
     // All tenants concurrently through one engine.
     let mut engine = ShredderEngine::new(cfg.clone()).with_policy(AdmissionPolicy::RoundRobin);
     for (t, data) in streams.iter().enumerate() {
-        engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
+        engine.submit(ChunkRequest::new(SliceSource::new(data)).named(format!("tenant-{t}")));
     }
-    let outcome = engine.run().expect("engine run failed");
+    let outcome = engine.run(&Workload::Batch).expect("engine run failed");
 
     // Correctness under contention: bit-identical per stream.
     let params = ChunkParams::paper();
-    for (session, data) in outcome.sessions.iter().zip(&streams) {
+    for (session, data) in outcome.completed().zip(&streams) {
         assert_eq!(
             session.chunks,
             chunk_all(data, &params),
@@ -205,9 +206,13 @@ fn main() {
     let mut weighted = ShredderEngine::new(cfg).with_policy(AdmissionPolicy::Weighted);
     for (t, data) in streams.iter().enumerate() {
         let weight = if t == 0 { 4 } else { 1 };
-        weighted.open_named_session(format!("tenant-{t}"), weight, SliceSource::new(data));
+        weighted.submit(
+            ChunkRequest::new(SliceSource::new(data))
+                .named(format!("tenant-{t}"))
+                .with_weight(weight),
+        );
     }
-    let weighted_out = weighted.run().expect("engine run failed");
+    let weighted_out = weighted.run(&Workload::Batch).expect("engine run failed");
     let priority = &weighted_out.report.sessions[0];
     let rr_priority = &outcome.report.sessions[0];
     println!();

@@ -3,8 +3,8 @@
 //!
 //! "GPUs as Storage System Accelerators" evaluates GPU-backed storage
 //! services exactly this way: sweep the offered load, watch the latency
-//! curve, find the knee. This harness drives the [`ShredderService`]
-//! frontend with Poisson arrivals at increasing fractions of the
+//! curve, find the knee. This harness drives a [`ShredderEngine`]
+//! with Poisson arrivals at increasing fractions of the
 //! measured batch capacity, prints the latency curve (p50/p99, achieved
 //! rate, queue depth), locates the knee, and then bisects
 //! ([`capacity_search`]) for the highest sustained rate meeting a p99
@@ -20,7 +20,7 @@
 use shredder_bench::{check, dump_bench_json, header, result_line, table};
 use shredder_core::{
     capacity_search, AdmissionControl, ChunkRequest, MemorySource, ServiceReport, ShredderConfig,
-    ShredderService, TelemetryConfig, Workload,
+    ShredderEngine, TelemetryConfig, Workload,
 };
 use shredder_des::Dur;
 use shredder_gpu::kernel::KernelVariant;
@@ -34,12 +34,12 @@ fn config(kernel: KernelVariant) -> ShredderConfig {
         .with_chunk_kernel(kernel)
 }
 
-fn service<'a>(control: AdmissionControl, kernel: KernelVariant) -> ShredderService<'a> {
-    let mut service = ShredderService::new(config(kernel)).with_admission(control);
+fn engine<'a>(control: AdmissionControl, kernel: KernelVariant) -> ShredderEngine<'a> {
+    let mut engine = ShredderEngine::new(config(kernel)).with_admission(control);
     for t in 0..REQUESTS as u64 {
-        service.submit(ChunkRequest::new(MemorySource::pseudo_random(REQ_BYTES, t)));
+        engine.submit(ChunkRequest::new(MemorySource::pseudo_random(REQ_BYTES, t)));
     }
-    service
+    engine
 }
 
 fn run_poisson(
@@ -48,10 +48,11 @@ fn run_poisson(
     seed: u64,
     kernel: KernelVariant,
 ) -> ServiceReport {
-    let out = service(control, kernel)
+    engine(control, kernel)
         .run(&Workload::poisson(rate, seed))
-        .expect("service run failed");
-    out.service().clone()
+        .expect("engine run failed")
+        .report
+        .service
 }
 
 fn main() {
@@ -62,14 +63,16 @@ fn main() {
 
     // Capacity estimate: a closed batch through the same admission
     // slots — the completion rate with the queue never empty.
-    let batch = service(AdmissionControl::fifo(4), KernelVariant::Coalesced)
+    let batch = engine(AdmissionControl::fifo(4), KernelVariant::Coalesced)
         .run(&Workload::Batch)
-        .expect("batch run failed");
-    let mu = batch.service().achieved_rps;
+        .expect("batch run failed")
+        .report
+        .service;
+    let mu = batch.achieved_rps;
     result_line("batch capacity estimate", format!("{mu:.0} req/s"));
     result_line(
         "batch aggregate",
-        format!("{:.2} GB/s", batch.service().achieved_gbps),
+        format!("{:.2} GB/s", batch.achieved_gbps),
     );
     println!();
 
@@ -205,14 +208,14 @@ fn main() {
     // telemetry on and dump the trace. Kept out of the headline runs so
     // the gated numbers always measure the telemetry-off path.
     if std::env::var("SHREDDER_TRACE_JSON").is_ok_and(|p| !p.is_empty()) {
-        let mut svc = ShredderService::new(
+        let mut traced = ShredderEngine::new(
             config(KernelVariant::Coalesced).with_telemetry(TelemetryConfig::enabled()),
         )
         .with_admission(AdmissionControl::fifo(4));
         for t in 0..REQUESTS as u64 {
-            svc.submit(ChunkRequest::new(MemorySource::pseudo_random(REQ_BYTES, t)));
+            traced.submit(ChunkRequest::new(MemorySource::pseudo_random(REQ_BYTES, t)));
         }
-        let out = svc
+        let out = traced
             .run(&Workload::poisson(0.85 * mu, 0xbeef + 3))
             .expect("trace run failed");
         let telemetry = out

@@ -2,7 +2,7 @@
 //! simulation.
 //!
 //! A [`ShredderFleet`] instantiates `N` node replicas — each an
-//! independent [`ShredderService`] with its own device pool, chunk
+//! independent [`ShredderEngine`] with its own device pool, chunk
 //! store, and admission queue — and advances them all inside the one
 //! existing discrete-event simulation, so cross-node effects (routing
 //! skew, replication traffic, rebalance storms) are measurable and
@@ -12,9 +12,9 @@
 //!    up front ([`Workload::arrivals`]), consistent-hashes every
 //!    request's stream key onto the membership epoch's [`HashRing`],
 //!    and replays each node's share as an exact-gap
-//!    [`Workload::Trace`] through that node's own service — absolute
+//!    [`Workload::Trace`] through that node's own engine — absolute
 //!    arrival times preserved to the nanosecond, so a single-node
-//!    fleet is bit-identical to a plain `ShredderService`.
+//!    fleet is bit-identical to a plain `ShredderEngine` run.
 //! 2. **Cluster events.** Committed generations, membership
 //!    transitions, replication shipments, rebalance handoffs, and
 //!    repair copies replay as events over per-node egress links
@@ -38,7 +38,7 @@ use std::rc::Rc;
 
 use shredder_core::{
     AdmissionControl, ChunkError, ChunkRequest, FaultPlan, SessionOutcome, ShredderConfig,
-    ShredderService, StoreSink, StoreSinkConfig, StreamSource, TenantClass, Workload,
+    ShredderEngine, StoreSink, StoreSinkConfig, StreamSource, TenantClass, Workload,
 };
 use shredder_des::{nearest_rank, BandwidthChannel, Dur, SimTime, Simulation};
 use shredder_hash::Digest;
@@ -299,7 +299,7 @@ impl FleetRequestOutcome {
 
 /// One request's routing and result.
 #[derive(Debug)]
-pub struct FleetRequestResult {
+pub struct FleetRequestRecord {
     /// Submit-order index of the request.
     pub index: usize,
     /// The request's name.
@@ -320,7 +320,7 @@ pub struct FleetRequestResult {
 #[derive(Debug)]
 pub struct FleetOutcome {
     /// Per-request results, in submit order.
-    pub requests: Vec<FleetRequestResult>,
+    pub requests: Vec<FleetRequestRecord>,
     /// The fleet-wide report.
     pub report: FleetReport,
     stores: Vec<Rc<RefCell<ChunkStore>>>,
@@ -334,7 +334,7 @@ impl FleetOutcome {
     }
 
     /// The completed requests, in submit order.
-    pub fn completed(&self) -> impl Iterator<Item = (&FleetRequestResult, &SessionOutcome)> {
+    pub fn completed(&self) -> impl Iterator<Item = (&FleetRequestRecord, &SessionOutcome)> {
         self.requests
             .iter()
             .filter_map(|r| r.outcome.completed().map(|s| (r, s)))
@@ -657,10 +657,10 @@ impl<'a> ShredderFleet<'a> {
                         StoreSink::new(recs[k].store_stream.clone(), cfg.store, inc.store.clone())
                     })
                     .collect();
-                let mut service =
-                    ShredderService::new(cfg.node.clone()).with_admission(cfg.admission);
+                let mut engine =
+                    ShredderEngine::new(cfg.node.clone()).with_admission(cfg.admission);
                 for class in &cfg.classes {
-                    service.define_class(class.clone());
+                    engine.define_class(class.clone());
                 }
                 for (&k, sink) in inc.assigned.iter().zip(sinks.iter_mut()) {
                     let source = requests[k]
@@ -674,32 +674,28 @@ impl<'a> ShredderFleet<'a> {
                     if let Some(class) = requests[k].class.clone() {
                         chunk_request = chunk_request.with_class(class);
                     }
-                    service.submit(chunk_request);
+                    engine.submit(chunk_request);
                 }
-                let service_outcome = service.run(&trace)?;
-                drop(service);
-                let reports: Vec<(Option<SimTime>, Option<Dur>)> = service_outcome
-                    .service()
-                    .requests
-                    .iter()
-                    .map(|r| (r.done, r.latency()))
-                    .collect();
-                for ((result, (done, latency)), (&k, sink)) in service_outcome
-                    .requests
+                let outcome = engine.run(&trace)?;
+                drop(engine);
+                let reports = &outcome.report.service.requests;
+                for ((result, report), (&k, sink)) in outcome
+                    .sessions
                     .into_iter()
                     .zip(reports)
                     .zip(inc.assigned.iter().zip(&sinks))
                 {
+                    let (done, latency) = (report.done, report.latency());
                     let rec = &mut recs[k];
                     rec.done = done;
                     rec.latency = latency;
                     rec.generation = sink.generation();
                     rec.new_bytes = sink.new_bytes();
                     rec.dedup_bytes = sink.dedup_bytes();
-                    rec.shed = result.outcome.is_err();
-                    rec.lost = result.outcome.is_ok()
-                        && matches!((inc.death, done), (Some(d), Some(t)) if t > d);
-                    rec.outcome = Some(result.outcome);
+                    rec.shed = result.is_err();
+                    rec.lost =
+                        result.is_ok() && matches!((inc.death, done), (Some(d), Some(t)) if t > d);
+                    rec.outcome = Some(result);
                 }
             }
         }
@@ -953,7 +949,7 @@ impl<'a> ShredderFleet<'a> {
         let results = recs
             .into_iter()
             .enumerate()
-            .map(|(index, rec)| FleetRequestResult {
+            .map(|(index, rec)| FleetRequestRecord {
                 index,
                 name: rec.name,
                 stream: rec.stream,

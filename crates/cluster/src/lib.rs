@@ -4,7 +4,7 @@
 //! budget; backup farms shard the tenant population across a fleet.
 //! This crate scales the simulation the same way: a [`ShredderFleet`]
 //! instantiates `N` node replicas — each an independent
-//! [`ShredderService`](shredder_core::ShredderService) with its own
+//! [`ShredderEngine`](shredder_core::ShredderEngine) with its own
 //! device pool, chunk store, and admission queue — and advances them
 //! all on one virtual clock, so cross-node effects are measurable and
 //! every run is deterministic.
@@ -33,7 +33,7 @@ mod report;
 mod ring;
 
 pub use fleet::{
-    FleetConfig, FleetOutcome, FleetRequest, FleetRequestOutcome, FleetRequestResult, ShredderFleet,
+    FleetConfig, FleetOutcome, FleetRequest, FleetRequestOutcome, FleetRequestRecord, ShredderFleet,
 };
 pub use membership::{MembershipChange, MembershipEvent, MembershipPlan};
 pub use report::{FleetReport, NodeReport, RebalanceReport, RepairSummary, ReplicationReport};

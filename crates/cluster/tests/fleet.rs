@@ -2,8 +2,8 @@
 //! scaling and availability arguments rest on.
 //!
 //! 1. A single-node fleet is bit-identical to a plain
-//!    [`ShredderService`] — same chunks, same latency percentiles, same
-//!    store contents. The fleet layers add nothing when `N = 1`.
+//!    [`ShredderEngine`] run — same chunks, same latency percentiles,
+//!    same store contents. The fleet layers add nothing when `N = 1`.
 //! 2. Four nodes sustain a higher aggregate completion rate than one.
 //! 3. `R = 2` replication puts every committed generation on two nodes,
 //!    dedup-aware (physical ≤ logical wire bytes).
@@ -22,7 +22,7 @@ use shredder_cluster::{
     FleetConfig, FleetRequest, FleetRequestOutcome, MembershipPlan, ShredderFleet,
 };
 use shredder_core::{
-    AdmissionControl, ChunkRequest, FaultPlan, ShredderConfig, ShredderService, SliceSource,
+    AdmissionControl, ChunkRequest, FaultPlan, ShredderConfig, ShredderEngine, SliceSource,
     StoreSink, StoreSinkConfig, Workload,
 };
 use shredder_des::Dur;
@@ -57,7 +57,8 @@ fn single_node_fleet_is_bit_identical_to_plain_service() {
     submit_all(&mut fleet, &data);
     let fleet_out = fleet.run(&workload).expect("fleet run failed");
 
-    // The same requests through a plain service, sinking into one store
+    // The same requests through a plain engine with the fleet's default
+    // admission control, sinking into one store
     // under the fleet's epoch-qualified stream names.
     let store = Rc::new(RefCell::new(ChunkStore::new()));
     let mut sinks: Vec<StoreSink> = (0..data.len())
@@ -69,21 +70,21 @@ fn single_node_fleet_is_bit_identical_to_plain_service() {
             )
         })
         .collect();
-    let mut service = ShredderService::new(node_config());
+    let mut engine = ShredderEngine::new(node_config()).with_admission(AdmissionControl::default());
     for (t, (d, sink)) in data.iter().zip(sinks.iter_mut()).enumerate() {
-        service.submit(
+        engine.submit(
             ChunkRequest::new(SliceSource::new(d))
                 .named(format!("req-{t}"))
                 .with_sink(&mut *sink),
         );
     }
-    let plain_out = service.run(&workload).expect("service run failed");
-    drop(service);
+    let plain_out = engine.run(&workload).expect("engine run failed");
+    drop(engine);
 
     // Same chunks, request by request.
-    for (fleet_req, plain_req) in fleet_out.requests.iter().zip(&plain_out.requests) {
+    for (fleet_req, plain_req) in fleet_out.requests.iter().zip(&plain_out.sessions) {
         let fleet_session = fleet_req.outcome.completed().expect("fleet request failed");
-        let plain_session = plain_req.outcome.as_ref().expect("plain request failed");
+        let plain_session = plain_req.as_ref().expect("plain request failed");
         assert_eq!(
             fleet_session, plain_session,
             "chunks diverged for {}",
@@ -92,7 +93,7 @@ fn single_node_fleet_is_bit_identical_to_plain_service() {
         assert_eq!(fleet_req.node, 0);
     }
     // Same latency percentiles.
-    let service_report = plain_out.service();
+    let service_report = &plain_out.report.service;
     assert_eq!(fleet_out.report.p50, service_report.p50());
     assert_eq!(fleet_out.report.p99, service_report.p99());
     // Same store, byte for byte and digest for digest.

@@ -374,9 +374,9 @@ impl ShredderConfig {
     /// but the fields are public: a configuration assembled by struct
     /// update or direct mutation can carry a zero `segment_bytes` or an
     /// out-of-range `gc_threshold` that would otherwise only surface as
-    /// a panic inside the store's segment log. Every engine entry point
-    /// ([`ShredderEngine::run`](crate::ShredderEngine::run) and the
-    /// service frontend) calls this before doing any work.
+    /// a panic inside the store's segment log.
+    /// [`ShredderEngine::run`](crate::ShredderEngine::run), the one
+    /// engine entry point, calls this before doing any work.
     ///
     /// # Errors
     ///

@@ -1,4 +1,4 @@
-//! The multi-stream chunking engine: N tenant sessions, one shared
+//! The multi-stream chunking engine: N tenant requests, one shared
 //! device pipeline, one discrete-event simulation.
 //!
 //! The paper's pipeline (§4.2) exists to keep the GPU saturated. A
@@ -7,7 +7,8 @@
 //! ingesting several files wants to keep the device busy *across*
 //! streams. [`ShredderEngine`] does exactly that:
 //!
-//! * every open [`ChunkSession`] is planned into pipeline buffers (the
+//! * every submitted [`ChunkRequest`] becomes a session, planned into
+//!   pipeline buffers (the
 //!   functional pass — real kernels over real bytes, with the
 //!   `window − 1` carry so boundaries are bit-identical per stream to a
 //!   sequential scan of that stream alone);
@@ -16,9 +17,14 @@
 //!   [`DevicePool`] of `gpus` devices, each with its own twin-buffer
 //!   lanes, pinned staging ring and H2D/kernel/D2H engine set — so
 //!   tenants genuinely contend for and overlap on the same hardware;
-//! * a central admission scheduler (replacing the old per-call
-//!   semaphore) hands the global `pipeline_depth` slots to sessions
-//!   fairly: round-robin, weighted, or strict session order;
+//! * requests *arrive* inside the simulation according to a
+//!   [`Workload`] (all at `t = 0` for [`Workload::Batch`], or open-loop
+//!   Poisson, closed-loop, trace replay) and pass the request-level
+//!   [`AdmissionControl`] (unbounded by default; bounded queues shed
+//!   with [`ChunkError::Overloaded`]) across [`TenantClass`]es;
+//! * a central buffer scheduler hands the global `pipeline_depth`
+//!   slots to dispatched sessions fairly: round-robin, weighted, or
+//!   strict session order;
 //! * a placement layer shards sessions across the pool (a
 //!   [`PlacementPolicy`]: least-loaded, round-robin, or explicit pins),
 //!   and each device's staging-ring slots are DES resources held from
@@ -39,7 +45,7 @@
 //! sequential scan of its own stream produces:
 //!
 //! ```
-//! use shredder_core::{ShredderConfig, ShredderEngine, SliceSource};
+//! use shredder_core::{ChunkRequest, ShredderConfig, ShredderEngine, SliceSource, Workload};
 //! use shredder_rabin::{chunk_all, ChunkParams};
 //!
 //! let streams: Vec<Vec<u8>> = (0..4u64)
@@ -53,13 +59,14 @@
 //! let mut engine =
 //!     ShredderEngine::new(ShredderConfig::gpu_streams_memory().with_buffer_size(64 << 10));
 //! for s in &streams {
-//!     engine.open_session(SliceSource::new(s));
+//!     engine.submit(ChunkRequest::new(SliceSource::new(s)));
 //! }
-//! let outcome = engine.run().unwrap();
+//! let outcome = engine.run(&Workload::Batch).unwrap();
 //!
-//! for (session, data) in outcome.sessions.iter().zip(&streams) {
+//! for (session, data) in outcome.completed().zip(&streams) {
 //!     assert_eq!(session.chunks, chunk_all(data, &ChunkParams::paper()));
 //! }
+//! assert_eq!(outcome.report.service.completed, 4);
 //! assert!(outcome.report.aggregate_gbps() > 0.0);
 //! ```
 
@@ -81,14 +88,14 @@ use crate::bufpool::{BufferPool, PooledBuf};
 use crate::config::{Allocator, Executor, ShredderConfig};
 use crate::error::ChunkError;
 use crate::fault::{FaultKind, FaultReport};
+use crate::frontend::ChunkRequest;
 use crate::ready::ReadyQueues;
 use crate::report::{
     percentile, BufferTimeline, ClassLatency, DeviceReport, EngineReport, RequestReport,
     ServiceReport, SessionReport, StageBusy, StageReport,
 };
-use crate::session::{ChunkSession, SessionId, SessionOutcome};
+use crate::session::{SessionId, SessionOutcome};
 use crate::sink::{ChunkSink, StageSpec};
-use crate::source::StreamSource;
 use crate::workload::{AdmissionControl, ArrivalSchedule, TenantClass, Workload};
 
 /// How the shared admission slots are handed to sessions.
@@ -100,8 +107,8 @@ pub enum AdmissionPolicy {
     /// Deficit round-robin: a session with weight `w` may admit up to
     /// `w` buffers per turn. Weight 0 is treated as 1.
     Weighted,
-    /// Drain sessions in open order — the legacy one-stream-at-a-time
-    /// behaviour, kept for comparisons.
+    /// Drain sessions in submit order, one stream at a time (kept for
+    /// comparisons; also the FIFO order of request admission).
     SessionOrder,
 }
 
@@ -120,15 +127,14 @@ impl std::fmt::Display for AdmissionPolicy {
 /// Placement is per *session*, not per buffer: a stream's buffers all
 /// run on one device, so its chunks stay bit-identical to a sequential
 /// scan regardless of pool size. An explicit pin
-/// ([`ShredderEngine::open_pinned_session`]) always wins over the
-/// policy.
+/// ([`ChunkRequest::pinned`]) always wins over the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PlacementPolicy {
     /// Each session goes to the device with the least bytes assigned so
     /// far (ties to the lowest index). The default: balances by load,
     /// not by session count.
     LeastLoaded,
-    /// Unpinned sessions rotate across devices in open order.
+    /// Unpinned sessions rotate across devices in submit order.
     RoundRobin,
     /// Only explicit pins place sessions; unpinned sessions fall back
     /// to least-loaded. Use when tenants own devices.
@@ -152,11 +158,11 @@ const PPM: u64 = 1_000_000;
 
 /// Shards sessions across a (possibly) degraded pool of `gpus`
 /// devices: explicit pins first-class, the policy decides the rest,
-/// deterministic in open order. `dead` devices take no new sessions
+/// deterministic in submit order. `dead` devices take no new sessions
 /// and `slowdown_ppm` scales each device's projected completion
 /// (`(load + bytes) × slowdown`), so LeastLoaded provably routes
 /// around stragglers known at placement time. With every device alive
-/// at factor 1.0 the choice reduces exactly to the legacy
+/// at factor 1.0 the choice reduces exactly to the plain
 /// `(load, index)` ordering — healthy runs place identically.
 fn place_sessions_degraded(
     plans: &[SessionPlan],
@@ -197,14 +203,24 @@ fn place_sessions_degraded(
         .collect()
 }
 
-/// The result of an engine run: per-session chunks plus the aggregate
-/// report.
+/// The result of an engine run: one outcome per session plus the
+/// aggregate report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineOutcome {
-    /// Per-session chunk outcomes, in open order.
-    pub sessions: Vec<SessionOutcome>,
-    /// The aggregate engine report (per-session reports inside).
+    /// Per-session outcomes, in submit order: the session's chunks, or
+    /// [`ChunkError::Overloaded`] if admission control shed the request
+    /// (it did no work and touched no sink state).
+    pub sessions: Vec<Result<SessionOutcome, ChunkError>>,
+    /// The aggregate engine report (per-session reports and the
+    /// [`ServiceReport`] inside).
     pub report: EngineReport,
+}
+
+impl EngineOutcome {
+    /// The completed sessions' outcomes, in submit order.
+    pub fn completed(&self) -> impl Iterator<Item = &SessionOutcome> {
+        self.sessions.iter().filter_map(|s| s.as_ref().ok())
+    }
 }
 
 /// One pipeline buffer's pre-computed (functional) work.
@@ -245,17 +261,6 @@ pub(crate) struct ClassRuntime {
     pub(crate) ingest_bw: Option<f64>,
 }
 
-impl ClassRuntime {
-    /// The implicit class every legacy session belongs to.
-    pub(crate) fn default_class() -> Self {
-        ClassRuntime {
-            name: "default".into(),
-            weight: 1,
-            ingest_bw: None,
-        }
-    }
-}
-
 impl From<&TenantClass> for ClassRuntime {
     fn from(c: &TenantClass) -> Self {
         ClassRuntime {
@@ -267,25 +272,35 @@ impl From<&TenantClass> for ClassRuntime {
 }
 
 /// The session-based multi-stream chunking engine.
+///
+/// Requests are [`submit`](Self::submit)ted, then [`run`](Self::run)
+/// together under an arrival [`Workload`] through the engine's
+/// admission control. The defaults — round-robin buffer admission,
+/// unbounded [`AdmissionControl`] and the single `"default"` tenant
+/// class — make `run(&Workload::Batch)` the closed batch: every request
+/// arrives at `t = 0` and none queues or sheds.
 pub struct ShredderEngine<'a> {
     config: ShredderConfig,
     kernel: ChunkKernel,
     policy: AdmissionPolicy,
-    sessions: Vec<ChunkSession<'a>>,
+    control: AdmissionControl,
+    classes: Vec<TenantClass>,
+    requests: Vec<ChunkRequest<'a>>,
     pool: BufferPool,
 }
 
 impl<'a> ShredderEngine<'a> {
-    /// Creates an engine from a pipeline configuration. Sessions are
-    /// opened with [`open_session`](Self::open_session) and run together
-    /// with [`run`](Self::run).
+    /// Creates an engine from a pipeline configuration, with unbounded
+    /// admission and the implicit `"default"` tenant class.
     pub fn new(config: ShredderConfig) -> Self {
         let kernel = ChunkKernel::new(config.params.clone(), config.kernel);
         ShredderEngine {
             config,
             kernel,
             policy: AdmissionPolicy::RoundRobin,
-            sessions: Vec::new(),
+            control: AdmissionControl::unbounded(),
+            classes: vec![TenantClass::new("default")],
+            requests: Vec::new(),
             pool: BufferPool::new(),
         }
     }
@@ -299,10 +314,27 @@ impl<'a> ShredderEngine<'a> {
         &self.pool
     }
 
-    /// Sets the admission policy (default: round-robin).
+    /// Sets the *buffer-level* admission policy: how dispatched
+    /// sessions share the pipeline slots (default: round-robin).
     pub fn with_policy(mut self, policy: AdmissionPolicy) -> Self {
         self.policy = policy;
         self
+    }
+
+    /// Sets the *request-level* admission control: dispatch slots,
+    /// queue bound, shed policy (default:
+    /// [`AdmissionControl::unbounded`]).
+    pub fn with_admission(mut self, control: AdmissionControl) -> Self {
+        self.control = control;
+        self
+    }
+
+    /// Defines (or redefines, by name) a tenant class.
+    pub fn define_class(&mut self, class: TenantClass) {
+        match self.classes.iter_mut().find(|c| c.name == class.name) {
+            Some(existing) => *existing = class,
+            None => self.classes.push(class),
+        }
     }
 
     /// The engine configuration.
@@ -310,204 +342,87 @@ impl<'a> ShredderEngine<'a> {
         &self.config
     }
 
-    /// The admission policy.
+    /// The buffer-level admission policy.
     pub fn policy(&self) -> AdmissionPolicy {
         self.policy
     }
 
-    /// Number of sessions currently open.
+    /// Number of requests submitted and not yet run.
     pub fn session_count(&self) -> usize {
-        self.sessions.len()
+        self.requests.len()
     }
 
-    /// Opens a session for `source` with weight 1 and a generated name.
-    pub fn open_session(&mut self, source: impl StreamSource + 'a) -> SessionId {
-        let n = self.sessions.len();
-        self.open_named_session(format!("session-{n}"), 1, source)
+    /// Submits a request; it arrives according to the workload passed
+    /// to [`run`](Self::run).
+    pub fn submit(&mut self, request: ChunkRequest<'a>) -> SessionId {
+        self.requests.push(request);
+        SessionId(self.requests.len() - 1)
     }
 
-    /// Opens a named, weighted session. The weight only matters under
-    /// [`AdmissionPolicy::Weighted`].
-    pub fn open_named_session(
-        &mut self,
-        name: impl Into<String>,
-        weight: u32,
-        source: impl StreamSource + 'a,
-    ) -> SessionId {
-        let id = SessionId(self.sessions.len());
-        self.sessions.push(ChunkSession {
-            id,
-            name: name.into(),
-            weight,
-            class: 0,
-            pin: None,
-            source: Box::new(source),
-            sink: None,
-        });
-        id
-    }
-
-    /// Opens a session pinned to one pool device: its buffers run on
-    /// `device` regardless of the [`PlacementPolicy`]. The pin is
-    /// validated against the configured pool size at
-    /// [`run`](Self::run).
-    pub fn open_pinned_session(
-        &mut self,
-        name: impl Into<String>,
-        weight: u32,
-        device: usize,
-        source: impl StreamSource + 'a,
-    ) -> SessionId {
-        let id = SessionId(self.sessions.len());
-        self.sessions.push(ChunkSession {
-            id,
-            name: name.into(),
-            weight,
-            class: 0,
-            pin: Some(device),
-            source: Box::new(source),
-            sink: None,
-        });
-        id
-    }
-
-    /// Opens a request session on behalf of the service frontend: a
-    /// named, weighted, *classed* session with an optional sink. The
-    /// class index is resolved by
-    /// [`ShredderService`](crate::ShredderService) against its tenant
-    /// table.
-    pub(crate) fn open_service_session(
-        &mut self,
-        name: impl Into<String>,
-        weight: u32,
-        class: usize,
-        source: Box<dyn StreamSource + 'a>,
-        sink: Option<Box<dyn ChunkSink + 'a>>,
-    ) -> SessionId {
-        let id = SessionId(self.sessions.len());
-        self.sessions.push(ChunkSession {
-            id,
-            name: name.into(),
-            weight,
-            class,
-            pin: None,
-            source,
-            sink,
-        });
-        id
-    }
-
-    /// Opens a session whose chunks feed a downstream [`ChunkSink`]: the
-    /// sink's stages execute inside the shared simulation with their own
-    /// service times and queues, and the session's admission slots are
-    /// held until its buffers clear the *last* stage — a slow sink
-    /// backpressures the kernel FIFO.
+    /// Runs every submitted request under the arrival workload through
+    /// one shared simulation and returns per-session outcomes plus the
+    /// aggregate report. Consumes the submitted requests (the engine
+    /// can then be reused).
     ///
-    /// Pass `&mut sink` to keep ownership and read the sink's functional
-    /// results (digests, dedup verdicts) after [`run`](Self::run); the
-    /// engine must be dropped first to release the borrow.
-    pub fn open_sink_session(
-        &mut self,
-        name: impl Into<String>,
-        weight: u32,
-        source: impl StreamSource + 'a,
-        sink: impl ChunkSink + 'a,
-    ) -> SessionId {
-        let id = SessionId(self.sessions.len());
-        self.sessions.push(ChunkSession {
-            id,
-            name: name.into(),
-            weight,
-            class: 0,
-            pin: None,
-            source: Box::new(source),
-            sink: Some(Box::new(sink)),
-        });
-        id
-    }
-
-    /// Chunks every open session through one shared simulation and
-    /// returns per-session chunks plus the aggregate report. Consumes
-    /// the open sessions (the engine can then be reused).
-    ///
-    /// This is the degenerate closed-batch workload of the service
-    /// frontend: every session "arrives" at `t = 0` and admission is
-    /// unbounded, so nothing queues at the service level and nothing is
-    /// shed — the chunks and digests are bit-identical to the
-    /// pre-service engine.
+    /// Requests arrive inside the simulation, wait in the admission
+    /// queue, and are dispatched (or shed with
+    /// [`ChunkError::Overloaded`]) by the admission control. Every
+    /// completed session's chunks are bit-identical to a sequential
+    /// scan of its stream.
     ///
     /// # Errors
     ///
-    /// [`ChunkError::InvalidConfig`] for unusable chunking parameters,
-    /// [`ChunkError::Gpu`] if a kernel launch fails. Errors from any
-    /// session abort the whole run (no partial simulation is reported).
-    pub fn run(&mut self) -> Result<EngineOutcome, ChunkError> {
-        let run = self.run_with_workload(
-            &Workload::Batch,
-            AdmissionControl::unbounded(),
-            vec![ClassRuntime::default_class()],
-            false,
-        )?;
-        // Unbounded admission never sheds, but if that invariant ever
-        // broke the error now propagates instead of panicking mid-run.
-        let sessions = run
-            .outcomes
-            .into_iter()
-            .collect::<Result<Vec<_>, ChunkError>>()?;
-        Ok(EngineOutcome {
-            sessions,
-            report: run.report,
-        })
-    }
-
-    /// Runs every open session as a *request* under the given arrival
-    /// workload and admission control — the open-loop service path
-    /// behind [`ShredderService`](crate::ShredderService). Requests
-    /// arrive inside the simulation, wait in the bounded admission
-    /// queue, and are dispatched (or shed with
-    /// [`ChunkError::Overloaded`]) by the control's policy.
-    ///
-    /// `with_service_report` controls whether the [`ServiceReport`] is
-    /// assembled: the closed-batch [`run`](Self::run) path skips it (it
-    /// would be discarded), the service frontend builds it.
-    pub(crate) fn run_with_workload(
-        &mut self,
-        workload: &Workload,
-        control: AdmissionControl,
-        classes: Vec<ClassRuntime>,
-        with_service_report: bool,
-    ) -> Result<ServiceRun, ChunkError> {
+    /// [`ChunkError::InvalidConfig`] for unusable chunking parameters, a
+    /// pin outside the pool or a request naming an undefined tenant
+    /// class — these leave the submitted requests in place for a
+    /// corrected re-run; [`ChunkError::Gpu`] if a kernel launch fails.
+    /// Errors abort the whole run (no partial simulation is reported).
+    /// Per-request `Overloaded` rejections are *not* run errors — they
+    /// come back inside [`EngineOutcome::sessions`].
+    pub fn run(&mut self, workload: &Workload) -> Result<EngineOutcome, ChunkError> {
         self.config.validate()?;
-        // Validate before taking the sessions so a config error leaves
-        // the queued sessions intact, like the validate() above.
-        for session in &self.sessions {
-            if let Some(pin) = session.pin {
+        let mut class_of = Vec::with_capacity(self.requests.len());
+        for (i, request) in self.requests.iter().enumerate() {
+            let label = || {
+                request
+                    .name
+                    .clone()
+                    .unwrap_or_else(|| SessionId(i).to_string())
+            };
+            if let Some(pin) = request.pin {
                 if pin >= self.config.gpus {
                     return Err(ChunkError::InvalidConfig(format!(
                         "session '{}' pinned to device {pin}, but the pool has {} device(s)",
-                        session.name, self.config.gpus
+                        label(),
+                        self.config.gpus
                     )));
                 }
             }
-            if session.class >= classes.len() {
-                return Err(ChunkError::InvalidConfig(format!(
-                    "session '{}' uses tenant class {}, but only {} class(es) are defined",
-                    session.name,
-                    session.class,
-                    classes.len()
-                )));
-            }
+            class_of.push(match &request.class {
+                Some(name) => self
+                    .classes
+                    .iter()
+                    .position(|c| &c.name == name)
+                    .ok_or_else(|| {
+                        ChunkError::InvalidConfig(format!(
+                            "session '{}' uses undefined tenant class '{name}'",
+                            label()
+                        ))
+                    })?,
+                None => 0,
+            });
         }
-        let sessions = std::mem::take(&mut self.sessions);
-        let arrivals = workload.schedule(sessions.len());
+        let requests = std::mem::take(&mut self.requests);
+        let arrivals = workload.schedule(requests.len());
+        let classes: Vec<ClassRuntime> = self.classes.iter().map(ClassRuntime::from).collect();
 
         // Functional pass: real chunk boundaries per session. Sessions
         // with a payload-reading sink also retain their stream bytes so
         // the sink's functional half can see real payloads.
-        let mut plans = Vec::with_capacity(sessions.len());
-        let mut bindings = Vec::with_capacity(sessions.len());
-        for session in sessions {
-            let (plan, binding) = self.plan_session(session)?;
+        let mut plans = Vec::with_capacity(requests.len());
+        let mut bindings = Vec::with_capacity(requests.len());
+        for ((i, request), class) in requests.into_iter().enumerate().zip(class_of) {
+            let (plan, binding) = self.plan_session(i, class, request)?;
             plans.push(plan);
             bindings.push(binding);
         }
@@ -536,13 +451,13 @@ impl<'a> ShredderEngine<'a> {
             &chunk_sets,
             ServiceInputs {
                 arrivals,
-                control,
+                control: self.control,
                 classes: &classes,
                 bindings,
             },
         );
 
-        let mut outcomes = Vec::with_capacity(plans.len());
+        let mut sessions = Vec::with_capacity(plans.len());
         let mut reports = Vec::with_capacity(plans.len());
         let mut total_bytes = 0u64;
         let mut total_buffers = 0usize;
@@ -569,7 +484,7 @@ impl<'a> ShredderEngine<'a> {
                     sink_service: Dur::ZERO,
                     timeline: Vec::new(),
                 });
-                outcomes.push(Err(ChunkError::Overloaded {
+                sessions.push(Err(ChunkError::Overloaded {
                     queued: shed_at.saturating_since(sim.service.arrival[idx]),
                 }));
                 continue;
@@ -594,7 +509,7 @@ impl<'a> ShredderEngine<'a> {
                 sink_service: sim.service.session_service[idx],
                 timeline: per.timeline.clone(),
             });
-            outcomes.push(Ok(SessionOutcome {
+            sessions.push(Ok(SessionOutcome {
                 id: SessionId(idx),
                 name: plan.name.clone(),
                 chunks,
@@ -626,8 +541,7 @@ impl<'a> ShredderEngine<'a> {
             })
             .collect();
 
-        let service = with_service_report
-            .then(|| build_service_report(&plans, &classes, &sim.service, makespan));
+        let service = build_service_report(&plans, &classes, &sim.service, makespan);
         let report = EngineReport {
             queue_wait: reports.iter().map(|r| r.queue_wait).sum(),
             sessions: reports,
@@ -644,7 +558,7 @@ impl<'a> ShredderEngine<'a> {
             telemetry: sim.telemetry,
         };
 
-        Ok(ServiceRun { outcomes, report })
+        Ok(EngineOutcome { sessions, report })
     }
 
     /// Functional pass over one session: pull the stream one pipeline
@@ -656,7 +570,9 @@ impl<'a> ShredderEngine<'a> {
     /// hash/inspect real payloads.
     fn plan_session(
         &self,
-        mut session: ChunkSession<'a>,
+        index: usize,
+        class: usize,
+        mut request: ChunkRequest<'a>,
     ) -> Result<(SessionPlan, Option<SinkBinding<'a>>), ChunkError> {
         // The boundary kernel knows its own carry requirement: `window − 1`
         // bytes for Rabin, `GEAR_WINDOW − 1` for Gear.
@@ -664,7 +580,7 @@ impl<'a> ShredderEngine<'a> {
         let size = self.config.buffer_size;
         // Retain the stream only when the sink actually reads payloads:
         // boundary-only sinks (the upcall path) stay zero-copy.
-        let retain = session.sink.as_ref().is_some_and(|s| s.needs_payload());
+        let retain = request.sink.as_ref().is_some_and(|s| s.needs_payload());
 
         let mut cuts: Vec<RawCut> = Vec::new();
         let mut buffers: Vec<PlannedBuffer> = Vec::new();
@@ -678,7 +594,7 @@ impl<'a> ShredderEngine<'a> {
         // gets best-fit first and the open-ended one takes what's left.
         let mut scan = self.pool.get(overlap + size);
         let mut retained = self.pool.with_capacity(if retain {
-            session.source.size_hint().unwrap_or(0) as usize
+            request.source.size_hint().unwrap_or(0) as usize
         } else {
             0
         });
@@ -687,7 +603,7 @@ impl<'a> ShredderEngine<'a> {
         loop {
             let mut filled = 0usize;
             while filled < size {
-                let n = session
+                let n = request
                     .source
                     .read(&mut scan[carry_len + filled..carry_len + size]);
                 if n == 0 {
@@ -736,16 +652,16 @@ impl<'a> ShredderEngine<'a> {
             carry_len = keep;
         }
 
-        let binding = session.sink.map(|sink| SinkBinding {
+        let binding = request.sink.map(|sink| SinkBinding {
             sink,
             data: retained,
         });
         Ok((
             SessionPlan {
-                name: session.name,
-                weight: session.weight,
-                class: session.class,
-                pin: session.pin,
+                name: request.name.unwrap_or_else(|| SessionId(index).to_string()),
+                weight: request.weight,
+                class,
+                pin: request.pin,
                 bytes: start,
                 cuts,
                 buffers,
@@ -767,7 +683,7 @@ impl<'a> ShredderEngine<'a> {
             ServiceInputs {
                 arrivals: ArrivalSchedule::Open(vec![SimTime::ZERO; plans.len()]),
                 control: AdmissionControl::unbounded(),
-                classes: &[ClassRuntime::default_class()],
+                classes: &[ClassRuntime::from(&TenantClass::new("default"))],
                 bindings: plans.iter().map(|_| None).collect(),
             },
         )
@@ -786,14 +702,6 @@ pub(crate) fn host_scan_time(bytes: u64, allocator: Allocator) -> Dur {
         * (1.0 - allocator.contention_loss());
     Dur::from_bytes_at(bytes, rate)
         + Dur::from_nanos(threads * calibration::HOST_SYNC_NS_PER_THREAD)
-}
-
-/// The result of a service-frontend run: one outcome per request
-/// (`Err(Overloaded)` for shed requests) plus the engine report with
-/// its [`ServiceReport`] attached.
-pub(crate) struct ServiceRun {
-    pub(crate) outcomes: Vec<Result<SessionOutcome, ChunkError>>,
-    pub(crate) report: EngineReport,
 }
 
 /// A session's sink plus the stream bytes retained for its functional
@@ -827,7 +735,9 @@ impl std::fmt::Debug for ShredderEngine<'_> {
         f.debug_struct("ShredderEngine")
             .field("config", &self.config)
             .field("policy", &self.policy)
-            .field("sessions", &self.sessions.len())
+            .field("control", &self.control)
+            .field("classes", &self.classes.len())
+            .field("requests", &self.requests.len())
             .finish()
     }
 }
@@ -852,7 +762,8 @@ pub(crate) struct DeviceSim {
     pub(crate) overlap: f64,
 }
 
-/// Service-frontend timing produced by the shared simulation.
+/// Request-level (arrival/admission) timing produced by the shared
+/// simulation.
 pub(crate) struct ServiceSimOut {
     pub(crate) arrival: Vec<SimTime>,
     pub(crate) admit: Vec<Option<SimTime>>,
@@ -870,7 +781,7 @@ pub(crate) struct ServiceSimOut {
 /// The shared simulation's output.
 pub(crate) struct SimResult {
     pub(crate) sessions: Vec<SessionSim>,
-    /// Session → pool device, in open order.
+    /// Session → pool device, in submit order.
     pub(crate) placement: Vec<usize>,
     pub(crate) devices: Vec<DeviceSim>,
     pub(crate) stage_busy: StageBusy,
@@ -935,7 +846,7 @@ impl Sched {
     }
 }
 
-/// Service-frontend state shared by the arrival/admission event
+/// Request-level state shared by the arrival/admission event
 /// closures: the explicit admission queue between request *arrival* and
 /// *dispatch* into the engine.
 struct SvcState {
@@ -1034,7 +945,7 @@ impl SvcState {
 #[derive(Clone)]
 struct PipeCtx {
     sched: Rc<RefCell<Sched>>,
-    /// Service-frontend state (admission queue, request timestamps).
+    /// Request-level state (admission queue, request timestamps).
     svc: Rc<RefCell<SvcState>>,
     /// Requests dispatched this event whose deferred sink functional
     /// pass the driver loop must run before the next event executes.
@@ -2243,11 +2154,11 @@ mod tests {
             .collect();
         let mut engine = ShredderEngine::new(small_config());
         for s in &streams {
-            engine.open_session(SliceSource::new(s));
+            engine.submit(ChunkRequest::new(SliceSource::new(s)));
         }
-        let out = engine.run().unwrap();
+        let out = engine.run(&Workload::Batch).unwrap();
         assert_eq!(out.sessions.len(), 5);
-        for (session, data) in out.sessions.iter().zip(&streams) {
+        for (session, data) in out.completed().zip(&streams) {
             assert_eq!(session.chunks, chunk_all(data, &ChunkParams::paper()));
         }
         let total: u64 = streams.iter().map(|s| s.len() as u64).sum();
@@ -2259,15 +2170,15 @@ mod tests {
         let data = pseudo_random(512 << 10, 11);
         let mut engine = ShredderEngine::new(small_config());
         // Warm-up run: the pool learns the session's buffer shapes.
-        engine.open_session(SliceSource::new(&data));
-        engine.run().unwrap();
+        engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+        engine.run(&Workload::Batch).unwrap();
         let warm = engine.buffer_pool().allocations();
         assert!(warm > 0, "warm-up must have leased something");
         // Steady state: identical sessions lease everything from the
         // pool — the hot loop makes zero new allocations.
         for _ in 0..4 {
-            engine.open_session(SliceSource::new(&data));
-            engine.run().unwrap();
+            engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+            engine.run(&Workload::Batch).unwrap();
         }
         assert_eq!(
             engine.buffer_pool().allocations(),
@@ -2282,9 +2193,9 @@ mod tests {
         let a = pseudo_random(512 << 10, 7);
         let b = pseudo_random(512 << 10, 8);
         let mut engine = ShredderEngine::new(small_config());
-        engine.open_session(SliceSource::new(&a));
-        engine.open_session(SliceSource::new(&b));
-        let out = engine.run().unwrap();
+        engine.submit(ChunkRequest::new(SliceSource::new(&a)));
+        engine.submit(ChunkRequest::new(SliceSource::new(&b)));
+        let out = engine.run(&Workload::Batch).unwrap();
 
         // Under round-robin, both sessions start immediately and their
         // admissions interleave: session 1 is not delayed until session
@@ -2304,9 +2215,9 @@ mod tests {
         let b = pseudo_random(512 << 10, 10);
         let mut engine =
             ShredderEngine::new(small_config()).with_policy(AdmissionPolicy::SessionOrder);
-        engine.open_session(SliceSource::new(&a));
-        engine.open_session(SliceSource::new(&b));
-        let out = engine.run().unwrap();
+        engine.submit(ChunkRequest::new(SliceSource::new(&a)));
+        engine.submit(ChunkRequest::new(SliceSource::new(&b)));
+        let out = engine.run(&Workload::Batch).unwrap();
         let r = &out.report.sessions;
         // All of session 0's buffers are admitted before any of session 1's.
         let last_a_admit = r[0].timeline.last().unwrap().read_start;
@@ -2322,9 +2233,17 @@ mod tests {
                 ShredderConfig::gpu_streams_memory().with_buffer_size(64 << 10),
             )
             .with_policy(AdmissionPolicy::Weighted);
-            engine.open_named_session("a", wa, SliceSource::new(&a));
-            engine.open_named_session("b", wb, SliceSource::new(&b));
-            let out = engine.run().unwrap();
+            engine.submit(
+                ChunkRequest::new(SliceSource::new(&a))
+                    .named("a")
+                    .with_weight(wa),
+            );
+            engine.submit(
+                ChunkRequest::new(SliceSource::new(&b))
+                    .named("b")
+                    .with_weight(wb),
+            );
+            let out = engine.run(&Workload::Batch).unwrap();
             out.report.sessions[0].completion
         };
         let even = run(1, 1);
@@ -2345,16 +2264,16 @@ mod tests {
 
         let mut engine = ShredderEngine::new(cfg.clone());
         for s in &streams {
-            engine.open_session(SliceSource::new(s));
+            engine.submit(ChunkRequest::new(SliceSource::new(s)));
         }
-        let shared = engine.run().unwrap().report.makespan;
+        let shared = engine.run(&Workload::Batch).unwrap().report.makespan;
 
         let sequential: Dur = streams
             .iter()
             .map(|s| {
                 let mut e = ShredderEngine::new(cfg.clone());
-                e.open_session(SliceSource::new(s));
-                e.run().unwrap().report.makespan
+                e.submit(ChunkRequest::new(SliceSource::new(s)));
+                e.run(&Workload::Batch).unwrap().report.makespan
             })
             .sum();
 
@@ -2371,8 +2290,8 @@ mod tests {
         let cfg = ShredderConfig::gpu_streams_memory().with_params(params);
         let data = pseudo_random(10_000, 13);
         let mut engine = ShredderEngine::new(cfg);
-        engine.open_session(SliceSource::new(&data));
-        match engine.run() {
+        engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+        match engine.run(&Workload::Batch) {
             Err(ChunkError::InvalidConfig(msg)) => assert!(msg.contains("window")),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
@@ -2381,28 +2300,28 @@ mod tests {
     #[test]
     fn empty_engine_and_empty_sessions() {
         let mut engine = ShredderEngine::new(small_config());
-        let out = engine.run().unwrap();
+        let out = engine.run(&Workload::Batch).unwrap();
         assert!(out.sessions.is_empty());
         assert_eq!(out.report.bytes, 0);
         assert_eq!(out.report.makespan, Dur::ZERO);
 
         let mut engine = ShredderEngine::new(small_config());
-        engine.open_session(SliceSource::new(&[]));
-        let out = engine.run().unwrap();
-        assert!(out.sessions[0].chunks.is_empty());
+        engine.submit(ChunkRequest::new(SliceSource::new(&[])));
+        let out = engine.run(&Workload::Batch).unwrap();
+        assert!(out.sessions[0].as_ref().unwrap().chunks.is_empty());
         assert_eq!(out.report.sessions[0].buffers, 0);
     }
 
     #[test]
     fn single_byte_stream() {
         let mut engine = ShredderEngine::new(small_config());
-        engine.open_session(SliceSource::new(&[42u8]));
-        let out = engine.run().unwrap();
+        engine.submit(ChunkRequest::new(SliceSource::new(&[42u8])));
+        let out = engine.run(&Workload::Batch).unwrap();
         assert_eq!(
-            out.sessions[0].chunks,
+            out.sessions[0].as_ref().unwrap().chunks,
             chunk_all(&[42u8], &ChunkParams::paper())
         );
-        assert_eq!(out.sessions[0].chunks.len(), 1);
+        assert_eq!(out.sessions[0].as_ref().unwrap().chunks.len(), 1);
         assert_eq!(out.report.sessions[0].buffers, 1);
         assert_eq!(out.report.bytes, 1);
     }
@@ -2417,14 +2336,18 @@ mod tests {
         for len in [1usize, 2, params.window - 1] {
             let data = pseudo_random(len, 90 + len as u64);
             let mut engine = ShredderEngine::new(small_config());
-            engine.open_session(SliceSource::new(&data));
-            let out = engine.run().unwrap();
+            engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+            let out = engine.run(&Workload::Batch).unwrap();
             assert_eq!(
-                out.sessions[0].chunks,
+                out.sessions[0].as_ref().unwrap().chunks,
                 chunk_all(&data, &params),
                 "len {len}"
             );
-            assert_eq!(out.sessions[0].chunks.len(), 1, "len {len}");
+            assert_eq!(
+                out.sessions[0].as_ref().unwrap().chunks.len(),
+                1,
+                "len {len}"
+            );
         }
     }
 
@@ -2445,10 +2368,10 @@ mod tests {
             let len = (buffer as i64 + delta) as usize;
             let data = pseudo_random(len, 200 + delta.unsigned_abs());
             let mut engine = ShredderEngine::new(cfg.clone());
-            engine.open_session(SliceSource::new(&data));
-            let out = engine.run().unwrap();
+            engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+            let out = engine.run(&Workload::Batch).unwrap();
             assert_eq!(
-                out.sessions[0].chunks,
+                out.sessions[0].as_ref().unwrap().chunks,
                 chunk_all(&data, &params),
                 "len {len}"
             );
@@ -2461,9 +2384,13 @@ mod tests {
         let run = || {
             let mut engine = ShredderEngine::new(small_config());
             for (i, s) in streams.iter().enumerate() {
-                engine.open_named_session(format!("t{i}"), 1 + i as u32, SliceSource::new(s));
+                engine.submit(
+                    ChunkRequest::new(SliceSource::new(s))
+                        .named(format!("t{i}"))
+                        .with_weight(1 + i as u32),
+                );
             }
-            engine.run().unwrap()
+            engine.run(&Workload::Batch).unwrap()
         };
         let a = run();
         let b = run();
@@ -2476,9 +2403,9 @@ mod tests {
         let streams: Vec<Vec<u8>> = (0..3).map(|s| pseudo_random(600_000, 60 + s)).collect();
         let mut engine = ShredderEngine::new(small_config());
         for s in &streams {
-            engine.open_session(SliceSource::new(s));
+            engine.submit(ChunkRequest::new(SliceSource::new(s)));
         }
-        let out = engine.run().unwrap();
+        let out = engine.run(&Workload::Batch).unwrap();
         for r in &out.report.sessions {
             assert_eq!(r.timeline.len(), r.buffers);
             for t in &r.timeline {
@@ -2497,15 +2424,19 @@ mod tests {
     fn session_ids_and_names_round_trip() {
         let data = pseudo_random(64 << 10, 70);
         let mut engine = ShredderEngine::new(small_config());
-        let id0 = engine.open_named_session("alpha", 2, SliceSource::new(&data));
-        let id1 = engine.open_session(SliceSource::new(&data));
+        let id0 = engine.submit(
+            ChunkRequest::new(SliceSource::new(&data))
+                .named("alpha")
+                .with_weight(2),
+        );
+        let id1 = engine.submit(ChunkRequest::new(SliceSource::new(&data)));
         assert_eq!(id0.index(), 0);
         assert_eq!(id1.index(), 1);
         assert_eq!(engine.session_count(), 2);
-        let out = engine.run().unwrap();
-        assert_eq!(out.sessions[0].name, "alpha");
+        let out = engine.run(&Workload::Batch).unwrap();
+        assert_eq!(out.sessions[0].as_ref().unwrap().name, "alpha");
         assert_eq!(out.report.sessions[0].weight, 2);
-        assert_eq!(out.sessions[1].name, "session-1");
+        assert_eq!(out.sessions[1].as_ref().unwrap().name, "session-1");
         assert_eq!(engine.session_count(), 0, "run consumes sessions");
     }
 
@@ -2519,9 +2450,9 @@ mod tests {
             .collect();
         let mut engine = ShredderEngine::new(small_config().with_gpus(2));
         for s in &streams {
-            engine.open_session(SliceSource::new(s));
+            engine.submit(ChunkRequest::new(SliceSource::new(s)));
         }
-        let out = engine.run().unwrap();
+        let out = engine.run(&Workload::Batch).unwrap();
         // Open order: s0→d0, s1→d1, s2→d1 (400k < 800k), s3→d1 (700k).
         let devs: Vec<usize> = out.report.sessions.iter().map(|r| r.device).collect();
         assert_eq!(devs, vec![0, 1, 1, 1]);
@@ -2544,9 +2475,9 @@ mod tests {
                 .with_placement(PlacementPolicy::RoundRobin),
         );
         for s in &streams {
-            engine.open_session(SliceSource::new(s));
+            engine.submit(ChunkRequest::new(SliceSource::new(s)));
         }
-        let out = engine.run().unwrap();
+        let out = engine.run(&Workload::Batch).unwrap();
         let devs: Vec<usize> = out.report.sessions.iter().map(|r| r.device).collect();
         assert_eq!(devs, vec![0, 1, 2, 0, 1]);
     }
@@ -2561,16 +2492,24 @@ mod tests {
                 .with_gpus(2)
                 .with_placement(PlacementPolicy::Pinned),
         );
-        engine.open_pinned_session("pinned-1", 1, 1, SliceSource::new(&a));
-        engine.open_pinned_session("pinned-also-1", 1, 1, SliceSource::new(&b));
+        engine.submit(
+            ChunkRequest::new(SliceSource::new(&a))
+                .named("pinned-1")
+                .pinned(1),
+        );
+        engine.submit(
+            ChunkRequest::new(SliceSource::new(&b))
+                .named("pinned-also-1")
+                .pinned(1),
+        );
         // Unpinned under the Pinned policy falls back to least-loaded:
         // device 0 carries no bytes yet.
-        engine.open_named_session("free", 1, SliceSource::new(&c));
-        let out = engine.run().unwrap();
+        engine.submit(ChunkRequest::new(SliceSource::new(&c)).named("free"));
+        let out = engine.run(&Workload::Batch).unwrap();
         let devs: Vec<usize> = out.report.sessions.iter().map(|r| r.device).collect();
         assert_eq!(devs, vec![1, 1, 0]);
         // Chunks are still bit-identical per stream.
-        for (session, data) in out.sessions.iter().zip([&a, &b, &c]) {
+        for (session, data) in out.completed().zip([&a, &b, &c]) {
             assert_eq!(session.chunks, chunk_all(data, &ChunkParams::paper()));
         }
     }
@@ -2579,9 +2518,13 @@ mod tests {
     fn pin_out_of_range_is_rejected() {
         let data = pseudo_random(10_000, 340);
         let mut engine = ShredderEngine::new(small_config().with_gpus(2));
-        engine.open_named_session("good", 1, SliceSource::new(&data));
-        engine.open_pinned_session("bad", 1, 2, SliceSource::new(&data));
-        match engine.run() {
+        engine.submit(ChunkRequest::new(SliceSource::new(&data)).named("good"));
+        engine.submit(
+            ChunkRequest::new(SliceSource::new(&data))
+                .named("bad")
+                .pinned(2),
+        );
+        match engine.run(&Workload::Batch) {
             Err(ChunkError::InvalidConfig(msg)) => {
                 assert!(msg.contains("pinned to device 2"), "{msg}")
             }
@@ -2603,8 +2546,8 @@ mod tests {
                 cfg = cfg.with_ring_slots(s);
             }
             let mut engine = ShredderEngine::new(cfg);
-            engine.open_session(SliceSource::new(&data));
-            engine.run().unwrap().report.makespan
+            engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+            engine.run(&Workload::Batch).unwrap().report.makespan
         };
         let roomy = run(None);
         let starved = run(Some(1));
@@ -2622,9 +2565,9 @@ mod tests {
                 .with_pipeline_depth(4 * gpus);
             let mut engine = ShredderEngine::new(cfg);
             for s in &streams {
-                engine.open_session(SliceSource::new(s));
+                engine.submit(ChunkRequest::new(SliceSource::new(s)));
             }
-            engine.run().unwrap()
+            engine.run(&Workload::Batch).unwrap()
         };
         let one = run(1);
         let two = run(2);
@@ -2635,7 +2578,7 @@ mod tests {
             one.report.aggregate_gbps()
         );
         // Identical chunks under both pool sizes.
-        for (a, b) in one.sessions.iter().zip(&two.sessions) {
+        for (a, b) in one.completed().zip(two.completed()) {
             assert_eq!(a.chunks, b.chunks);
         }
         // Both devices genuinely worked and overlapped copy with compute.
@@ -2656,9 +2599,9 @@ mod tests {
         let run = || {
             let mut engine = ShredderEngine::new(small_config().with_gpus(3));
             for (i, s) in streams.iter().enumerate() {
-                engine.open_named_session(format!("t{i}"), 1, SliceSource::new(s));
+                engine.submit(ChunkRequest::new(SliceSource::new(s)).named(format!("t{i}")));
             }
-            engine.run().unwrap()
+            engine.run(&Workload::Batch).unwrap()
         };
         let a = run();
         let b = run();
@@ -2670,8 +2613,8 @@ mod tests {
     fn single_device_report_covers_all_work() {
         let data = pseudo_random(1 << 20, 380);
         let mut engine = ShredderEngine::new(small_config());
-        engine.open_session(SliceSource::new(&data));
-        let out = engine.run().unwrap();
+        engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+        let out = engine.run(&Workload::Batch).unwrap();
         assert_eq!(out.report.devices.len(), 1);
         let d = &out.report.devices[0];
         assert_eq!(d.sessions, 1);
@@ -2688,9 +2631,9 @@ mod tests {
         let streams: Vec<Vec<u8>> = (0..3).map(|s| pseudo_random(256 << 10, 80 + s)).collect();
         let mut engine = ShredderEngine::new(small_config());
         for s in &streams {
-            engine.open_session(SliceSource::new(s));
+            engine.submit(ChunkRequest::new(SliceSource::new(s)));
         }
-        let out = engine.run().unwrap();
+        let out = engine.run(&Workload::Batch).unwrap();
         let by_session: u64 = out.report.sessions.iter().map(|r| r.bytes).sum();
         assert_eq!(out.report.bytes, by_session);
         let buffers: usize = out.report.sessions.iter().map(|r| r.buffers).sum();

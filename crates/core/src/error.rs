@@ -10,8 +10,8 @@ use shredder_gpu::GpuError;
 /// Kernel launches and device transfers can fail (invalid buffers,
 /// out-of-memory) and misconfigured chunking parameters are rejected up
 /// front; both propagate through the session API instead of panicking
-/// inside the pipeline. On the online-service path
-/// ([`ShredderService`](crate::ShredderService)) a request can
+/// inside the pipeline. Under a bounded
+/// [`AdmissionControl`](crate::AdmissionControl) a request can
 /// additionally be rejected by admission control under overload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChunkError {

@@ -1,29 +1,24 @@
-//! The online service frontend: requests, tenants, arrivals, SLOs.
+//! The request side of the engine: what a caller submits, and how to
+//! find the load it sustains.
 //!
-//! The closed-batch engine API ([`ShredderEngine::run`]) opens every
-//! session up front and drives them all to completion — it can report
-//! makespan and throughput but never *request latency under load*,
-//! because nothing ever arrives while the system is busy. A
-//! [`ShredderService`] turns the same engine into a long-lived service:
-//!
-//! 1. requests ([`ChunkRequest`]: a stream source, an optional sink,
-//!    a tenant class) are submitted up front, but *arrive* inside the
-//!    discrete-event simulation according to a pluggable
-//!    [`Workload`] — open-loop Poisson at a target rate, closed-loop
-//!    with N clients and think time, trace replay, or the degenerate
-//!    all-at-`t = 0` batch;
-//! 2. arrivals flow through an explicit bounded **admission queue**
-//!    ([`AdmissionControl`]): FIFO, per-tenant fair share or weighted
-//!    share (reusing [`AdmissionPolicy`]
-//!    across [`TenantClass`]es), with load shedding — a request that
-//!    finds the queue full, or waits past the configured delay bound,
-//!    is rejected with [`ChunkError::Overloaded`] and touches no sink
-//!    state;
-//! 3. every request completes with timestamps (arrival → admit →
-//!    first-chunk → done) and the run's [`EngineReport`] carries a
-//!    [`ServiceReport`]: offered vs. achieved
-//!    req/s and GB/s, the queue-depth timeline, and latency
-//!    p50/p95/p99/max per tenant class.
+//! A [`ChunkRequest`] is one stream to chunk: a source, an optional
+//! downstream sink, a name, a tenant class, an admission weight and an
+//! optional device pin. Requests are submitted to a
+//! [`ShredderEngine`](crate::ShredderEngine) and *arrive* inside its
+//! discrete-event simulation according to the
+//! [`Workload`](crate::Workload) passed to
+//! [`run`](crate::ShredderEngine::run): all at `t = 0`
+//! ([`Workload::Batch`](crate::Workload::Batch)), open-loop Poisson at a target rate,
+//! closed-loop with N clients and think time, or trace replay.
+//! Arrivals flow through the engine's admission queue
+//! ([`AdmissionControl`](crate::AdmissionControl)): unbounded by
+//! default, or FIFO, per-tenant fair share or weighted share across
+//! [`TenantClass`](crate::TenantClass)es with load shedding — a request
+//! that finds the queue full, or waits past the configured delay bound,
+//! is rejected with [`ChunkError::Overloaded`] and touches no sink
+//! state. Every run's [`EngineReport`](crate::EngineReport) carries a
+//! [`ServiceReport`]: offered vs. achieved req/s and GB/s, the
+//! queue-depth timeline, and latency p50/p95/p99/max per tenant class.
 //!
 //! [`capacity_search`] bisects the Poisson rate for the highest
 //! sustained load that still meets a p99 latency SLO.
@@ -33,98 +28,93 @@
 //! An open-loop Poisson run with a p99 readout:
 //!
 //! ```
-//! use shredder_core::{ChunkRequest, MemorySource, ShredderConfig, ShredderService, Workload};
+//! use shredder_core::{
+//!     AdmissionControl, ChunkRequest, MemorySource, ShredderConfig, ShredderEngine, Workload,
+//! };
 //!
-//! let mut service = ShredderService::new(
+//! let mut engine = ShredderEngine::new(
 //!     ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10),
-//! );
+//! )
+//! .with_admission(AdmissionControl::default());
 //! for t in 0..8u64 {
-//!     service.submit(ChunkRequest::new(MemorySource::pseudo_random(256 << 10, t)));
+//!     engine.submit(ChunkRequest::new(MemorySource::pseudo_random(256 << 10, t)));
 //! }
-//! let outcome = service.run(&Workload::poisson(2_000.0, 42)).unwrap();
-//! println!("p99 latency: {:.2} ms", outcome.service().p99().as_millis_f64());
-//! assert_eq!(outcome.service().completed, 8);
+//! let outcome = engine.run(&Workload::poisson(2_000.0, 42)).unwrap();
+//! println!("p99 latency: {:.2} ms", outcome.report.service.p99().as_millis_f64());
+//! assert_eq!(outcome.report.service.completed, 8);
 //! ```
 
 use shredder_des::Dur;
 
-use crate::config::ShredderConfig;
-use crate::engine::{AdmissionPolicy, ClassRuntime, ShredderEngine};
 use crate::error::ChunkError;
-use crate::report::{EngineReport, ServiceReport};
-use crate::session::SessionOutcome;
+use crate::report::ServiceReport;
 use crate::sink::ChunkSink;
 use crate::source::StreamSource;
-use crate::workload::{AdmissionControl, TenantClass, Workload};
-
-/// Identifies a request within one service run (the submit order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RequestId(pub(crate) usize);
-
-impl RequestId {
-    /// The request's index in submit order (also its index into
-    /// [`ServiceOutcome::requests`] and
-    /// [`ServiceReport::requests`](crate::ServiceReport)).
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl std::fmt::Display for RequestId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "request-{}", self.0)
-    }
-}
 
 /// One chunking request: a stream source plus an optional downstream
-/// sink and a tenant identity.
+/// sink, a tenant identity and an optional device pin.
 pub struct ChunkRequest<'a> {
-    name: Option<String>,
-    class: Option<String>,
-    weight: u32,
-    source: Box<dyn StreamSource + 'a>,
-    sink: Option<Box<dyn ChunkSink + 'a>>,
+    pub(crate) name: Option<String>,
+    pub(crate) class: Option<String>,
+    pub(crate) weight: u32,
+    pub(crate) pin: Option<usize>,
+    pub(crate) source: Box<dyn StreamSource + 'a>,
+    pub(crate) sink: Option<Box<dyn ChunkSink + 'a>>,
 }
 
 impl<'a> ChunkRequest<'a> {
-    /// A request for `source` in the default tenant class.
+    /// A request for `source` in the default tenant class, weight 1,
+    /// unpinned, without a sink.
     pub fn new(source: impl StreamSource + 'a) -> Self {
         ChunkRequest {
             name: None,
             class: None,
             weight: 1,
+            pin: None,
             source: Box::new(source),
             sink: None,
         }
     }
 
     /// Names the request (reports show the name; default:
-    /// `request-<n>`).
+    /// `session-<n>`, its [`SessionId`](crate::SessionId)).
     pub fn named(mut self, name: impl Into<String>) -> Self {
         self.name = Some(name.into());
         self
     }
 
-    /// Joins a tenant class (must be defined on the service via
-    /// [`ShredderService::define_class`] before [`run`](ShredderService::run)).
+    /// Joins a tenant class (must be defined on the engine via
+    /// [`ShredderEngine::define_class`](crate::ShredderEngine::define_class)
+    /// before [`run`](crate::ShredderEngine::run)).
     pub fn with_class(mut self, class: impl Into<String>) -> Self {
         self.class = Some(class.into());
         self
     }
 
     /// Sets the buffer-level admission weight (only meaningful under
-    /// [`AdmissionPolicy::Weighted`](crate::AdmissionPolicy) at the
-    /// engine level).
+    /// the engine's [`AdmissionPolicy::Weighted`](crate::AdmissionPolicy)).
     pub fn with_weight(mut self, weight: u32) -> Self {
         self.weight = weight;
         self
     }
 
+    /// Pins the request to one pool device: its buffers run on
+    /// `device` regardless of the
+    /// [`PlacementPolicy`](crate::PlacementPolicy). The pin is
+    /// validated against the pool size at
+    /// [`run`](crate::ShredderEngine::run).
+    pub fn pinned(mut self, device: usize) -> Self {
+        self.pin = Some(device);
+        self
+    }
+
     /// Attaches a downstream sink: its stages run inside the shared
-    /// simulation once the request is dispatched. Pass `&mut sink` to
-    /// keep ownership and read the functional results after the run
-    /// (drop the service first to release the borrow). A shed request's
-    /// sink is never touched.
+    /// simulation once the request is dispatched, and the request's
+    /// admission slots are held until its buffers clear the *last*
+    /// stage — a slow sink backpressures the kernel FIFO. Pass
+    /// `&mut sink` to keep ownership and read the functional results
+    /// after the run (drop the engine first to release the borrow). A
+    /// shed request's sink is never touched.
     pub fn with_sink(mut self, sink: impl ChunkSink + 'a) -> Self {
         self.sink = Some(Box::new(sink));
         self
@@ -137,194 +127,9 @@ impl std::fmt::Debug for ChunkRequest<'_> {
             .field("name", &self.name)
             .field("class", &self.class)
             .field("weight", &self.weight)
+            .field("pin", &self.pin)
             .field("sink", &self.sink.is_some())
             .finish_non_exhaustive()
-    }
-}
-
-/// One request's result: its chunks (bit-identical to a sequential
-/// scan of its stream), or [`ChunkError::Overloaded`] if admission
-/// control shed it.
-#[derive(Debug)]
-pub struct RequestResult {
-    /// Which request this is (submit order).
-    pub id: RequestId,
-    /// The request's name.
-    pub name: String,
-    /// Chunks on success; `Overloaded` if the request was shed.
-    pub outcome: Result<SessionOutcome, ChunkError>,
-}
-
-/// The result of a service run: per-request outcomes plus the engine
-/// report with its [`ServiceReport`] attached.
-#[derive(Debug)]
-pub struct ServiceOutcome {
-    /// Per-request results, in submit order.
-    pub requests: Vec<RequestResult>,
-    /// The engine report; [`EngineReport::service`] is always `Some`
-    /// on this path.
-    pub report: EngineReport,
-}
-
-impl ServiceOutcome {
-    /// The service-level report (offered/achieved load, queue depth,
-    /// per-class latency percentiles).
-    pub fn service(&self) -> &ServiceReport {
-        self.report
-            .service
-            .as_ref()
-            // shredder-lint: allow(R5) — run_service always fills `report.service`; ServiceOutcome is constructed nowhere else
-            .expect("service runs always produce a ServiceReport")
-    }
-
-    /// The completed requests' outcomes, in submit order.
-    pub fn completed(&self) -> impl Iterator<Item = (&RequestResult, &SessionOutcome)> {
-        self.requests
-            .iter()
-            .filter_map(|r| r.outcome.as_ref().ok().map(|s| (r, s)))
-    }
-}
-
-/// The long-lived online chunking service: submit requests, then run
-/// them under an arrival [`Workload`] through bounded admission.
-///
-/// The closed-batch [`ShredderEngine::run`] path is exactly this
-/// service run with [`Workload::Batch`] and unbounded admission.
-pub struct ShredderService<'a> {
-    config: ShredderConfig,
-    engine_policy: AdmissionPolicy,
-    control: AdmissionControl,
-    classes: Vec<TenantClass>,
-    requests: Vec<ChunkRequest<'a>>,
-}
-
-impl<'a> ShredderService<'a> {
-    /// Creates a service with the default admission control
-    /// ([`AdmissionControl::default`]: FIFO over 4 dispatch slots,
-    /// unbounded queue) and the implicit `"default"` tenant class.
-    pub fn new(config: ShredderConfig) -> Self {
-        ShredderService {
-            config,
-            engine_policy: AdmissionPolicy::RoundRobin,
-            control: AdmissionControl::default(),
-            classes: vec![TenantClass::new("default")],
-            requests: Vec::new(),
-        }
-    }
-
-    /// Sets the service-level admission control (queue bound, dispatch
-    /// slots, shed policy).
-    pub fn with_admission(mut self, control: AdmissionControl) -> Self {
-        self.control = control;
-        self
-    }
-
-    /// Sets the *buffer-level* admission policy of the underlying
-    /// engine (how dispatched requests share the pipeline slots).
-    pub fn with_engine_policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.engine_policy = policy;
-        self
-    }
-
-    /// Defines (or redefines, by name) a tenant class.
-    pub fn define_class(&mut self, class: TenantClass) {
-        match self.classes.iter_mut().find(|c| c.name == class.name) {
-            Some(existing) => *existing = class,
-            None => self.classes.push(class),
-        }
-    }
-
-    /// The service configuration.
-    pub fn config(&self) -> &ShredderConfig {
-        &self.config
-    }
-
-    /// The admission control in effect.
-    pub fn admission(&self) -> &AdmissionControl {
-        &self.control
-    }
-
-    /// Requests submitted and not yet run.
-    pub fn request_count(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Submits a request; it will arrive according to the workload
-    /// passed to [`run`](Self::run).
-    pub fn submit(&mut self, request: ChunkRequest<'a>) -> RequestId {
-        let id = RequestId(self.requests.len());
-        self.requests.push(request);
-        id
-    }
-
-    /// Runs every submitted request under the arrival workload through
-    /// one shared simulation. Consumes the submitted requests (the
-    /// service can then be reused).
-    ///
-    /// # Errors
-    ///
-    /// [`ChunkError::InvalidConfig`] for unusable configurations or a
-    /// request naming an undefined tenant class; [`ChunkError::Gpu`] if
-    /// a kernel launch fails. Per-request
-    /// [`ChunkError::Overloaded`] rejections are *not* run errors —
-    /// they come back inside [`ServiceOutcome::requests`].
-    pub fn run(&mut self, workload: &Workload) -> Result<ServiceOutcome, ChunkError> {
-        // Validate the config and resolve every class name *before*
-        // consuming the submitted requests, so a typo'd class (or a bad
-        // config field) leaves the queue intact for a corrected re-run.
-        self.config.validate()?;
-        let class_indices: Vec<usize> = self
-            .requests
-            .iter()
-            .enumerate()
-            .map(|(i, request)| match &request.class {
-                Some(name) => self
-                    .classes
-                    .iter()
-                    .position(|c| &c.name == name)
-                    .ok_or_else(|| {
-                        ChunkError::InvalidConfig(format!(
-                            "request {i} uses undefined tenant class '{name}'"
-                        ))
-                    }),
-                None => Ok(0),
-            })
-            .collect::<Result<_, _>>()?;
-
-        let requests = std::mem::take(&mut self.requests);
-        let mut engine = ShredderEngine::new(self.config.clone()).with_policy(self.engine_policy);
-        for ((i, request), class) in requests.into_iter().enumerate().zip(class_indices) {
-            let name = request.name.unwrap_or_else(|| format!("request-{i}"));
-            engine.open_service_session(name, request.weight, class, request.source, request.sink);
-        }
-
-        let classes: Vec<ClassRuntime> = self.classes.iter().map(ClassRuntime::from).collect();
-        let run = engine.run_with_workload(workload, self.control, classes, true)?;
-        let requests = run
-            .outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(i, outcome)| RequestResult {
-                id: RequestId(i),
-                name: run.report.sessions[i].name.clone(),
-                outcome,
-            })
-            .collect();
-        Ok(ServiceOutcome {
-            requests,
-            report: run.report,
-        })
-    }
-}
-
-impl std::fmt::Debug for ShredderService<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShredderService")
-            .field("config", &self.config)
-            .field("control", &self.control)
-            .field("classes", &self.classes.len())
-            .field("requests", &self.requests.len())
-            .finish()
     }
 }
 
@@ -359,8 +164,9 @@ pub struct CapacityReport {
 ///
 /// `run_at` runs one service trial at the given offered rate and
 /// returns its [`ServiceReport`] — typically by building a fresh
-/// [`ShredderService`] with the same requests and calling
-/// [`run`](ShredderService::run) with `Workload::poisson(rate, seed)`.
+/// [`ShredderEngine`](crate::ShredderEngine) with the same requests and
+/// calling [`run`](crate::ShredderEngine::run) with
+/// `Workload::poisson(rate, seed)`.
 /// A rate *meets the SLO* when the trial shed nothing and its overall
 /// p99 latency is at most `p99_slo`.
 ///
@@ -448,7 +254,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ShredderConfig;
+    use crate::engine::ShredderEngine;
     use crate::source::MemorySource;
+    use crate::workload::{AdmissionControl, TenantClass, Workload};
 
     fn small_config() -> ShredderConfig {
         ShredderConfig::gpu_streams_memory().with_buffer_size(64 << 10)
@@ -456,14 +265,15 @@ mod tests {
 
     #[test]
     fn batch_service_run_completes_everything() {
-        let mut service = ShredderService::new(small_config());
+        let mut engine =
+            ShredderEngine::new(small_config()).with_admission(AdmissionControl::default());
         for t in 0..4u64 {
-            service.submit(ChunkRequest::new(MemorySource::pseudo_random(100_000, t)));
+            engine.submit(ChunkRequest::new(MemorySource::pseudo_random(100_000, t)));
         }
-        let out = service.run(&Workload::Batch).unwrap();
-        assert_eq!(out.requests.len(), 4);
-        assert!(out.requests.iter().all(|r| r.outcome.is_ok()));
-        let svc = out.service();
+        let out = engine.run(&Workload::Batch).unwrap();
+        assert_eq!(out.sessions.len(), 4);
+        assert!(out.sessions.iter().all(Result::is_ok));
+        let svc = &out.report.service;
         assert_eq!(svc.completed, 4);
         assert_eq!(svc.shed, 0);
         assert!(svc.achieved_gbps > 0.0);
@@ -476,39 +286,49 @@ mod tests {
     fn window_zero_service_run_is_invalid_config() {
         let mut params = shredder_rabin::ChunkParams::paper();
         params.window = 0;
-        let mut service = ShredderService::new(small_config().with_params(params));
-        service.submit(ChunkRequest::new(MemorySource::pseudo_random(10_000, 1)));
-        match service.run(&Workload::Batch) {
+        let mut engine = ShredderEngine::new(small_config().with_params(params))
+            .with_admission(AdmissionControl::default());
+        engine.submit(ChunkRequest::new(MemorySource::pseudo_random(10_000, 1)));
+        match engine.run(&Workload::poisson(100.0, 1)) {
             Err(ChunkError::InvalidConfig(msg)) => assert!(msg.contains("window")),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
+        assert_eq!(
+            engine.session_count(),
+            1,
+            "a rejected run keeps its requests"
+        );
     }
 
     #[test]
     fn undefined_class_is_rejected() {
-        let mut service = ShredderService::new(small_config());
-        service.submit(
+        let mut engine = ShredderEngine::new(small_config());
+        engine.submit(
             ChunkRequest::new(MemorySource::pseudo_random(10_000, 1)).with_class("missing"),
         );
-        match service.run(&Workload::Batch) {
+        match engine.run(&Workload::Batch) {
             Err(ChunkError::InvalidConfig(msg)) => assert!(msg.contains("missing"), "{msg}"),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
+        // Defining the class makes the kept request runnable.
+        engine.define_class(TenantClass::new("missing"));
+        assert_eq!(engine.run(&Workload::Batch).unwrap().completed().count(), 1);
     }
 
     #[test]
     fn request_names_and_ids_round_trip() {
-        let mut service = ShredderService::new(small_config());
-        let a = service
-            .submit(ChunkRequest::new(MemorySource::pseudo_random(50_000, 1)).named("alpha"));
-        let b = service.submit(ChunkRequest::new(MemorySource::pseudo_random(50_000, 2)));
+        let mut engine = ShredderEngine::new(small_config());
+        let a =
+            engine.submit(ChunkRequest::new(MemorySource::pseudo_random(50_000, 1)).named("alpha"));
+        let b = engine.submit(ChunkRequest::new(MemorySource::pseudo_random(50_000, 2)));
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
-        assert_eq!(service.request_count(), 2);
-        let out = service.run(&Workload::Batch).unwrap();
-        assert_eq!(out.requests[0].name, "alpha");
-        assert_eq!(out.requests[1].name, "request-1");
-        assert_eq!(service.request_count(), 0, "run consumes requests");
+        assert_eq!(engine.session_count(), 2);
+        let out = engine.run(&Workload::Batch).unwrap();
+        let names: Vec<&str> = out.completed().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["alpha", "session-1"]);
+        assert_eq!(out.report.service.requests[1].name, "session-1");
+        assert_eq!(engine.session_count(), 0, "run consumes requests");
     }
 
     #[test]

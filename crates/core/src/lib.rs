@@ -10,10 +10,10 @@
 //!   engine's pool), `gpu_basic()` (§3.1), `gpu_streams()` (double
 //!   buffering + pinned ring + 4-stage pipeline, §4.1–§4.2) and
 //!   `gpu_streams_memory()` (adds the coalesced kernel, §4.3).
-//! * [`engine`] — the [`ShredderEngine`]: N concurrent [`ChunkSession`]s
+//! * [`engine`] — the [`ShredderEngine`]: N concurrent [`ChunkRequest`]s
 //!   scheduled through **one shared** discrete-event pipeline (one SAN
 //!   reader, one Store thread) under round-robin / weighted /
-//!   session-order admission, sharded across a **device pool**
+//!   session-order buffer admission, sharded across a **device pool**
 //!   (`gpus = N` in [`ShredderConfig`]) by a [`PlacementPolicy`]
 //!   (least-loaded, round-robin, or pinned). Each pool device has its
 //!   own twin-buffer lanes, pinned staging ring (held as a DES resource
@@ -33,7 +33,7 @@
 //!   [`EngineReport`] (aggregate GB/s over the shared makespan).
 //! * [`sink`] — the **staged sink API**: a [`ChunkSink`] attaches typed
 //!   downstream stages ([`FingerprintStage`], [`DedupStage`],
-//!   [`ShipStage`], [`StoreStage`]) to a session; the stages execute
+//!   [`ShipStage`], [`StoreStage`]) to a request; the stages execute
 //!   *inside* the shared simulation with their own service times,
 //!   queues and backpressure onto the kernel FIFO, reported per stage
 //!   in the [`EngineReport`]. This replaces the old
@@ -41,21 +41,19 @@
 //!   chunks and snapshot manifests into the versioned
 //!   [`shredder_store::ChunkStore`] in-simulation, making each session
 //!   one new restorable generation.
-//! * [`frontend`] / [`workload`] — the **online service frontend**:
-//!   [`ShredderService`] runs submitted [`ChunkRequest`]s under a
-//!   pluggable arrival [`Workload`] (open-loop Poisson, closed-loop
-//!   clients + think time, trace replay, or the degenerate batch),
-//!   through an explicit bounded admission queue ([`AdmissionControl`]:
-//!   FIFO / per-tenant fair share / weighted share across
-//!   [`TenantClass`]es, with load shedding via
-//!   [`ChunkError::Overloaded`]). Every request gets arrival → admit →
-//!   first-chunk → done timestamps, and the [`EngineReport`] grows a
-//!   [`ServiceReport`] (offered vs. achieved req/s and GB/s,
-//!   queue-depth timeline, per-class latency p50/p95/p99/max);
-//!   [`capacity_search`] bisects the highest sustained Poisson rate
-//!   meeting a p99 SLO. The engine's `open_*_session` + `run()` path
-//!   *is* the batch workload with unbounded admission — chunks and
-//!   digests are bit-identical.
+//! * [`frontend`] / [`workload`] — the **request side** of the engine:
+//!   [`ShredderEngine::run`] takes a pluggable arrival [`Workload`]
+//!   (open-loop Poisson, closed-loop clients + think time, trace
+//!   replay, or the closed batch [`Workload::Batch`]), and submitted
+//!   [`ChunkRequest`]s pass through the engine's admission queue
+//!   ([`AdmissionControl`]: unbounded by default, or FIFO / per-tenant
+//!   fair share / weighted share across [`TenantClass`]es, with load
+//!   shedding via [`ChunkError::Overloaded`]). Every request gets
+//!   arrival → admit → first-chunk → done timestamps, and every
+//!   [`EngineReport`] carries a [`ServiceReport`] (offered vs. achieved
+//!   req/s and GB/s, queue-depth timeline, per-class latency
+//!   p50/p95/p99/max); [`capacity_search`] bisects the highest
+//!   sustained Poisson rate meeting a p99 SLO.
 //! * [`pipeline`] — the single-stream [`Shredder`] the case studies
 //!   (Inc-HDFS, cloud backup) call: a one-session run of the engine for
 //!   either executor, through [`Shredder::chunk_stream`] or
@@ -72,20 +70,20 @@
 //! Multi-tenant chunking through one engine:
 //!
 //! ```
-//! use shredder_core::{ShredderConfig, ShredderEngine, SliceSource};
+//! use shredder_core::{ChunkRequest, ShredderConfig, ShredderEngine, SliceSource, Workload};
 //!
 //! let site_a: Vec<u8> = (0..1u32 << 19).map(|i| (i.wrapping_mul(0x9e3779b9) >> 11) as u8).collect();
 //! let site_b: Vec<u8> = (0..1u32 << 19).map(|i| (i.wrapping_mul(2654435761) >> 7) as u8).collect();
 //!
 //! let mut engine =
 //!     ShredderEngine::new(ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10));
-//! engine.open_named_session("site-a", 1, SliceSource::new(&site_a));
-//! engine.open_named_session("site-b", 1, SliceSource::new(&site_b));
+//! engine.submit(ChunkRequest::new(SliceSource::new(&site_a)).named("site-a"));
+//! engine.submit(ChunkRequest::new(SliceSource::new(&site_b)).named("site-b"));
 //!
-//! let outcome = engine.run().unwrap();
-//! assert_eq!(outcome.sessions.len(), 2);
+//! let outcome = engine.run(&Workload::Batch).unwrap();
+//! assert_eq!(outcome.completed().count(), 2);
 //! // Both tenants' chunks tile their own stream.
-//! for (session, data) in outcome.sessions.iter().zip([&site_a, &site_b]) {
+//! for (session, data) in outcome.completed().zip([&site_a, &site_b]) {
 //!     assert_eq!(session.chunks.iter().map(|c| c.len).sum::<usize>(), data.len());
 //! }
 //! println!("aggregate: {:.2} GB/s", outcome.report.aggregate_gbps());
@@ -166,16 +164,13 @@ pub use config::{Allocator, Executor, ShredderConfig};
 pub use engine::{AdmissionPolicy, EngineOutcome, PlacementPolicy, ShredderEngine};
 pub use error::ChunkError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultReport};
-pub use frontend::{
-    capacity_search, CapacityReport, CapacityTrial, ChunkRequest, RequestId, RequestResult,
-    ServiceOutcome, ShredderService,
-};
+pub use frontend::{capacity_search, CapacityReport, CapacityTrial, ChunkRequest};
 pub use pipeline::{ChunkOutcome, Shredder};
 pub use report::{
     BufferTimeline, ClassLatency, DeviceReport, EngineReport, RequestReport, ServiceReport,
     SessionReport, StageBusy, StageReport,
 };
-pub use session::{ChunkSession, SessionId, SessionOutcome};
+pub use session::{SessionId, SessionOutcome};
 pub use sink::{
     ChunkSink, ChunkVerdict, DedupSink, DedupSinkConfig, DedupStage, FingerprintIndex,
     FingerprintStage, ShipStage, StageKind, StageSpec, StoreSink, StoreSinkConfig, StoreStage,

@@ -7,8 +7,8 @@
 //! transfers), so both executors share one simulator and one report
 //! shape.
 //!
-//! [`Shredder`] opens exactly one [`ChunkSession`](crate::ChunkSession)
-//! on a private [`ShredderEngine`] per call and hands back that run's
+//! [`Shredder`] submits exactly one [`ChunkRequest`] to a private
+//! [`ShredderEngine`] per call and hands back that run's
 //! [`EngineReport`]. Chunk boundaries reach the application through a
 //! [`ChunkSink`] passed to [`Shredder::chunk_stream_sink`]; the upcall
 //! of §3.1 is the stage-less [`UpcallSink`], and
@@ -25,7 +25,7 @@
 //!   (fast DMA, §4.1.2) vs pageable buffers allocated every iteration.
 //!
 //! For chunking *many* streams through one shared pipeline, use the
-//! session API ([`Shredder::engine`]) directly.
+//! engine ([`Shredder::engine`]) directly.
 
 use shredder_des::{Dur, SimTime};
 use shredder_hash::{sha256, Digest};
@@ -34,9 +34,11 @@ use shredder_rabin::Chunk;
 use crate::config::{Executor, ShredderConfig};
 use crate::engine::{PlannedBuffer, SessionPlan, ShredderEngine};
 use crate::error::ChunkError;
+use crate::frontend::ChunkRequest;
 use crate::report::EngineReport;
 use crate::sink::{ChunkSink, UpcallSink};
 use crate::source::SliceSource;
+use crate::workload::Workload;
 
 /// Result of chunking a stream: the chunks plus the engine's report of
 /// the one-session run.
@@ -97,7 +99,7 @@ impl Shredder {
     }
 
     /// Opens a fresh multi-stream engine with this configuration — the
-    /// session API this service is a convenience over.
+    /// engine this single-stream convenience runs on.
     pub fn engine<'a>(&self) -> ShredderEngine<'a> {
         ShredderEngine::new(self.config.clone())
     }
@@ -133,8 +135,12 @@ impl Shredder {
         sink: &mut dyn ChunkSink,
     ) -> Result<EngineReport, ChunkError> {
         let mut engine = self.engine();
-        engine.open_sink_session("chunk-stream", 1, SliceSource::new(data), sink);
-        Ok(engine.run()?.report)
+        engine.submit(
+            ChunkRequest::new(SliceSource::new(data))
+                .named("chunk-stream")
+                .with_sink(sink),
+        );
+        Ok(engine.run(&Workload::Batch)?.report)
     }
 
     /// Human-readable engine name (used in experiment output).
@@ -543,12 +549,12 @@ mod tests {
         let data = pseudo_random(768 << 10, 9);
         let mut engine =
             Shredder::new(ShredderConfig::cpu_pthreads().with_buffer_size(128 << 10)).engine();
-        engine.open_session(SliceSource::new(&data));
-        engine.run().unwrap();
+        engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+        engine.run(&Workload::Batch).unwrap();
         let warm = engine.buffer_pool().allocations();
         for _ in 0..5 {
-            engine.open_session(SliceSource::new(&data));
-            engine.run().unwrap();
+            engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+            engine.run(&Workload::Batch).unwrap();
         }
         assert_eq!(
             engine.buffer_pool().allocations(),
@@ -563,8 +569,8 @@ mod tests {
         let data = pseudo_random(1 << 20, 7);
         let mut engine =
             Shredder::new(ShredderConfig::cpu_pthreads().with_buffer_size(256 << 10)).engine();
-        engine.open_session(SliceSource::new(&data));
-        let report = engine.run().unwrap().report;
+        engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+        let report = engine.run(&Workload::Batch).unwrap().report;
         assert_eq!(report.devices.len(), 1);
         let dev = &report.devices[0];
         assert_eq!(dev.transfer_busy, Dur::ZERO);

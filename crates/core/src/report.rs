@@ -8,7 +8,7 @@ use shredder_telemetry::TelemetryReport;
 use crate::fault::FaultReport;
 use crate::sink::StageKind;
 
-/// Per-request record of one trip through the service frontend:
+/// Per-request record of one trip through the engine's admission queue:
 /// arrival → admit (dispatch into the engine) → first chunk boundary
 /// delivered → done, or shed by admission control.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -96,9 +96,9 @@ pub(crate) fn percentile(sorted: &[Dur], q: f64) -> Dur {
 
 /// Service-level report of one open-loop (or closed-loop) run: offered
 /// vs. achieved load, the admission queue-depth timeline, and latency
-/// percentiles per tenant class. Produced by
-/// [`ShredderService::run`](crate::ShredderService::run) and attached
-/// to the engine report as [`EngineReport::service`].
+/// percentiles per tenant class. Every
+/// [`ShredderEngine::run`](crate::ShredderEngine::run) attaches one to
+/// its report as [`EngineReport::service`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceReport {
     /// Per-request records, in submit order.
@@ -130,6 +130,14 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
+    /// Always `Some(self)`. [`EngineReport::service`] used to be an
+    /// `Option`; this keeps `report.service.as_ref()` call sites that
+    /// were written against it compiling. New code reads the field
+    /// directly.
+    pub fn as_ref(&self) -> Option<&ServiceReport> {
+        Some(self)
+    }
+
     /// The latency report of one tenant class by name.
     pub fn class(&self, name: &str) -> Option<&ClassLatency> {
         self.classes.iter().find(|c| c.class == name)
@@ -259,7 +267,7 @@ pub struct BufferTimeline {
 /// [`ShredderEngine`](crate::ShredderEngine) run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionReport {
-    /// Session index in engine open order.
+    /// Session index in submit order.
     pub id: usize,
     /// Session name.
     pub name: String,
@@ -347,11 +355,9 @@ pub struct EngineReport {
     pub queue_wait: Dur,
     /// One-time pinned-ring setup cost (shared by all sessions).
     pub ring_setup: Dur,
-    /// Service-frontend accounting (offered vs. achieved load, queue
-    /// depth, per-class latency percentiles). `Some` for runs driven by
-    /// a [`ShredderService`](crate::ShredderService) workload; `None`
-    /// for [`ShredderEngine::run`](crate::ShredderEngine::run).
-    pub service: Option<ServiceReport>,
+    /// Request-level accounting (offered vs. achieved load, queue
+    /// depth, per-class latency percentiles) of the run's workload.
+    pub service: ServiceReport,
     /// Per-fault counters from the injected
     /// [`FaultPlan`](crate::FaultPlan): deaths taken, buffers requeued,
     /// sessions re-placed, final straggler factors. All-zero (the
@@ -410,7 +416,18 @@ mod tests {
             sink_stages: Vec::new(),
             queue_wait: Dur::ZERO,
             ring_setup: Dur::ZERO,
-            service: None,
+            service: ServiceReport {
+                requests: Vec::new(),
+                offered_rps: 0.0,
+                achieved_rps: 0.0,
+                offered_gbps: 0.0,
+                achieved_gbps: 0.0,
+                completed: 0,
+                shed: 0,
+                queue_depth: TimeSeries::new("q"),
+                max_queue_depth: 0,
+                classes: Vec::new(),
+            },
             faults: FaultReport::default(),
             telemetry: None,
         }

@@ -1,24 +1,21 @@
-//! Chunking sessions: one per tenant stream.
+//! Chunking sessions: one per submitted request.
 //!
-//! A [`ChunkSession`] ties a [`StreamSource`] to a
-//! scheduling identity (name + admission weight). Sessions are opened on
-//! a [`ShredderEngine`](crate::ShredderEngine), which chunks all of them
+//! Each [`ChunkRequest`](crate::ChunkRequest) submitted to a
+//! [`ShredderEngine`](crate::ShredderEngine) becomes one session,
+//! identified by its [`SessionId`]. The engine chunks all of them
 //! through **one** shared device pipeline; per-session results come back
-//! as a [`SessionOutcome`] plus a
+//! as a [`SessionOutcome`] (or the reason the request was shed) plus a
 //! [`SessionReport`](crate::report::SessionReport) inside the aggregate
 //! [`EngineReport`](crate::report::EngineReport).
 
 use shredder_rabin::Chunk;
 
-use crate::sink::ChunkSink;
-use crate::source::StreamSource;
-
-/// Identifies a session within one engine (the open order).
+/// Identifies a session within one engine run (the submit order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub(crate) usize);
 
 impl SessionId {
-    /// The session's index in engine open order (also its index into
+    /// The session's index in submit order (also its index into
     /// [`EngineOutcome::sessions`](crate::EngineOutcome) and
     /// [`EngineReport::sessions`](crate::report::EngineReport)).
     pub fn index(self) -> usize {
@@ -29,70 +26,6 @@ impl SessionId {
 impl std::fmt::Display for SessionId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "session-{}", self.0)
-    }
-}
-
-/// An open (not yet run) chunking session: a tenant stream plus its
-/// scheduling identity and (optionally) a downstream
-/// [`ChunkSink`] whose stages run inside the shared
-/// simulation.
-pub struct ChunkSession<'a> {
-    pub(crate) id: SessionId,
-    pub(crate) name: String,
-    pub(crate) weight: u32,
-    /// Tenant-class index on the service frontend (0 = the default
-    /// class; sessions opened through the legacy engine API are always
-    /// class 0).
-    pub(crate) class: usize,
-    /// Explicit device pin: this session's buffers run on the given
-    /// pool device regardless of the placement policy.
-    pub(crate) pin: Option<usize>,
-    pub(crate) source: Box<dyn StreamSource + 'a>,
-    pub(crate) sink: Option<Box<dyn ChunkSink + 'a>>,
-}
-
-impl ChunkSession<'_> {
-    /// The session id.
-    pub fn id(&self) -> SessionId {
-        self.id
-    }
-
-    /// The session name (for reports).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The admission weight under
-    /// [`AdmissionPolicy::Weighted`](crate::AdmissionPolicy).
-    pub fn weight(&self) -> u32 {
-        self.weight
-    }
-
-    /// The pool device this session is pinned to, if any.
-    pub fn pinned_device(&self) -> Option<usize> {
-        self.pin
-    }
-
-    /// The session's tenant-class index (0 = default class).
-    pub fn class(&self) -> usize {
-        self.class
-    }
-
-    /// True if a downstream sink is attached.
-    pub fn has_sink(&self) -> bool {
-        self.sink.is_some()
-    }
-}
-
-impl std::fmt::Debug for ChunkSession<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChunkSession")
-            .field("id", &self.id)
-            .field("name", &self.name)
-            .field("weight", &self.weight)
-            .field("pin", &self.pin)
-            .field("sink", &self.sink.is_some())
-            .finish()
     }
 }
 

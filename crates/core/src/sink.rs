@@ -11,7 +11,8 @@
 //!
 //! A [`ChunkSink`] replaces that collect-then-postprocess pattern. It
 //! is a typed graph of downstream stages attached to a
-//! [`ChunkSession`](crate::ChunkSession):
+//! [`ChunkRequest`](crate::ChunkRequest) with
+//! [`with_sink`](crate::ChunkRequest::with_sink):
 //!
 //! * the *functional* half runs immediately: [`ChunkSink::accept`] is
 //!   called once per chunk in stream order with the real payload, so
@@ -39,7 +40,8 @@
 //!
 //! ```
 //! use shredder_core::{
-//!     ChunkSink, FingerprintStage, ShredderConfig, ShredderEngine, SliceSource, StageSpec,
+//!     ChunkRequest, ChunkSink, FingerprintStage, ShredderConfig, ShredderEngine, SliceSource,
+//!     StageSpec, Workload,
 //! };
 //! use shredder_des::Dur;
 //! use shredder_rabin::Chunk;
@@ -59,15 +61,20 @@
 //! let mut sink = HashSink(FingerprintStage::new(1.5e9));
 //! let mut engine =
 //!     ShredderEngine::new(ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10));
-//! engine.open_sink_session("tenant", 1, SliceSource::new(&data), &mut sink);
-//! let outcome = engine.run().unwrap();
+//! engine.submit(
+//!     ChunkRequest::new(SliceSource::new(&data))
+//!         .named("tenant")
+//!         .with_sink(&mut sink),
+//! );
+//! let outcome = engine.run(&Workload::Batch).unwrap();
 //! drop(engine);
 //!
 //! // Hashing ran inside the shared simulation: the fingerprint stage
 //! // reports busy time, and every chunk got a real digest.
 //! assert_eq!(outcome.report.sink_stages.len(), 1);
 //! assert!(outcome.report.sink_stages[0].busy > Dur::ZERO);
-//! assert_eq!(sink.0.digests().len(), outcome.sessions[0].chunks.len());
+//! let session = outcome.completed().next().unwrap();
+//! assert_eq!(sink.0.digests().len(), session.chunks.len());
 //! ```
 
 use std::cell::RefCell;

@@ -1,4 +1,4 @@
-//! Workload models for the online service frontend: how requests
+//! Workload models for the engine's request side: how requests
 //! *arrive*.
 //!
 //! The paper positions Shredder as a storage-system service — GPUs
@@ -8,9 +8,8 @@
 //! and per-request latency. A [`Workload`] is the arrival process that
 //! drives requests *into* the discrete-event simulation:
 //!
-//! * [`Workload::Batch`] — every request arrives at `t = 0`. This is
-//!   the degenerate closed-batch model the legacy
-//!   [`ShredderEngine::run`](crate::ShredderEngine::run) path uses.
+//! * [`Workload::Batch`] — every request arrives at `t = 0`: the
+//!   closed batch (submit everything, then run it to completion).
 //! * [`Workload::Poisson`] — open-loop arrivals at a target rate
 //!   (exponential inter-arrival gaps from a seeded deterministic
 //!   sampler). The canonical model for "requests keep coming whether or
@@ -42,11 +41,12 @@ fn exponential_gap(rng: &mut SeededRng, rate: f64) -> Dur {
     Dur::from_secs_f64(-rng.next_unit_open().ln() / rate)
 }
 
-/// How requests arrive at a [`ShredderService`](crate::ShredderService).
+/// How requests arrive at a [`ShredderEngine`](crate::ShredderEngine)
+/// run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
-    /// Every request arrives at `t = 0` — the legacy closed-batch model
-    /// (open all sessions, then run them to completion).
+    /// Every request arrives at `t = 0` — the closed batch (submit
+    /// every request, then run them all to completion).
     Batch,
     /// Open-loop Poisson arrivals at a target rate. Arrivals do not
     /// wait for completions: offered load is constant regardless of how
@@ -211,8 +211,8 @@ pub struct AdmissionControl {
 
 impl AdmissionControl {
     /// No admission control at all: FIFO, unlimited concurrency,
-    /// unbounded queue, no shedding — the legacy closed-batch
-    /// behaviour.
+    /// unbounded queue, no shedding — the engine's default, under which
+    /// a [`Workload::Batch`] run is the closed batch.
     pub fn unbounded() -> Self {
         AdmissionControl {
             policy: AdmissionPolicy::SessionOrder,
@@ -260,13 +260,17 @@ impl AdmissionControl {
 
 impl Default for AdmissionControl {
     /// FIFO over 4 dispatch slots (one per pipeline stage of the §4.2
-    /// streaming pipeline), unbounded queue.
+    /// streaming pipeline), unbounded queue. A
+    /// [`ShredderEngine`](crate::ShredderEngine) starts from
+    /// [`unbounded`](Self::unbounded) instead; pass this to
+    /// [`with_admission`](crate::ShredderEngine::with_admission) to
+    /// bound it.
     fn default() -> Self {
         AdmissionControl::fifo(4)
     }
 }
 
-/// A tenant class on the service frontend: requests of the same class
+/// A tenant class on the engine: requests of the same class
 /// share a fair-share identity (and optionally an ingest link) in
 /// admission and reporting.
 #[derive(Debug, Clone, PartialEq)]

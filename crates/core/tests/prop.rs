@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use shredder_core::{
-    AdmissionPolicy, ChunkSink, FingerprintStage, Shredder, ShredderConfig, ShredderEngine,
-    SliceSource, StageSpec,
+    AdmissionPolicy, ChunkRequest, ChunkSink, FingerprintStage, Shredder, ShredderConfig,
+    ShredderEngine, SliceSource, StageSpec, Workload,
 };
 use shredder_des::Dur;
 use shredder_hash::sha256;
@@ -136,11 +136,11 @@ proptest! {
         let mut engine = ShredderEngine::new(cfg).with_policy(policy);
         for (i, s) in streams.iter().enumerate() {
             let weight = 1 + ((weight_seed >> (i * 3)) & 0x3) as u32;
-            engine.open_named_session(format!("tenant-{i}"), weight, SliceSource::new(s));
+            engine.submit(ChunkRequest::new(SliceSource::new(s)).named(format!("tenant-{i}")).with_weight(weight));
         }
-        let out = engine.run().unwrap();
-        prop_assert_eq!(out.sessions.len(), streams.len());
-        for (session, data) in out.sessions.iter().zip(&streams) {
+        let out = engine.run(&Workload::Batch).unwrap();
+        prop_assert_eq!(out.completed().count(), streams.len());
+        for (session, data) in out.completed().zip(&streams) {
             prop_assert_eq!(
                 &session.chunks,
                 &chunk_all(data, &ChunkParams::paper()),
@@ -207,9 +207,9 @@ proptest! {
             )
             .with_policy(policy);
             for (i, s) in streams.iter().enumerate() {
-                engine.open_named_session(format!("t{i}"), (i as u32 % 3) + 1, SliceSource::new(s));
+                engine.submit(ChunkRequest::new(SliceSource::new(s)).named(format!("t{i}")).with_weight((i as u32 % 3) + 1));
             }
-            engine.run().unwrap()
+            engine.run(&Workload::Batch).unwrap()
         };
         let first = run();
         let second = run();
@@ -230,9 +230,7 @@ proptest! {
         delay_bound_pick in 0u64..500,
         policy_pick in 0u8..3,
     ) {
-        use shredder_core::{
-            AdmissionControl, ChunkRequest, MemorySource, ShredderService, TenantClass, Workload,
-        };
+        use shredder_core::{AdmissionControl, MemorySource, TenantClass};
 
         let policy = match policy_pick {
             0 => AdmissionPolicy::RoundRobin,
@@ -253,31 +251,31 @@ proptest! {
         let trace = Workload::trace(gaps_us.iter().map(|&g| Dur::from_micros(g)).collect());
 
         let run = || {
-            let mut service = ShredderService::new(
+            let mut engine = ShredderEngine::new(
                 ShredderConfig::gpu_streams_memory().with_buffer_size(8 << 10),
             )
             .with_admission(control);
-            service.define_class(TenantClass::new("tenant-b").with_weight(3));
+            engine.define_class(TenantClass::new("tenant-b").with_weight(3));
             for (i, &len) in sizes.iter().enumerate() {
                 let mut request = ChunkRequest::new(MemorySource::pseudo_random(len, i as u64))
                     .named(format!("r{i}"));
                 if i % 2 == 1 {
                     request = request.with_class("tenant-b");
                 }
-                service.submit(request);
+                engine.submit(request);
             }
-            service.run(&trace).unwrap()
+            engine.run(&trace).unwrap()
         };
 
         let first = run();
         let second = run();
         prop_assert_eq!(&first.report, &second.report);
         // Identical per-request outcomes, chunks and digests.
-        for (a, b) in first.requests.iter().zip(&second.requests) {
-            match (&a.outcome, &b.outcome) {
+        for (a, b) in first.sessions.iter().zip(&second.sessions) {
+            match (a, b) {
                 (Ok(x), Ok(y)) => {
                     prop_assert_eq!(x, y);
-                    let i = a.id.index();
+                    let i = x.id.index();
                     // Digests recomputed over the request's own stream.
                     let mut src = MemorySource::pseudo_random(sizes[i], i as u64);
                     let mut data = Vec::new();
@@ -298,8 +296,8 @@ proptest! {
             }
         }
         // The service report's latency columns replay identically.
-        let svc1 = first.service();
-        let svc2 = second.service();
+        let svc1 = &first.report.service;
+        let svc2 = &second.report.service;
         prop_assert_eq!(svc1, svc2);
         // Queue-delay bound honored for every admitted request.
         if let Some(b) = delay_bound_us {

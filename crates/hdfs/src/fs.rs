@@ -13,8 +13,7 @@ use std::fmt;
 
 use bytes::Bytes;
 use shredder_core::{
-    AdmissionControl, ChunkError, ChunkRequest, ServiceReport, Shredder, ShredderService,
-    SliceSource, Workload,
+    AdmissionControl, ChunkError, ChunkRequest, ServiceReport, Shredder, SliceSource, Workload,
 };
 use shredder_des::Dur;
 use shredder_hash::{sha256, Digest};
@@ -227,7 +226,8 @@ impl IncHdfs {
 
     /// Content-based upload through a Shredder chunking service with
     /// semantic record alignment (`copyFromLocalGPU`, §6.3): the
-    /// one-file case of [`copy_many_gpu`](Self::copy_many_gpu).
+    /// one-file case of [`copy_many_gpu`](Self::copy_many_gpu), as a
+    /// closed batch with unbounded admission.
     ///
     /// # Errors
     ///
@@ -239,75 +239,43 @@ impl IncHdfs {
         shredder: &Shredder,
         format: &dyn InputFormat,
     ) -> Result<UploadReport, HdfsError> {
-        let mut reports = self.copy_many_gpu(&[(path, data)], shredder, format)?;
-        Ok(reports.swap_remove(0))
+        let (mut reports, _) = self.copy_many_gpu(
+            &[(path, data)],
+            shredder,
+            format,
+            &Workload::Batch,
+            AdmissionControl::unbounded(),
+        )?;
+        reports.swap_remove(0)
     }
 
-    /// Batch ingestion: uploads several files in one multi-stream engine
-    /// run, so their chunking — and the record-aligned fingerprinting of
-    /// every split — contends for and overlaps on **one** shared device
-    /// pipeline (the §4.2 pipeline kept saturated across files instead
-    /// of drained between them).
+    /// Multi-file ingestion: uploads several files through one
+    /// multi-stream engine run, so their chunking — and the
+    /// record-aligned fingerprinting of every split — contends for and
+    /// overlaps on **one** shared device pipeline (the §4.2 pipeline
+    /// kept saturated across files instead of drained between them).
     ///
-    /// Returns one report per `(path, data)` pair, in order. Each file's
-    /// `chunking_time` is its own chunk-only duration (first admit →
-    /// last Store completion) inside the shared run.
-    ///
-    /// # Errors
-    ///
-    /// [`HdfsError::Chunking`] if the engine rejects the configuration
-    /// or a kernel launch fails; no file is committed in that case.
-    pub fn copy_many_gpu(
-        &mut self,
-        files: &[(&str, &[u8])],
-        shredder: &Shredder,
-        format: &dyn InputFormat,
-    ) -> Result<Vec<UploadReport>, HdfsError> {
-        let mut sinks: Vec<RecordAlignedSink> = files
-            .iter()
-            .map(|_| RecordAlignedSink::new(format))
-            .collect();
-        let outcome = {
-            let mut engine = shredder.engine();
-            for ((path, data), sink) in files.iter().zip(sinks.iter_mut()) {
-                engine.open_sink_session(path.to_string(), 1, SliceSource::new(data), sink);
-            }
-            engine.run()?
-        };
-
-        let mut reports = Vec::with_capacity(files.len());
-        for ((sink, (path, data)), per) in
-            sinks.into_iter().zip(files).zip(&outcome.report.sessions)
-        {
-            reports.push(self.commit(
-                path,
-                data,
-                &sink.into_aligned(),
-                per.chunking_time(),
-                per.makespan,
-            ));
-        }
-        Ok(reports)
-    }
-
-    /// Online-service ingestion: uploads arrive *inside* the simulation
-    /// according to `workload` (open-loop Poisson, closed loop, trace
-    /// replay or batch) and pass through the bounded admission queue of
-    /// `control` — the Shredder-enabled HDFS client as a long-lived
-    /// ingest frontend instead of a closed batch.
+    /// The uploads arrive *inside* the simulation according to
+    /// `workload` ([`Workload::Batch`] for a closed batch, or open-loop
+    /// Poisson, closed loop, trace replay) and pass through the
+    /// admission queue of `control` — the Shredder-enabled HDFS client
+    /// as a long-lived ingest frontend.
     ///
     /// Returns one result per `(path, data)` pair in order (shed
     /// uploads carry [`HdfsError::Chunking`] wrapping
     /// `ChunkError::Overloaded` and commit nothing) plus the run's
     /// [`ServiceReport`] (offered vs. achieved req/s, queue-depth
-    /// timeline, latency percentiles).
+    /// timeline, latency percentiles). Each file's `chunking_time` is
+    /// its own chunk-only duration (first admit → last Store
+    /// completion) and its `upload_makespan` its arrival-to-done
+    /// latency inside the shared run.
     ///
     /// # Errors
     ///
     /// [`HdfsError::Chunking`] if the engine rejects the configuration
     /// or a kernel launch fails; no file is committed in that case.
     #[allow(clippy::type_complexity)]
-    pub fn copy_service_gpu(
+    pub fn copy_many_gpu(
         &mut self,
         files: &[(&str, &[u8])],
         shredder: &Shredder,
@@ -320,30 +288,29 @@ impl IncHdfs {
             .map(|_| RecordAlignedSink::new(format))
             .collect();
         let outcome = {
-            let mut service =
-                ShredderService::new(shredder.config().clone()).with_admission(control);
+            let mut engine = shredder.engine().with_admission(control);
             for ((path, data), sink) in files.iter().zip(sinks.iter_mut()) {
-                service.submit(
+                engine.submit(
                     ChunkRequest::new(SliceSource::new(data))
                         .named(path.to_string())
                         .with_sink(sink),
                 );
             }
-            service.run(workload).map_err(HdfsError::Chunking)?
+            engine.run(workload)?
         };
 
-        let service_report = outcome
-            .report
-            .service
-            .clone()
-            .expect("service runs always carry a ServiceReport");
+        let service = outcome.report.service;
         let mut reports = Vec::with_capacity(files.len());
-        for ((sink, (path, data)), result) in sinks.into_iter().zip(files).zip(outcome.requests) {
-            match result.outcome {
+        for (i, ((sink, (path, data)), result)) in sinks
+            .into_iter()
+            .zip(files)
+            .zip(outcome.sessions)
+            .enumerate()
+        {
+            match result {
                 Ok(_) => {
-                    let i = result.id.index();
                     let per = &outcome.report.sessions[i];
-                    let latency = service_report.requests[i].latency().unwrap_or(per.makespan);
+                    let latency = service.requests[i].latency().unwrap_or(per.makespan);
                     reports.push(Ok(self.commit(
                         path,
                         data,
@@ -355,7 +322,7 @@ impl IncHdfs {
                 Err(e) => reports.push(Err(HdfsError::Chunking(e))),
             }
         }
-        Ok((reports, service_report))
+        Ok((reports, service))
     }
 
     fn commit(
@@ -508,7 +475,8 @@ mod tests {
     }
 
     /// `copy_from_local_gpu` is the one-file case of `copy_many_gpu`:
-    /// same chunking time, upload makespan and dedup, on both executors.
+    /// same chunking time, upload makespan and dedup, on both executors
+    /// — also when the one file goes through bounded FIFO admission.
     #[test]
     fn single_upload_equals_one_file_batch() {
         let (v1, v2) = (corpus(11), corpus(12));
@@ -524,11 +492,18 @@ mod tests {
                 let a = single
                     .copy_from_local_gpu("/f", data, &svc, &TextInputFormat)
                     .unwrap();
-                let b = batch
-                    .copy_many_gpu(&[("/f", data)], &svc, &TextInputFormat)
+                let (b, service) = batch
+                    .copy_many_gpu(
+                        &[("/f", data)],
+                        &svc,
+                        &TextInputFormat,
+                        &Workload::Batch,
+                        AdmissionControl::default(),
+                    )
                     .unwrap();
                 assert_eq!(b.len(), 1);
-                assert_eq!(a, b[0]);
+                assert_eq!(service.completed, 1);
+                assert_eq!(&a, b[0].as_ref().unwrap());
                 assert!(a.chunking_time > Dur::ZERO);
                 assert!(a.chunking_time <= a.upload_makespan);
             }
@@ -630,7 +605,7 @@ mod tests {
                 .with_params(ChunkParams::paper().with_expected_size(4096))
                 .with_buffer_size(64 << 10),
         );
-        let reports = fs
+        let (reports, _) = fs
             .copy_many_gpu(
                 &[
                     ("/a", a.as_slice()),
@@ -639,8 +614,11 @@ mod tests {
                 ],
                 &shredder,
                 &TextInputFormat,
+                &Workload::Batch,
+                AdmissionControl::unbounded(),
             )
             .unwrap();
+        let reports: Vec<UploadReport> = reports.into_iter().map(Result::unwrap).collect();
         assert_eq!(reports.len(), 3);
         assert_eq!(fs.read("/a").unwrap(), a);
         assert_eq!(fs.read("/b").unwrap(), b);
@@ -661,7 +639,7 @@ mod tests {
 
     #[test]
     fn service_ingest_matches_batch_and_sheds_cleanly() {
-        use shredder_core::{AdmissionControl, ChunkError, Workload};
+        use shredder_core::ChunkError;
 
         let data: Vec<Vec<u8>> = (21..25).map(corpus).collect();
         let files: Vec<(&str, &[u8])> = vec![
@@ -680,7 +658,7 @@ mod tests {
         // batch path, and the service report carries latencies.
         let mut fs = IncHdfs::new(4);
         let (reports, svc) = fs
-            .copy_service_gpu(
+            .copy_many_gpu(
                 &files,
                 &shredder,
                 &TextInputFormat,
@@ -691,11 +669,17 @@ mod tests {
         assert_eq!(svc.completed, 4);
         assert_eq!(svc.shed, 0);
         let mut batch_fs = IncHdfs::new(4);
-        let batch = batch_fs
-            .copy_many_gpu(&files, &shredder, &TextInputFormat)
+        let (batch, _) = batch_fs
+            .copy_many_gpu(
+                &files,
+                &shredder,
+                &TextInputFormat,
+                &Workload::Batch,
+                AdmissionControl::unbounded(),
+            )
             .unwrap();
         for ((r, b), (path, content)) in reports.iter().zip(&batch).zip(&files) {
-            let r = r.as_ref().unwrap();
+            let (r, b) = (r.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(r.splits, b.splits);
             assert_eq!(r.new_bytes, b.new_bytes);
             assert_eq!(fs.read(path).unwrap(), *content);
@@ -705,7 +689,7 @@ mod tests {
         // with Overloaded and commit nothing.
         let mut fs = IncHdfs::new(4);
         let (reports, svc) = fs
-            .copy_service_gpu(
+            .copy_many_gpu(
                 &files,
                 &shredder,
                 &TextInputFormat,

@@ -5,12 +5,14 @@
 //! A consolidated server (the paper's §7.2 backup scenario) receives
 //! streams from several remote sites at once. Instead of chunking them
 //! one call at a time — draining the pipeline between clients — the
-//! session engine opens one `ChunkSession` per client and schedules all
-//! of their buffers through one shared discrete-event pipeline with
+//! engine takes one `ChunkRequest` per client and schedules all of
+//! their buffers through one shared discrete-event pipeline with
 //! round-robin admission. Each client still gets chunks bit-identical
 //! to a sequential scan of its own stream.
 
-use shredder::core::{AdmissionPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource};
+use shredder::core::{
+    AdmissionPolicy, ChunkRequest, Shredder, ShredderConfig, ShredderEngine, SliceSource, Workload,
+};
 use shredder::rabin::{chunk_all, ChunkParams};
 use shredder::workloads;
 
@@ -43,9 +45,9 @@ fn main() {
     // Multi-tenant: all sites concurrently through one engine.
     let mut engine = ShredderEngine::new(cfg).with_policy(AdmissionPolicy::RoundRobin);
     for (name, data) in &sites {
-        engine.open_named_session(name.clone(), 1, SliceSource::new(data));
+        engine.submit(ChunkRequest::new(SliceSource::new(data)).named(name.clone()));
     }
-    let outcome = engine.run().expect("engine run failed");
+    let outcome = engine.run(&Workload::Batch).expect("engine run failed");
 
     println!(
         "{:<10}{:>12}{:>14}{:>12}{:>10}",
@@ -64,7 +66,7 @@ fn main() {
 
     // Every tenant's chunks equal its own sequential scan.
     let params = ChunkParams::paper();
-    for (session, (name, data)) in outcome.sessions.iter().zip(&sites) {
+    for (session, (name, data)) in outcome.completed().zip(&sites) {
         assert_eq!(session.chunks, chunk_all(data, &params), "{name} diverged");
     }
 

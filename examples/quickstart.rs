@@ -8,7 +8,9 @@
 //! `cpu_pthreads` preset), and scale the same workload onto a multi-GPU
 //! device pool with `gpus = N`.
 
-use shredder::core::{Shredder, ShredderConfig, ShredderEngine, SliceSource};
+use shredder::core::{
+    ChunkRequest, Shredder, ShredderConfig, ShredderEngine, SliceSource, Workload,
+};
 use shredder::gpu::kernel::KernelVariant;
 use shredder::workloads;
 
@@ -108,9 +110,9 @@ fn main() {
             .with_pipeline_depth(4 * gpus);
         let mut engine = ShredderEngine::new(cfg);
         for (t, stream) in tenants.iter().enumerate() {
-            engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(stream));
+            engine.submit(ChunkRequest::new(SliceSource::new(stream)).named(format!("tenant-{t}")));
         }
-        let out = engine.run().expect("chunking failed");
+        let out = engine.run(&Workload::Batch).expect("chunking failed");
         let per_device: Vec<String> = out
             .report
             .devices

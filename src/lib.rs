@@ -21,7 +21,7 @@
 //!   stream triples and event-chained copy–compute overlap.
 //! * [`core`] — the Shredder framework: the session-based
 //!   [`ShredderEngine`](core::ShredderEngine) scheduling N concurrent
-//!   [`ChunkSession`](core::ChunkSession)s through one shared
+//!   [`ChunkRequest`](core::ChunkRequest)s through one shared
 //!   Reader→Transfer→Kernel→Store pipeline (double buffering, pinned
 //!   ring, fair admission), sharded across a device pool (`gpus = N`,
 //!   least-loaded / round-robin / pinned placement, per-device
@@ -29,11 +29,10 @@
 //!   [`Shredder`](core::Shredder) convenience, the host-only
 //!   pthreads baseline as a host device in the same pool
 //!   ([`ShredderConfig::cpu_pthreads`](core::ShredderConfig::cpu_pthreads))
-//!   — and the **online service frontend**
-//!   ([`ShredderService`](core::ShredderService)): open-loop /
-//!   closed-loop / trace arrival workloads, bounded admission with
-//!   per-tenant fair share and load shedding, per-request latency
-//!   timestamps and p50/p95/p99 SLO reporting.
+//!   — and, on the same engine, the **online service** regime:
+//!   open-loop / closed-loop / trace arrival workloads, bounded
+//!   admission with per-tenant fair share and load shedding,
+//!   per-request latency timestamps and p50/p95/p99 SLO reporting.
 //! * [`store`] — the versioned content-addressed chunk store: a
 //!   segment-packed payload log behind one shared fingerprint index,
 //!   first-class snapshots (per-stream generations), digest-verified
@@ -60,13 +59,12 @@
 //! * [`backup`] — the consolidated cloud-backup system (case study II),
 //!   with multi-site batched backups over the session engine.
 //!
-//! See `DESIGN.md` for the system inventory, the session API, and the
-//! migration notes from the old one-shot `chunk_stream` API.
+//! See `DESIGN.md` for the system inventory and the engine API.
 //!
 //! # Quickstart: the online service
 //!
 //! Shredder is a storage-system *service*: requests keep arriving while
-//! the GPUs are busy. A [`ShredderService`](core::ShredderService)
+//! the GPUs are busy. A [`ShredderEngine`](core::ShredderEngine)
 //! takes submitted requests, drives them with an open-loop Poisson
 //! [`Workload`](core::Workload) (or closed-loop / trace-replay /
 //! batch), pushes them through bounded admission, and reports latency
@@ -74,22 +72,26 @@
 //! readout:
 //!
 //! ```
-//! use shredder::core::{ChunkRequest, MemorySource, ShredderConfig, ShredderService, Workload};
+//! use shredder::core::{
+//!     AdmissionControl, ChunkRequest, MemorySource, ShredderConfig, ShredderEngine, Workload,
+//! };
 //!
-//! let mut service = ShredderService::new(ShredderConfig::default().with_buffer_size(256 << 10));
+//! let mut engine = ShredderEngine::new(ShredderConfig::default().with_buffer_size(256 << 10))
+//!     .with_admission(AdmissionControl::default());
 //! (0..16u64).for_each(|t| {
-//!     service.submit(ChunkRequest::new(MemorySource::pseudo_random(512 << 10, t)));
+//!     engine.submit(ChunkRequest::new(MemorySource::pseudo_random(512 << 10, t)));
 //! });
-//! let outcome = service.run(&Workload::poisson(1_000.0, 42)).expect("service run failed");
+//! let outcome = engine.run(&Workload::poisson(1_000.0, 42)).expect("engine run failed");
 //!
+//! let service = &outcome.report.service;
 //! println!(
 //!     "offered {:.0} req/s, achieved {:.0} req/s, p99 {:.2} ms, shed {}",
-//!     outcome.service().offered_rps,
-//!     outcome.service().achieved_rps,
-//!     outcome.service().p99().as_millis_f64(),
-//!     outcome.service().shed,
+//!     service.offered_rps,
+//!     service.achieved_rps,
+//!     service.p99().as_millis_f64(),
+//!     service.shed,
 //! );
-//! # assert_eq!(outcome.service().completed + outcome.service().shed, 16);
+//! # assert_eq!(service.completed + service.shed, 16);
 //! ```
 //!
 //! Under overload, bounded admission sheds requests with
@@ -104,12 +106,15 @@
 //!
 //! # Quickstart: multi-tenant chunking
 //!
-//! Open one session per client stream on a shared engine; every tenant
-//! gets chunks bit-identical to a sequential scan of its own stream,
-//! while the pipeline stays saturated across tenants:
+//! Submit one request per client stream to a shared engine and run
+//! them as a closed batch; every tenant gets chunks bit-identical to a
+//! sequential scan of its own stream, while the pipeline stays
+//! saturated across tenants:
 //!
 //! ```
-//! use shredder::core::{AdmissionPolicy, ShredderConfig, ShredderEngine, SliceSource};
+//! use shredder::core::{
+//!     AdmissionPolicy, ChunkRequest, ShredderConfig, ShredderEngine, SliceSource, Workload,
+//! };
 //!
 //! // Three tenant streams (any `StreamSource` works; slices are easiest).
 //! let tenants: Vec<Vec<u8>> = (0..3u64)
@@ -124,11 +129,11 @@
 //!     ShredderEngine::new(ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10))
 //!         .with_policy(AdmissionPolicy::RoundRobin);
 //! for (t, data) in tenants.iter().enumerate() {
-//!     engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
+//!     engine.submit(ChunkRequest::new(SliceSource::new(data)).named(format!("tenant-{t}")));
 //! }
 //!
-//! let outcome = engine.run().expect("chunking failed");
-//! for (session, data) in outcome.sessions.iter().zip(&tenants) {
+//! let outcome = engine.run(&Workload::Batch).expect("chunking failed");
+//! for (session, data) in outcome.completed().zip(&tenants) {
 //!     assert_eq!(
 //!         session.chunks.iter().map(|c| c.len).sum::<usize>(),
 //!         data.len(),
@@ -136,7 +141,7 @@
 //! }
 //! println!(
 //!     "{} tenants, aggregate {:.2} GB/s, contention {:.2} ms",
-//!     outcome.sessions.len(),
+//!     outcome.completed().count(),
 //!     outcome.report.aggregate_gbps(),
 //!     outcome.report.queue_wait.as_millis_f64(),
 //! );

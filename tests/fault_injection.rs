@@ -28,7 +28,7 @@
 
 use shredder::core::{
     capacity_search, AdmissionControl, ChunkRequest, EngineOutcome, FaultPlan, MemorySource,
-    ShredderConfig, ShredderEngine, ShredderService, SliceSource, TelemetryConfig, Workload,
+    ShredderConfig, ShredderEngine, SliceSource, TelemetryConfig, Workload,
 };
 use shredder::des::Dur;
 use shredder::hash::{sha256, Digest};
@@ -61,15 +61,14 @@ fn tenant_streams() -> Vec<Vec<u8>> {
 fn run_with(streams: &[Vec<u8>], config: ShredderConfig) -> EngineOutcome {
     let mut engine = ShredderEngine::new(config);
     for (t, data) in streams.iter().enumerate() {
-        engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
+        engine.submit(ChunkRequest::new(SliceSource::new(data)).named(format!("tenant-{t}")));
     }
-    engine.run().expect("engine run failed")
+    engine.run(&Workload::Batch).expect("engine run failed")
 }
 
 fn digests_of(outcome: &EngineOutcome, streams: &[Vec<u8>]) -> Vec<Vec<Digest>> {
     outcome
-        .sessions
-        .iter()
+        .completed()
         .zip(streams)
         .map(|(s, data)| s.chunks.iter().map(|c| sha256(c.slice(data))).collect())
         .collect()
@@ -80,7 +79,8 @@ fn digests_of(outcome: &EngineOutcome, streams: &[Vec<u8>]) -> Vec<Vec<Digest>> 
 /// equal to a sequential CPU scan of each stream alone.
 fn assert_sessions_identical(base: &EngineOutcome, faulted: &EngineOutcome, streams: &[Vec<u8>]) {
     let params = ChunkParams::paper();
-    for ((a, b), data) in base.sessions.iter().zip(&faulted.sessions).zip(streams) {
+    assert_eq!(faulted.completed().count(), streams.len());
+    for ((a, b), data) in base.completed().zip(faulted.completed()).zip(streams) {
         assert_eq!(a.chunks, b.chunks, "{} diverged under faults", a.name);
         assert_eq!(b.chunks, chunk_all(data, &params), "{}", b.name);
     }
@@ -241,12 +241,12 @@ fn service_run(
         .with_gpus(2)
         .with_pipeline_depth(8)
         .with_faults(faults);
-    let mut service = ShredderService::new(cfg)
+    let mut engine = ShredderEngine::new(cfg)
         .with_admission(AdmissionControl::fifo(4).with_max_queue_delay(Dur::from_millis(1)));
     for t in 0..REQUESTS as u64 {
-        service.submit(ChunkRequest::new(MemorySource::pseudo_random(REQ_BYTES, t)));
+        engine.submit(ChunkRequest::new(MemorySource::pseudo_random(REQ_BYTES, t)));
     }
-    Ok(service.run(workload)?.service().clone())
+    Ok(engine.run(workload)?.report.service)
 }
 
 #[test]
@@ -528,8 +528,8 @@ proptest! {
         prop_assert!(!plan.is_empty());
 
         let faulted = run_with(&streams, pool_config().with_faults(plan.clone()));
-        prop_assert_eq!(faulted.sessions.len(), streams.len());
-        for ((a, b), data) in base.sessions.iter().zip(&faulted.sessions).zip(&streams) {
+        prop_assert_eq!(faulted.completed().count(), streams.len());
+        for ((a, b), data) in base.completed().zip(faulted.completed()).zip(&streams) {
             prop_assert_eq!(&a.chunks, &b.chunks, "{} diverged under {:?}", a.name, plan);
             let d1: Vec<Digest> = a.chunks.iter().map(|c| sha256(c.slice(data))).collect();
             let d2: Vec<Digest> = b.chunks.iter().map(|c| sha256(c.slice(data))).collect();

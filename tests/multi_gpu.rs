@@ -9,7 +9,9 @@
 //! throughput scales once the reader is not the bottleneck, and the
 //! report exposes per-device utilization and copy–compute overlap.
 
-use shredder::core::{PlacementPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource};
+use shredder::core::{
+    ChunkRequest, PlacementPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource, Workload,
+};
 use shredder::hash::sha256;
 use shredder::rabin::{chunk_all, ChunkParams};
 use shredder::workloads;
@@ -33,9 +35,9 @@ fn tenant_streams(n: usize) -> Vec<Vec<u8>> {
 fn run_pool(streams: &[Vec<u8>], gpus: usize) -> shredder::core::EngineOutcome {
     let mut engine = ShredderEngine::new(pool_config(gpus));
     for (t, data) in streams.iter().enumerate() {
-        engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
+        engine.submit(ChunkRequest::new(SliceSource::new(data)).named(format!("tenant-{t}")));
     }
-    engine.run().expect("engine run failed")
+    engine.run(&Workload::Batch).expect("engine run failed")
 }
 
 #[test]
@@ -54,13 +56,13 @@ fn two_device_pool_outscales_one_with_identical_chunks_and_digests() {
     // Bit-identical per-stream chunk boundaries — against the 1-device
     // run AND against a sequential CPU scan of each stream alone.
     let params = ChunkParams::paper();
-    for ((a, b), data) in one.sessions.iter().zip(&two.sessions).zip(&streams) {
+    for ((a, b), data) in one.completed().zip(two.completed()).zip(&streams) {
         assert_eq!(a.chunks, b.chunks, "{} diverged across pool sizes", a.name);
         assert_eq!(b.chunks, chunk_all(data, &params), "{}", b.name);
     }
 
     // Bit-identical digests: the dedup identity is placement-invariant.
-    for ((a, b), data) in one.sessions.iter().zip(&two.sessions).zip(&streams) {
+    for ((a, b), data) in one.completed().zip(two.completed()).zip(&streams) {
         let d1: Vec<_> = a.chunks.iter().map(|c| sha256(c.slice(data))).collect();
         let d2: Vec<_> = b.chunks.iter().map(|c| sha256(c.slice(data))).collect();
         assert_eq!(d1, d2);
@@ -121,9 +123,9 @@ fn reader_bound_pool_gains_nothing_from_devices() {
                 .with_pipeline_depth(4 * gpus),
         );
         for (t, data) in streams.iter().enumerate() {
-            engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
+            engine.submit(ChunkRequest::new(SliceSource::new(data)).named(format!("tenant-{t}")));
         }
-        engine.run().expect("engine run failed")
+        engine.run(&Workload::Batch).expect("engine run failed")
     };
     let one = run(1);
     let two = run(2);
@@ -132,7 +134,7 @@ fn reader_bound_pool_gains_nothing_from_devices() {
         (g2 - g1).abs() / g1 < 0.05,
         "reader-bound: {g1:.3} vs {g2:.3} GB/s should match"
     );
-    for (a, b) in one.sessions.iter().zip(&two.sessions) {
+    for (a, b) in one.completed().zip(two.completed()) {
         assert_eq!(a.chunks, b.chunks);
     }
 }
@@ -143,9 +145,9 @@ fn placement_policies_shard_sessions_deterministically() {
     let run = |policy: PlacementPolicy| {
         let mut engine = ShredderEngine::new(pool_config(2).with_placement(policy));
         for (t, data) in streams.iter().enumerate() {
-            engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
+            engine.submit(ChunkRequest::new(SliceSource::new(data)).named(format!("tenant-{t}")));
         }
-        engine.run().expect("engine run failed")
+        engine.run(&Workload::Batch).expect("engine run failed")
     };
     let rr = run(PlacementPolicy::RoundRobin);
     let devs: Vec<usize> = rr.report.sessions.iter().map(|r| r.device).collect();
@@ -166,10 +168,14 @@ fn placement_policies_shard_sessions_deterministically() {
 fn pinned_placement_isolates_a_tenant() {
     let streams = tenant_streams(3);
     let mut engine = ShredderEngine::new(pool_config(2).with_placement(PlacementPolicy::Pinned));
-    engine.open_pinned_session("isolated", 1, 1, SliceSource::new(&streams[0]));
-    engine.open_named_session("bulk-a", 1, SliceSource::new(&streams[1]));
-    engine.open_named_session("bulk-b", 1, SliceSource::new(&streams[2]));
-    let out = engine.run().expect("engine run failed");
+    engine.submit(
+        ChunkRequest::new(SliceSource::new(&streams[0]))
+            .named("isolated")
+            .pinned(1),
+    );
+    engine.submit(ChunkRequest::new(SliceSource::new(&streams[1])).named("bulk-a"));
+    engine.submit(ChunkRequest::new(SliceSource::new(&streams[2])).named("bulk-b"));
+    let out = engine.run(&Workload::Batch).expect("engine run failed");
     assert_eq!(out.report.sessions[0].device, 1);
     // The fallback packs unpinned tenants onto the other, lighter device.
     assert_eq!(out.report.sessions[1].device, 0);
@@ -184,11 +190,11 @@ fn single_stream_convenience_is_a_one_device_pool() {
     let shredder = Shredder::new(ShredderConfig::gpu_streams_memory().with_buffer_size(1 << 20));
     let engine_out = {
         let mut engine = shredder.engine();
-        engine.open_session(SliceSource::new(&data));
-        engine.run().expect("engine run failed")
+        engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+        engine.run(&Workload::Batch).expect("engine run failed")
     };
     assert_eq!(engine_out.report.devices.len(), 1);
     let out = shredder.chunk_stream(&data).expect("chunking failed");
-    assert_eq!(out.chunks, engine_out.sessions[0].chunks);
+    assert_eq!(out.chunks, engine_out.sessions[0].as_ref().unwrap().chunks);
     assert_eq!(out.report.devices, engine_out.report.devices);
 }

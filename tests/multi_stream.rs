@@ -7,7 +7,10 @@
 //! configuration, and (c) behave deterministically.
 
 use shredder::backup::{BackupConfig, BackupServer};
-use shredder::core::{AdmissionPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource};
+use shredder::core::{
+    AdmissionControl, AdmissionPolicy, ChunkRequest, Shredder, ShredderConfig, ShredderEngine,
+    SliceSource, Workload,
+};
 use shredder::hdfs::{IncHdfs, TextInputFormat};
 use shredder::rabin::{chunk_all, ChunkParams};
 use shredder::workloads;
@@ -37,12 +40,12 @@ fn four_concurrent_streams_bit_identical_and_faster_in_aggregate() {
     // One engine, four sessions.
     let mut engine = ShredderEngine::new(cfg());
     for data in &streams {
-        engine.open_session(SliceSource::new(data));
+        engine.submit(ChunkRequest::new(SliceSource::new(data)));
     }
-    let out = engine.run().unwrap();
+    let out = engine.run(&Workload::Batch).unwrap();
 
     let params = ChunkParams::paper();
-    for (session, data) in out.sessions.iter().zip(&streams) {
+    for (session, data) in out.completed().zip(&streams) {
         assert_eq!(session.chunks, chunk_all(data, &params));
     }
     let aggregate = out.report.aggregate_gbps();
@@ -57,9 +60,9 @@ fn contention_is_visible_in_reports() {
     let streams = tenant_streams(4, 2 << 20);
     let mut engine = ShredderEngine::new(cfg());
     for data in &streams {
-        engine.open_session(SliceSource::new(data));
+        engine.submit(ChunkRequest::new(SliceSource::new(data)));
     }
-    let out = engine.run().unwrap();
+    let out = engine.run(&Workload::Batch).unwrap();
     // Under a shared admission pool, later-arriving buffers wait.
     assert!(!out.report.queue_wait.is_zero());
     // Per-stream makespans and first-admit timestamps are populated.
@@ -80,22 +83,19 @@ fn policies_change_schedule_not_chunks() {
     let run = |policy: AdmissionPolicy| {
         let mut engine = ShredderEngine::new(cfg().with_buffer_size(256 << 10)).with_policy(policy);
         for (i, data) in streams.iter().enumerate() {
-            engine.open_named_session(format!("t{i}"), (i as u32 % 3) + 1, SliceSource::new(data));
+            engine.submit(
+                ChunkRequest::new(SliceSource::new(data))
+                    .named(format!("t{i}"))
+                    .with_weight((i as u32 % 3) + 1),
+            );
         }
-        engine.run().unwrap()
+        engine.run(&Workload::Batch).unwrap()
     };
     let rr = run(AdmissionPolicy::RoundRobin);
     let weighted = run(AdmissionPolicy::Weighted);
     let ordered = run(AdmissionPolicy::SessionOrder);
-    for ((a, b), c) in rr
-        .sessions
-        .iter()
-        .zip(&weighted.sessions)
-        .zip(&ordered.sessions)
-    {
-        assert_eq!(a.chunks, b.chunks);
-        assert_eq!(b.chunks, c.chunks);
-    }
+    assert_eq!(rr.sessions, weighted.sessions);
+    assert_eq!(weighted.sessions, ordered.sessions);
     // But the schedules differ: session-order serializes stream starts.
     assert!(ordered.report.sessions[4].first_admit > rr.report.sessions[4].first_admit);
 }
@@ -107,9 +107,13 @@ fn engine_is_deterministic_end_to_end() {
         let mut engine = ShredderEngine::new(cfg().with_buffer_size(512 << 10))
             .with_policy(AdmissionPolicy::Weighted);
         for (i, data) in streams.iter().enumerate() {
-            engine.open_named_session(format!("t{i}"), 1 + i as u32, SliceSource::new(data));
+            engine.submit(
+                ChunkRequest::new(SliceSource::new(data))
+                    .named(format!("t{i}"))
+                    .with_weight(1 + i as u32),
+            );
         }
-        engine.run().unwrap()
+        engine.run(&Workload::Batch).unwrap()
     };
     let a = run();
     let b = run();
@@ -156,10 +160,18 @@ fn hdfs_batch_ingestion_through_one_engine() {
             .with_params(ChunkParams::paper().with_expected_size(4096))
             .with_buffer_size(256 << 10),
     );
-    let reports = fs
-        .copy_many_gpu(&named, &shredder, &TextInputFormat)
+    let (reports, service) = fs
+        .copy_many_gpu(
+            &named,
+            &shredder,
+            &TextInputFormat,
+            &Workload::Batch,
+            AdmissionControl::unbounded(),
+        )
         .unwrap();
     assert_eq!(reports.len(), 4);
+    assert!(reports.iter().all(Result::is_ok));
+    assert_eq!(service.completed, 4);
     for (path, data) in &named {
         assert_eq!(&fs.read(path).unwrap(), data);
     }

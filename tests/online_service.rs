@@ -1,15 +1,16 @@
-//! Integration: the online service frontend (the acceptance surface of
-//! the open-loop redesign).
+//! Integration: the engine as an online service, under arrival
+//! workloads and bounded admission.
 //!
-//! The service must (a) sustain an open-loop Poisson workload below
+//! The engine must (a) sustain an open-loop Poisson workload below
 //! capacity with a finite, stable p99 and no shedding, (b) shed under
 //! overload with *bounded* queue delay, without corrupting accepted
-//! requests' chunk streams, and (c) leave the legacy closed-batch
-//! `open_session` + `run()` path bit-identical to a sequential scan.
+//! requests' chunk streams, and (c) keep the closed batch
+//! (`run(&Workload::Batch)` under the default unbounded admission)
+//! bit-identical to a sequential scan.
 
 use shredder::core::{
     capacity_search, AdmissionControl, ChunkError, ChunkRequest, MemorySource, ShredderConfig,
-    ShredderEngine, ShredderService, SliceSource, Workload,
+    ShredderEngine, SliceSource, Workload,
 };
 use shredder::des::Dur;
 use shredder::hash::sha256;
@@ -23,20 +24,20 @@ fn cfg() -> ShredderConfig {
     ShredderConfig::gpu_streams_memory().with_buffer_size(64 << 10)
 }
 
-fn service_with_requests<'a>() -> ShredderService<'a> {
-    let mut service = ShredderService::new(cfg());
+fn engine_with_requests<'a>() -> ShredderEngine<'a> {
+    let mut engine = ShredderEngine::new(cfg());
     for t in 0..REQUESTS as u64 {
-        service.submit(ChunkRequest::new(MemorySource::pseudo_random(REQ_BYTES, t)));
+        engine.submit(ChunkRequest::new(MemorySource::pseudo_random(REQ_BYTES, t)));
     }
-    service
+    engine
 }
 
 /// Measured service capacity in req/s: a closed batch through the same
 /// admission slots, completed count over makespan.
 fn measured_capacity() -> f64 {
-    let mut service = service_with_requests().with_admission(AdmissionControl::fifo(4));
-    let out = service.run(&Workload::Batch).unwrap();
-    let svc = out.service();
+    let mut engine = engine_with_requests().with_admission(AdmissionControl::fifo(4));
+    let out = engine.run(&Workload::Batch).unwrap();
+    let svc = &out.report.service;
     assert_eq!(svc.completed, REQUESTS);
     svc.achieved_rps
 }
@@ -46,11 +47,11 @@ fn poisson_at_80_percent_of_capacity_meets_slo_and_is_stable() {
     let mu = measured_capacity();
     let rate = 0.8 * mu;
     let run = || {
-        let mut service = service_with_requests().with_admission(AdmissionControl::fifo(4));
-        service.run(&Workload::poisson(rate, 1234)).unwrap()
+        let mut engine = engine_with_requests().with_admission(AdmissionControl::fifo(4));
+        engine.run(&Workload::poisson(rate, 1234)).unwrap()
     };
     let first = run();
-    let svc = first.service();
+    let svc = &first.report.service;
 
     // Below capacity: nothing sheds, every request completes, and p99
     // is finite (positive and far below the whole run's span).
@@ -80,19 +81,18 @@ fn poisson_at_80_percent_of_capacity_meets_slo_and_is_stable() {
     // latencies, timelines, queue-depth samples, everything.
     let second = run();
     assert_eq!(first.report, second.report);
-    for (a, b) in first.requests.iter().zip(&second.requests) {
-        assert_eq!(a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-    }
+    assert!(first.sessions.iter().all(Result::is_ok));
+    assert_eq!(first.sessions, second.sessions);
 }
 
 #[test]
 fn poisson_at_120_percent_of_capacity_sheds_with_bounded_queue_delay() {
     let mu = measured_capacity();
     let bound = Dur::from_micros(800);
-    let mut service = service_with_requests()
+    let mut engine = engine_with_requests()
         .with_admission(AdmissionControl::fifo(4).with_max_queue_delay(bound));
-    let out = service.run(&Workload::poisson(1.2 * mu, 99)).unwrap();
-    let svc = out.service();
+    let out = engine.run(&Workload::poisson(1.2 * mu, 99)).unwrap();
+    let svc = &out.report.service;
 
     // Overload: the delay bound trips and sheds some of the offered
     // traffic, but the rest completes.
@@ -118,16 +118,16 @@ fn poisson_at_120_percent_of_capacity_sheds_with_bounded_queue_delay() {
     assert!(svc.max_queue_delay() <= bound);
 
     // Shed requests surface as Overloaded with their queueing time.
-    for r in &out.requests {
-        if let Err(e) = &r.outcome {
+    for r in &out.sessions {
+        if let Err(e) = r {
             assert!(matches!(e, ChunkError::Overloaded { .. }), "{e:?}");
         }
     }
 
     // Accepted requests' chunks are still bit-identical to sequential
     // scans of their own streams — overload isolation.
-    for (result, outcome) in out.completed() {
-        let mut src = MemorySource::pseudo_random(REQ_BYTES, result.id.index() as u64);
+    for outcome in out.completed() {
+        let mut src = MemorySource::pseudo_random(REQ_BYTES, outcome.id.index() as u64);
         let mut data = Vec::new();
         let mut buf = [0u8; 8192];
         loop {
@@ -147,10 +147,10 @@ fn poisson_at_120_percent_of_capacity_sheds_with_bounded_queue_delay() {
 
 #[test]
 fn queue_depth_bound_sheds_excess_burst() {
-    let mut service =
-        service_with_requests().with_admission(AdmissionControl::fifo(2).with_queue_depth(4));
-    let out = service.run(&Workload::Batch).unwrap();
-    let svc = out.service();
+    let mut engine =
+        engine_with_requests().with_admission(AdmissionControl::fifo(2).with_queue_depth(4));
+    let out = engine.run(&Workload::Batch).unwrap();
+    let svc = &out.report.service;
     // A batch burst of 24 into 2 slots + 4 queue seats: exactly the
     // overflow sheds at arrival with zero queueing.
     assert_eq!(svc.completed, 6);
@@ -165,21 +165,21 @@ fn queue_depth_bound_sheds_excess_burst() {
     // Degenerate depth 0: the bound only applies to requests that would
     // actually wait — with a free dispatch slot an arrival still goes
     // straight through, so exactly the slot-holders complete.
-    let mut service =
-        service_with_requests().with_admission(AdmissionControl::fifo(2).with_queue_depth(0));
-    let out = service.run(&Workload::Batch).unwrap();
-    assert_eq!(out.service().completed, 2);
-    assert_eq!(out.service().shed, REQUESTS - 2);
+    let mut engine =
+        engine_with_requests().with_admission(AdmissionControl::fifo(2).with_queue_depth(0));
+    let out = engine.run(&Workload::Batch).unwrap();
+    assert_eq!(out.report.service.completed, 2);
+    assert_eq!(out.report.service.shed, REQUESTS - 2);
 }
 
 #[test]
 fn closed_loop_self_throttles_and_never_sheds() {
     let clients = 4;
-    let mut service = service_with_requests().with_admission(AdmissionControl::fifo(clients));
-    let out = service
+    let mut engine = engine_with_requests().with_admission(AdmissionControl::fifo(clients));
+    let out = engine
         .run(&Workload::closed_loop(clients, Dur::from_micros(200)))
         .unwrap();
-    let svc = out.service();
+    let svc = &out.report.service;
     // Closed loop: offered load follows completions, so with as many
     // dispatch slots as clients nothing ever queues or sheds.
     assert_eq!(svc.completed, REQUESTS);
@@ -211,10 +211,9 @@ fn capacity_search_finds_a_sustained_rate_meeting_the_slo() {
     let mu = measured_capacity();
     let slo = Dur::from_millis(2);
     let report = capacity_search(slo, 0.1 * mu, 3.0 * mu, 6, |rate| {
-        let mut service = service_with_requests()
+        let mut engine = engine_with_requests()
             .with_admission(AdmissionControl::fifo(4).with_max_queue_delay(Dur::from_millis(4)));
-        let out = service.run(&Workload::poisson(rate, 4242))?;
-        Ok(out.service().clone())
+        Ok(engine.run(&Workload::poisson(rate, 4242))?.report.service)
     })
     .unwrap();
 
@@ -229,29 +228,29 @@ fn capacity_search_finds_a_sustained_rate_meeting_the_slo() {
     assert!(p99 <= slo);
     // Deterministic: the same search replays identically.
     let again = capacity_search(slo, 0.1 * mu, 3.0 * mu, 6, |rate| {
-        let mut service = service_with_requests()
+        let mut engine = engine_with_requests()
             .with_admission(AdmissionControl::fifo(4).with_max_queue_delay(Dur::from_millis(4)));
-        let out = service.run(&Workload::poisson(rate, 4242))?;
-        Ok(out.service().clone())
+        Ok(engine.run(&Workload::poisson(rate, 4242))?.report.service)
     })
     .unwrap();
     assert_eq!(report, again);
 }
 
 #[test]
-fn legacy_batch_run_is_bit_identical_to_sequential_scans() {
-    // The acceptance bar for the redesign: every existing caller of
-    // `open_session` + `run()` sees exactly the chunks and digests it
-    // saw before the service frontend existed.
+fn batch_run_is_bit_identical_to_sequential_scans() {
+    // Every caller of `submit` + `run(&Workload::Batch)` under the
+    // default unbounded admission sees exactly the chunks and digests
+    // of a sequential scan of each stream.
     let streams: Vec<Vec<u8>> = (0..4)
         .map(|t| workloads::random_bytes(1 << 20, 777 + t as u64))
         .collect();
     let mut engine = ShredderEngine::new(cfg());
     for s in &streams {
-        engine.open_session(SliceSource::new(s));
+        engine.submit(ChunkRequest::new(SliceSource::new(s)));
     }
-    let out = engine.run().unwrap();
-    for (session, data) in out.sessions.iter().zip(&streams) {
+    let out = engine.run(&Workload::Batch).unwrap();
+    assert_eq!(out.completed().count(), streams.len());
+    for (session, data) in out.completed().zip(&streams) {
         assert_eq!(session.chunks, chunk_all(data, &ChunkParams::paper()));
         let digests: Vec<_> = session
             .chunks
@@ -260,16 +259,19 @@ fn legacy_batch_run_is_bit_identical_to_sequential_scans() {
             .collect();
         assert_eq!(digests.len(), session.chunks.len());
     }
-    // The closed-batch path reports no service frontend.
-    assert!(out.report.service.is_none());
-    // And the batch service run of the same streams yields the same
-    // chunks (the run() path *is* the batch workload).
-    let mut service = ShredderService::new(cfg());
+    // Nothing queued at the request level: every request was admitted
+    // the instant it arrived.
+    let svc = &out.report.service;
+    assert_eq!((svc.completed, svc.shed), (streams.len(), 0));
+    assert!(svc.requests.iter().all(|r| r.queue_delay().is_zero()));
+    // Owned sources (`MemorySource`) yield the same chunks as borrowed
+    // ones.
+    let mut owned = ShredderEngine::new(cfg());
     for (t, s) in streams.iter().enumerate() {
-        service.submit(ChunkRequest::new(MemorySource::new(s.clone())).named(format!("t{t}")));
+        owned.submit(ChunkRequest::new(MemorySource::new(s.clone())).named(format!("t{t}")));
     }
-    let svc_out = service.run(&Workload::Batch).unwrap();
-    for (r, session) in svc_out.requests.iter().zip(&out.sessions) {
-        assert_eq!(r.outcome.as_ref().unwrap().chunks, session.chunks);
+    let owned_out = owned.run(&Workload::Batch).unwrap();
+    for (a, b) in owned_out.completed().zip(out.completed()) {
+        assert_eq!(a.chunks, b.chunks);
     }
 }

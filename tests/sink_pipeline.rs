@@ -1,8 +1,8 @@
 //! Integration: the staged sink API (the acceptance surface of the
 //! collect-then-postprocess → in-simulation consumer redesign).
 //!
-//! * The sink path yields **bit-identical chunks and digests** to the
-//!   legacy collect path.
+//! * The sink path yields **bit-identical chunks and digests** to
+//!   collecting the chunks and post-processing them.
 //! * `BackupServer::backup_batch` reports per-stage (chunk/hash/dedup/
 //!   ship) busy + queue-wait times from the one shared simulation.
 //! * Hash-stage work demonstrably **overlaps** chunking: the end-to-end

@@ -8,7 +8,8 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use shredder::core::{
-    ShredderConfig, ShredderEngine, SliceSource, StageKind, StoreSink, StoreSinkConfig,
+    ChunkRequest, ShredderConfig, ShredderEngine, SliceSource, StageKind, StoreSink,
+    StoreSinkConfig, Workload,
 };
 use shredder::hash::Digest;
 use shredder::store::ChunkStore;
@@ -58,8 +59,12 @@ fn eight_generations_ingest_restore_expire_gc() {
         let mut sink = StoreSink::new("vm", StoreSinkConfig::default(), store.clone());
         let report = {
             let mut engine = ShredderEngine::new(cfg.clone());
-            engine.open_sink_session(format!("gen-{g}"), 1, SliceSource::new(&data), &mut sink);
-            engine.run().expect("engine run").report
+            engine.submit(
+                ChunkRequest::new(SliceSource::new(&data))
+                    .named(format!("gen-{g}"))
+                    .with_sink(&mut sink),
+            );
+            engine.run(&Workload::Batch).expect("engine run").report
         };
         // The store commit ran as an in-simulation stage of the engine.
         let stage = report
@@ -173,9 +178,17 @@ fn batched_generations_share_one_engine_and_store() {
     let mut sink_b = StoreSink::new("vm-b", StoreSinkConfig::default(), store.clone());
     {
         let mut engine = ShredderEngine::new(cfg);
-        engine.open_sink_session("a", 1, SliceSource::new(&a), &mut sink_a);
-        engine.open_sink_session("b", 1, SliceSource::new(&b), &mut sink_b);
-        engine.run().expect("engine run");
+        engine.submit(
+            ChunkRequest::new(SliceSource::new(&a))
+                .named("a")
+                .with_sink(&mut sink_a),
+        );
+        engine.submit(
+            ChunkRequest::new(SliceSource::new(&b))
+                .named("b")
+                .with_sink(&mut sink_b),
+        );
+        engine.run(&Workload::Batch).expect("engine run");
     }
     let gen_a = sink_a.generation().unwrap();
     let gen_b = sink_b.generation().unwrap();

@@ -22,8 +22,7 @@ use std::rc::Rc;
 
 use shredder::core::{
     AdmissionControl, ChunkRequest, DedupSink, DedupSinkConfig, EngineOutcome, FaultPlan,
-    MemorySource, ServiceOutcome, ShredderConfig, ShredderEngine, ShredderService, SliceSource,
-    TelemetryConfig, Workload,
+    MemorySource, ShredderConfig, ShredderEngine, SliceSource, TelemetryConfig, Workload,
 };
 use shredder::des::Dur;
 use shredder::telemetry::{validate_chrome_trace, Lane, LaneEngine};
@@ -54,9 +53,9 @@ fn tenant_streams() -> Vec<Vec<u8>> {
 fn run_with(streams: &[Vec<u8>], config: ShredderConfig) -> EngineOutcome {
     let mut engine = ShredderEngine::new(config);
     for (t, data) in streams.iter().enumerate() {
-        engine.open_named_session(format!("tenant-{t}"), 1, SliceSource::new(data));
+        engine.submit(ChunkRequest::new(SliceSource::new(data)).named(format!("tenant-{t}")));
     }
-    engine.run().expect("engine run failed")
+    engine.run(&Workload::Batch).expect("engine run failed")
 }
 
 // ----- Zero overhead off -----
@@ -208,17 +207,19 @@ fn trace_covers_request_device_stage_and_control_lanes() {
         pointer_bytes: 40,
         ship_chunk_overhead: Dur::from_micros(2),
     };
-    let mut service = ShredderService::new(
-        service_config().with_faults(FaultPlan::new().straggler(Dur::ZERO, 0, 3.0)),
-    )
+    let mut engine = ShredderEngine::new(service_config().with_faults(FaultPlan::new().straggler(
+        Dur::ZERO,
+        0,
+        3.0,
+    )))
     .with_admission(AdmissionControl::fifo(4));
     for t in 0..REQUESTS as u64 {
-        service.submit(
+        engine.submit(
             ChunkRequest::new(MemorySource::pseudo_random(REQ_BYTES, t))
                 .with_sink(DedupSink::new(sink_config, index.clone())),
         );
     }
-    let out = service.run(&Workload::Batch).expect("service run failed");
+    let out = engine.run(&Workload::Batch).expect("engine run failed");
     let telemetry = out
         .report
         .telemetry
@@ -281,13 +282,13 @@ fn trace_covers_request_device_stage_and_control_lanes() {
 
 #[test]
 fn latency_histogram_agrees_with_service_report_percentiles() {
-    let mut service =
-        ShredderService::new(service_config()).with_admission(AdmissionControl::fifo(4));
+    let mut engine =
+        ShredderEngine::new(service_config()).with_admission(AdmissionControl::fifo(4));
     for t in 0..REQUESTS as u64 {
-        service.submit(ChunkRequest::new(MemorySource::pseudo_random(REQ_BYTES, t)));
+        engine.submit(ChunkRequest::new(MemorySource::pseudo_random(REQ_BYTES, t)));
     }
-    let out: ServiceOutcome = service.run(&Workload::Batch).expect("service run failed");
-    let svc = out.service().clone();
+    let out = engine.run(&Workload::Batch).expect("engine run failed");
+    let svc = &out.report.service;
     let telemetry = out
         .report
         .telemetry
