@@ -17,6 +17,7 @@
 use shredder_bench::{check, dump_bench_json, header, result_line, table};
 use shredder_cluster::{FleetConfig, FleetReport, FleetRequest, ShredderFleet};
 use shredder_core::{AdmissionControl, MemorySource, ShredderConfig, TenantClass, Workload};
+use shredder_telemetry::Json;
 
 const TENANTS: usize = 32;
 const REQ_BYTES: usize = 256 << 10;
@@ -140,22 +141,22 @@ fn main() {
         n1.replication.shipments == 0 && n1.rebalance.bytes_moved == 0,
     );
 
-    let json = format!(
-        concat!(
-            "{{\"fleet_rps_n1\":{:.6},\"fleet_rps_n2\":{:.6},\"fleet_rps_n4\":{:.6},",
-            "\"speedup_n4_over_n1\":{:.6},\"p99_ms_n1\":{:.6},\"p99_ms_n4\":{:.6},",
-            "\"replication_amplification_n4\":{:.6},\"cross_node_dup_fraction_n4\":{:.6},",
-            "\"replication_physical_bytes_n4\":{}}}"
-        ),
-        n1.achieved_rps,
-        n2.achieved_rps,
-        n4.achieved_rps,
-        speedup,
-        n1.p99.as_millis_f64(),
-        n4.p99.as_millis_f64(),
-        n4.replication_amplification(),
-        n4.cross_node_dup_fraction(),
-        n4.replication.physical_bytes,
+    dump_bench_json(
+        &Json::object()
+            .field("fleet_rps_n1", n1.achieved_rps)
+            .field("fleet_rps_n2", n2.achieved_rps)
+            .field("fleet_rps_n4", n4.achieved_rps)
+            .field("speedup_n4_over_n1", speedup)
+            .field("p99_ms_n1", n1.p99.as_millis_f64())
+            .field("p99_ms_n4", n4.p99.as_millis_f64())
+            .field(
+                "replication_amplification_n4",
+                n4.replication_amplification(),
+            )
+            .field("cross_node_dup_fraction_n4", n4.cross_node_dup_fraction())
+            .field(
+                "replication_physical_bytes_n4",
+                n4.replication.physical_bytes,
+            ),
     );
-    dump_bench_json(&json);
 }

@@ -18,6 +18,7 @@
 use shredder_bench::{check, dump_bench_json, gbps, header, result_line};
 use shredder_core::{Shredder, ShredderConfig};
 use shredder_gpu::kernel::KernelVariant;
+use shredder_telemetry::Json;
 
 fn main() {
     header(
@@ -122,15 +123,14 @@ fn main() {
     // Perf-trajectory dump for the CI bench gate: `aggregate_gbps` is
     // the headline series (the fully optimized system), the rest gives
     // the gate context when it trips.
-    let json = format!(
-        "{{\n  \"aggregate_gbps\": {:.6},\n  \"cpu_malloc_gbps\": {:.6},\n  \"cpu_hoard_gbps\": {:.6},\n  \"gpu_basic_gbps\": {:.6},\n  \"gpu_streams_gbps\": {:.6},\n  \"gear_gbps\": {:.6},\n  \"speedup_over_host\": {:.6}\n}}\n",
-        gpu_full / 1e9,
-        cpu_malloc / 1e9,
-        cpu_hoard / 1e9,
-        gpu_basic / 1e9,
-        gpu_streams / 1e9,
-        gear / 1e9,
-        full_x,
+    dump_bench_json(
+        &Json::object()
+            .field("aggregate_gbps", gpu_full / 1e9)
+            .field("cpu_malloc_gbps", cpu_malloc / 1e9)
+            .field("cpu_hoard_gbps", cpu_hoard / 1e9)
+            .field("gpu_basic_gbps", gpu_basic / 1e9)
+            .field("gpu_streams_gbps", gpu_streams / 1e9)
+            .field("gear_gbps", gear / 1e9)
+            .field("speedup_over_host", full_x),
     );
-    dump_bench_json(&json);
 }

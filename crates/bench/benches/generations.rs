@@ -20,6 +20,7 @@ use shredder_core::{Shredder, ShredderConfig, StoreSink, StoreSinkConfig};
 use shredder_des::Dur;
 use shredder_rabin::ChunkParams;
 use shredder_store::ChunkStore;
+use shredder_telemetry::Json;
 use shredder_workloads::{mutate, MutationSpec};
 
 /// Restore read bandwidth: the Table 1 SAN-class array.
@@ -165,23 +166,17 @@ fn main() {
             <= store.borrow().live_bytes() as f64 / cfg.gc_threshold.max(0.01),
     );
 
-    dump_bench_json(&format!(
-        concat!(
-            "{{\n",
-            "  \"name\": \"generations\",\n",
-            "  \"generations\": {},\n",
-            "  \"aggregate_gbps\": {:.6},\n",
-            "  \"restore_gbps\": {:.6},\n",
-            "  \"physical_over_logical\": {:.6},\n",
-            "  \"reclaim_fraction\": {:.6},\n",
-            "  \"freed_chunks\": {}\n",
-            "}}\n"
-        ),
-        generations,
-        ingest_gbps,
-        restore_gbps,
-        physical_before as f64 / report.logical_bytes as f64,
-        gc.reclaim_fraction(),
-        gc.freed_chunks,
-    ));
+    dump_bench_json(
+        &Json::object()
+            .field("name", "generations")
+            .field("generations", generations)
+            .field("aggregate_gbps", ingest_gbps)
+            .field("restore_gbps", restore_gbps)
+            .field(
+                "physical_over_logical",
+                physical_before as f64 / report.logical_bytes as f64,
+            )
+            .field("reclaim_fraction", gc.reclaim_fraction())
+            .field("freed_chunks", gc.freed_chunks),
+    );
 }

@@ -24,6 +24,7 @@ use shredder_core::{
 };
 use shredder_gpu::kernel::KernelVariant;
 use shredder_rabin::{chunk_all, BoundaryKernel, ChunkParams, GearKernel};
+use shredder_telemetry::Json;
 
 fn run_pool(streams: &[Vec<u8>], gpus: usize, kernel: KernelVariant) -> EngineOutcome {
     let cfg = ShredderConfig::gpu_streams_memory()
@@ -159,15 +160,17 @@ fn main() {
     );
 
     // Perf-trajectory dump for the CI bench gate.
-    let json = format!(
-        "{{\n  \"aggregate_gbps\": {:.6},\n  \"single_device_gbps\": {:.6},\n  \"four_device_gbps\": {:.6},\n  \"gear_gbps\": {:.6},\n  \"speedup_2x\": {:.6},\n  \"mean_overlap_2dev\": {:.6}\n}}\n",
-        g(1),
-        g(0),
-        g(2),
-        gg(1),
-        g(1) / g(0),
-        outcomes[1].1.report.devices.iter().map(|d| d.overlap).sum::<f64>()
-            / outcomes[1].1.report.devices.len() as f64,
+    let devices = &outcomes[1].1.report.devices;
+    dump_bench_json(
+        &Json::object()
+            .field("aggregate_gbps", g(1))
+            .field("single_device_gbps", g(0))
+            .field("four_device_gbps", g(2))
+            .field("gear_gbps", gg(1))
+            .field("speedup_2x", g(1) / g(0))
+            .field(
+                "mean_overlap_2dev",
+                devices.iter().map(|d| d.overlap).sum::<f64>() / devices.len() as f64,
+            ),
     );
-    dump_bench_json(&json);
 }

@@ -16,9 +16,7 @@
 //! Set `SHREDDER_BENCH_JSON=<path>` to also dump the run's headline
 //! numbers (aggregate GB/s, per-session makespans/queueing, stage busy
 //! times) as JSON, so the perf trajectory can be recorded across PRs
-//! (`BENCH_multi_tenant.json` by convention). The vendored `serde` is
-//! derive-only, so the encoder here is hand-rolled over the report
-//! fields.
+//! (`BENCH_multi_tenant.json` by convention).
 
 use shredder_bench::{check, dump_bench_json, gbps, header, result_line, table};
 use shredder_core::{
@@ -26,84 +24,73 @@ use shredder_core::{
     SliceSource, Workload,
 };
 use shredder_rabin::{chunk_all, ChunkParams};
+use shredder_telemetry::Json;
 
-/// Hand-rolled JSON for the perf-trajectory dump (`EngineReport` and
-/// friends derive `serde::Serialize`, but the offline stub emits
-/// nothing).
-fn report_to_json(report: &EngineReport, solo_mean_gbps: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"aggregate_gbps\": {:.6},\n  \"solo_mean_gbps\": {:.6},\n",
-        report.aggregate_gbps(),
-        solo_mean_gbps
-    ));
-    out.push_str(&format!(
-        "  \"bytes\": {},\n  \"buffers\": {},\n  \"pipeline_depth\": {},\n",
-        report.bytes, report.buffers, report.pipeline_depth
-    ));
-    out.push_str(&format!(
-        "  \"makespan_ns\": {},\n  \"queue_wait_ns\": {},\n",
-        report.makespan.as_nanos(),
-        report.queue_wait.as_nanos()
-    ));
-    out.push_str(&format!(
-        "  \"stage_busy_ns\": {{\"read\": {}, \"transfer\": {}, \"kernel\": {}, \"store\": {}}},\n",
-        report.stage_busy.read.as_nanos(),
-        report.stage_busy.transfer.as_nanos(),
-        report.stage_busy.kernel.as_nanos(),
-        report.stage_busy.store.as_nanos()
-    ));
-    let sink_stages: Vec<String> = report
-        .sink_stages
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"name\": \"{}\", \"busy_ns\": {}, \"queue_wait_ns\": {}, \"jobs\": {}}}",
-                s.name,
-                s.busy.as_nanos(),
-                s.queue_wait.as_nanos(),
-                s.jobs
-            )
-        })
-        .collect();
-    out.push_str(&format!(
-        "  \"sink_stages\": [\n{}\n  ],\n",
-        sink_stages.join(",\n")
-    ));
-    let devices: Vec<String> = report
-        .devices
-        .iter()
-        .map(|d| {
-            format!(
-                "    {{\"id\": {}, \"sessions\": {}, \"buffers\": {}, \"utilization\": {:.6}, \"overlap\": {:.6}}}",
-                d.id, d.sessions, d.buffers, d.utilization, d.overlap
-            )
-        })
-        .collect();
-    out.push_str(&format!(
-        "  \"devices\": [\n{}\n  ],\n",
-        devices.join(",\n")
-    ));
-    let sessions: Vec<String> = report
-        .sessions
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{}\", \"device\": {}, \"bytes\": {}, \"makespan_ns\": {}, \"queue_wait_ns\": {}, \"gbps\": {:.6}}}",
-                r.name,
-                r.device,
-                r.bytes,
-                r.makespan.as_nanos(),
-                r.queue_wait.as_nanos(),
-                r.throughput_gbps()
-            )
-        })
-        .collect();
-    out.push_str(&format!(
-        "  \"sessions\": [\n{}\n  ]\n}}\n",
-        sessions.join(",\n")
-    ));
-    out
+/// The perf-trajectory dump: headline, stage busy times, and one row
+/// per sink stage, device and session.
+fn report_to_json(report: &EngineReport, solo_mean_gbps: f64) -> Json {
+    let stage_busy = &report.stage_busy;
+    Json::object()
+        .field("aggregate_gbps", report.aggregate_gbps())
+        .field("solo_mean_gbps", solo_mean_gbps)
+        .field("bytes", report.bytes)
+        .field("buffers", report.buffers)
+        .field("pipeline_depth", report.pipeline_depth)
+        .field("makespan_ns", report.makespan.as_nanos())
+        .field("queue_wait_ns", report.queue_wait.as_nanos())
+        .field(
+            "stage_busy_ns",
+            Json::object()
+                .field("read", stage_busy.read.as_nanos())
+                .field("transfer", stage_busy.transfer.as_nanos())
+                .field("kernel", stage_busy.kernel.as_nanos())
+                .field("store", stage_busy.store.as_nanos()),
+        )
+        .field(
+            "sink_stages",
+            report
+                .sink_stages
+                .iter()
+                .map(|s| {
+                    Json::object()
+                        .field("name", s.name.as_str())
+                        .field("busy_ns", s.busy.as_nanos())
+                        .field("queue_wait_ns", s.queue_wait.as_nanos())
+                        .field("jobs", s.jobs)
+                })
+                .collect::<Json>(),
+        )
+        .field(
+            "devices",
+            report
+                .devices
+                .iter()
+                .map(|d| {
+                    Json::object()
+                        .field("id", d.id)
+                        .field("sessions", d.sessions)
+                        .field("buffers", d.buffers)
+                        .field("utilization", d.utilization)
+                        .field("overlap", d.overlap)
+                })
+                .collect::<Json>(),
+        )
+        .field(
+            "sessions",
+            report
+                .sessions
+                .iter()
+                .map(|r| {
+                    Json::object()
+                        .field("name", r.name.as_str())
+                        .field("device", r.device)
+                        .field("bytes", r.bytes)
+                        .field("makespan_ns", r.makespan.as_nanos())
+                        .field("queue_wait_ns", r.queue_wait.as_nanos())
+                        .field("gbps", r.throughput_gbps())
+                })
+                .collect::<Json>(),
+        )
 }
 
 fn main() {

@@ -24,6 +24,7 @@ use shredder_core::{
 };
 use shredder_des::Dur;
 use shredder_gpu::kernel::KernelVariant;
+use shredder_telemetry::Json;
 
 const REQUESTS: usize = 24;
 const REQ_BYTES: usize = 1 << 20;
@@ -224,37 +225,31 @@ fn main() {
             .as_ref()
             .expect("telemetry-on run carries a report");
         if let Some(path) =
-            shredder_telemetry::dump_json("SHREDDER_TRACE_JSON", &telemetry.to_chrome_json())
+            shredder_telemetry::dump_json("SHREDDER_TRACE_JSON", telemetry.to_chrome_json())
         {
             result_line("chrome trace written to", path);
         }
     }
 
-    // Perf-trajectory dump: bench_gate tracks sustained_rps.
-    let sweep_json: Vec<String> = sweep
-        .iter()
-        .map(|(rate, r)| {
-            format!(
-                "    {{\"offered_rps\": {:.3}, \"achieved_rps\": {:.3}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"shed\": {}, \"max_queue_depth\": {}}}",
-                rate,
-                r.achieved_rps,
-                r.p50().as_millis_f64(),
-                r.p99().as_millis_f64(),
-                r.shed,
-                r.max_queue_depth
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"sustained_rps\": {:.6},\n  \"sustained_rps_gear\": {:.6},\n  \"sustained_gbps\": {:.6},\n  \"capacity_estimate_rps\": {:.6},\n  \"slo_ms\": {:.6},\n  \"request_bytes\": {},\n  \"requests\": {},\n  \"sweep\": [\n{}\n  ]\n}}\n",
-        sustained,
-        gear_sustained,
-        sustained_gbps,
-        mu,
-        slo.as_millis_f64(),
-        REQ_BYTES,
-        REQUESTS,
-        sweep_json.join(",\n")
+    // Perf-trajectory dump: bench_gate tracks both sustained rates.
+    let sweep_json = sweep.iter().map(|(rate, r)| {
+        Json::object()
+            .field("offered_rps", *rate)
+            .field("achieved_rps", r.achieved_rps)
+            .field("p50_ms", r.p50().as_millis_f64())
+            .field("p99_ms", r.p99().as_millis_f64())
+            .field("shed", r.shed)
+            .field("max_queue_depth", r.max_queue_depth)
+    });
+    dump_bench_json(
+        &Json::object()
+            .field("sustained_rps", sustained)
+            .field("sustained_rps_gear", gear_sustained)
+            .field("sustained_gbps", sustained_gbps)
+            .field("capacity_estimate_rps", mu)
+            .field("slo_ms", slo.as_millis_f64())
+            .field("request_bytes", REQ_BYTES)
+            .field("requests", REQUESTS)
+            .field("sweep", sweep_json.collect::<Json>()),
     );
-    dump_bench_json(&json);
 }

@@ -1,281 +1,243 @@
 //! CI bench-regression gate.
 //!
-//! Compares the headlines of freshly-dumped bench JSON files
-//! (`SHREDDER_BENCH_JSON`) against the checked-in `bench/baseline.json`
-//! and fails (exit 1) if any gated value differs from its baseline by
-//! more than [`TOLERANCE`], in either direction. The simulation is
-//! deterministic and the dumps print six decimals, so any larger
-//! difference is a real model/pipeline change, not machine noise: an
-//! intended change refreshes the baseline in the same change.
+//! Compares freshly dumped bench JSON files (`SHREDDER_BENCH_JSON`)
+//! against the checked-in `bench/baseline.json` and fails (exit 1) if
+//! any gated value differs from its baseline at all, in either
+//! direction. The simulation is deterministic and the dumps print f64s
+//! in round-trip form, so any difference is a real model/pipeline
+//! change, not machine noise: an intended change refreshes the
+//! baseline in the same change.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_gate --baseline bench/baseline.json \
-//!     fig12_throughput=bench-out/fig12_throughput.json \
-//!     multi_tenant=bench-out/multi_tenant.json \
-//!     service_load:sustained_rps=bench-out/service_load.json
+//! bench_gate --baseline bench/baseline.json bench-out/
 //! ```
 //!
-//! Each argument is `name[:key]=current.json`: the gated headline
-//! defaults to `aggregate_gbps`, and a `name:key` prefix gates a
-//! different numeric headline (e.g. the service-load bench's sustained
-//! req/s at its latency SLO). The baseline maps each bench name to an
-//! object holding the expected value under the same key. The vendored
-//! `serde` stub cannot deserialize, so the parser here is a
-//! purpose-built scanner for the hand-rolled dumps — it only
-//! understands `"key": number` fields.
+//! Each object in the baseline is named after a dump file stem: its
+//! keys are gated against the same top-level keys of
+//! `bench-out/<stem>.json`. Baseline entries that are not objects (the
+//! `_comment`) are skipped. Both files are read with
+//! [`shredder_telemetry::Json`], the parser behind every dump.
 
+use std::path::Path;
 use std::process::ExitCode;
 
-/// Largest accepted `|measured − baseline|`: the dumps' six-decimal
-/// precision.
-const TOLERANCE: f64 = 1e-6;
+use shredder_telemetry::Json;
 
-/// Whether a measured headline reproduces its baseline.
+/// Whether a measured value reproduces its baseline: exactly equal, so
+/// NaN never passes.
 fn reproduces(measured: f64, expected: f64) -> bool {
-    (measured - expected).abs() <= TOLERANCE
+    measured == expected
 }
 
-/// Extracts the numeric value of `"key": <number>` from `json`,
-/// starting at `from`. Returns the value and the index after the match.
-fn extract_number_at(json: &str, key: &str, from: usize) -> Option<(f64, usize)> {
-    let needle = format!("\"{key}\"");
-    let rel = json.get(from..)?.find(&needle)?;
-    let after_key = from + rel + needle.len();
-    let rest = &json[after_key..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(tail.len());
-    let value: f64 = tail[..end].parse().ok()?;
-    let consumed = json.len() - tail.len() + end;
-    Some((value, consumed))
+fn read_json(path: &Path) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Top-level `"key": number` lookup.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    extract_number_at(json, key, 0).map(|(v, _)| v)
-}
-
-/// Looks up `key` inside the object that follows `"scope"` — good
-/// enough for the flat two-level baseline file. The scope anchor must
-/// read `"scope": {` (whitespace allowed), so a bench name quoted
-/// inside a string value (e.g. the baseline's `_comment`) is skipped
-/// rather than capturing the wrong object; and the search for `key` is
-/// bounded by the scope object's closing brace, so a scope missing the
-/// key reports `None` instead of reading the next scope's value.
-fn extract_scoped(json: &str, scope: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{scope}\"");
-    let mut from = 0;
-    let open = loop {
-        let at = from + json.get(from..)?.find(&needle)? + needle.len();
-        let rest = json[at..].trim_start();
-        if let Some(tail) = rest.strip_prefix(':') {
-            if tail.trim_start().starts_with('{') {
-                break at + (json[at..].len() - tail.trim_start().len());
-            }
-        }
-        from = at;
+/// Gates every `(stem, key)` entry of `baseline` against
+/// `dir/<stem>.json`: one line per entry, `Err` on a failure.
+fn gate(baseline: &Json, dir: &Path) -> Vec<Result<String, String>> {
+    let Json::Obj(benches) = baseline else {
+        return vec![Err("baseline is not a JSON object".to_string())];
     };
-    let mut depth = 0usize;
-    let mut close = None;
-    for (i, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    close = Some(open + i);
-                    break;
-                }
+    let mut lines = Vec::new();
+    for (stem, keys) in benches {
+        let Json::Obj(keys) = keys else { continue };
+        let dump = match read_json(&dir.join(format!("{stem}.json"))) {
+            Ok(dump) => dump,
+            Err(e) => {
+                lines.push(Err(format!("{stem}: {e}")));
+                continue;
             }
-            _ => {}
+        };
+        for (key, expected) in keys {
+            let measured = dump.get(key).and_then(Json::as_f64);
+            lines.push(match (measured, expected.as_f64()) {
+                (_, None) => Err(format!("{stem}: baseline {key} is not a number")),
+                (None, _) => Err(format!("{stem}: no numeric {key} in the dump")),
+                (Some(m), Some(e)) if reproduces(m, e) => Ok(format!("{stem}: {key} {m:?}")),
+                (Some(m), Some(e)) => Err(format!(
+                    "{stem}: {key} {m:?} vs baseline {e:?} (delta {:+e})",
+                    m - e
+                )),
+            });
         }
     }
-    let scope_body = &json[..close?];
-    extract_number_at(scope_body, key, open).map(|(v, _)| v)
-}
-
-/// Splits a `name[:key]` bench spec; the gated key defaults to
-/// `aggregate_gbps`.
-fn parse_spec(spec: &str) -> (&str, &str) {
-    match spec.split_once(':') {
-        Some((name, key)) => (name, key),
-        None => (spec, "aggregate_gbps"),
-    }
-}
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("bench_gate: {msg}");
-    ExitCode::FAILURE
+    lines
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path: Option<String> = None;
-    // (bench name, gated key, current-dump path)
-    let mut pairs: Vec<(String, String, String)> = Vec::new();
-
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(p),
-                None => return fail("--baseline needs a path"),
-            },
-            other => match other.split_once('=') {
-                Some((spec, path)) => {
-                    let (name, key) = parse_spec(spec);
-                    pairs.push((name.to_string(), key.to_string(), path.to_string()));
-                }
-                None => return fail(&format!("unrecognized argument '{other}'")),
-            },
+    let (baseline_path, dir) = match args.as_slice() {
+        [flag, baseline, dir] if flag == "--baseline" => (baseline, dir),
+        _ => {
+            eprintln!("usage: bench_gate --baseline <baseline.json> <dump-dir>");
+            return ExitCode::from(2);
+        }
+    };
+    let baseline = match read_json(Path::new(baseline_path)) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("bench_gate: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let lines = gate(&baseline, Path::new(dir));
+    for line in &lines {
+        match line {
+            Ok(l) => println!("  [ ok ] {l}"),
+            Err(l) => eprintln!("  [FAIL] {l}"),
         }
     }
-    let Some(baseline_path) = baseline_path else {
-        return fail("missing --baseline <path>");
-    };
-    if pairs.is_empty() {
-        return fail("no benches given (expected name=current.json arguments)");
-    }
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("cannot read baseline {baseline_path}: {e}")),
-    };
-
-    let mut failed = false;
-    for (name, key, path) in &pairs {
-        let current = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("  [FAIL] {name}: cannot read {path}: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        let Some(expected) = extract_scoped(&baseline, name, key) else {
-            eprintln!("  [FAIL] {name}: no {key} in baseline {baseline_path}");
-            failed = true;
-            continue;
-        };
-        let Some(measured) = extract_number(&current, key) else {
-            eprintln!("  [FAIL] {name}: no {key} in {path}");
-            failed = true;
-            continue;
-        };
-        let delta = measured - expected;
-        if reproduces(measured, expected) {
-            println!("  [ ok ] {name}: {key} {measured:.6} matches baseline {expected:.6}");
-        } else {
-            eprintln!(
-                "  [FAIL] {name}: {key} {measured:.6} vs baseline {expected:.6} (delta {delta:+.6}, tolerance {TOLERANCE:e})"
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        return fail(
-            "a gated bench headline changed; refresh bench/baseline.json if the change is intended",
+    if lines.iter().any(Result::is_err) {
+        eprintln!(
+            "bench_gate: a gated bench headline changed; refresh {baseline_path} if the change is intended"
         );
+        return ExitCode::FAILURE;
     }
-    println!("bench_gate: all benches reproduce the baseline (|delta| <= {TOLERANCE:e})");
+    println!(
+        "bench_gate: all {} gated values reproduce the baseline exactly",
+        lines.len()
+    );
     ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
-    const BASELINE: &str = r#"{
-  "fig12_throughput": { "aggregate_gbps": 1.98 },
-  "multi_tenant": { "aggregate_gbps": 2.05 }
-}"#;
+    /// Writes `dumps` as `<stem>.json` files into a fresh directory.
+    fn dump_dir(test: &str, dumps: &[(&str, &str)]) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bench_gate_{test}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (stem, json) in dumps {
+            std::fs::write(dir.join(format!("{stem}.json")), json).unwrap();
+        }
+        dir
+    }
+
+    /// Runs the gate; returns `(passed, failed)` entry counts.
+    fn run(test: &str, baseline: &str, dumps: &[(&str, &str)]) -> (usize, usize) {
+        let dir = dump_dir(test, dumps);
+        let lines = gate(&Json::parse(baseline).unwrap(), &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let failed = lines.iter().filter(|l| l.is_err()).count();
+        (lines.len() - failed, failed)
+    }
 
     #[test]
     fn extracts_top_level_numbers() {
-        let json = "{\n  \"aggregate_gbps\": 9.274513,\n  \"other\": 1\n}";
-        assert_eq!(extract_number(json, "aggregate_gbps"), Some(9.274513));
-        assert_eq!(extract_number(json, "missing"), None);
+        let dump = "{\n  \"aggregate_gbps\": 9.274513,\n  \"other\": 1\n}";
+        let base = r#"{"fig12_throughput": {"aggregate_gbps": 9.274513}}"#;
+        assert_eq!(run("top", base, &[("fig12_throughput", dump)]), (1, 0));
     }
 
     #[test]
     fn extracts_scoped_numbers() {
-        assert_eq!(
-            extract_scoped(BASELINE, "fig12_throughput", "aggregate_gbps"),
-            Some(1.98)
-        );
-        assert_eq!(
-            extract_scoped(BASELINE, "multi_tenant", "aggregate_gbps"),
-            Some(2.05)
-        );
-        assert_eq!(extract_scoped(BASELINE, "nope", "aggregate_gbps"), None);
+        let base = r#"{
+  "fig12_throughput": {"aggregate_gbps": 1.98, "gear_gbps": 2.5},
+  "multi_tenant": {"aggregate_gbps": 2.05}
+}"#;
+        let dumps = [
+            (
+                "fig12_throughput",
+                r#"{"aggregate_gbps": 1.98, "gear_gbps": 2.5}"#,
+            ),
+            ("multi_tenant", r#"{"aggregate_gbps": 2.05}"#),
+        ];
+        assert_eq!(run("all", base, &dumps), (3, 0));
     }
 
     #[test]
     fn scoped_lookup_does_not_leak_backwards() {
-        // The scope anchors the search: a key *before* the scope is not
-        // picked up.
-        let json = r#"{"a": {"x": 1.0}, "b": {"x": 2.0}}"#;
-        assert_eq!(extract_scoped(json, "b", "x"), Some(2.0));
+        // Scope isolation is structural: `b` is checked against b.json
+        // only, whatever a.json holds under the same key.
+        let base = r#"{"a": {"x": 1.0}, "b": {"x": 2.0}}"#;
+        let dumps = [("a", r#"{"x": 1.0}"#), ("b", r#"{"x": 2.0}"#)];
+        assert_eq!(run("iso", base, &dumps), (2, 0));
+        let swapped = [("a", r#"{"x": 2.0}"#), ("b", r#"{"x": 1.0}"#)];
+        assert_eq!(run("iso_swap", base, &swapped), (0, 2));
     }
 
     #[test]
     fn scoped_lookup_skips_scope_names_quoted_in_strings() {
-        // A string *value* equal to a bench name (a _comment-style
-        // field) must not anchor the scope and capture the next object.
-        let json = r#"{
+        let base = r#"{
   "headline": "multi_tenant",
-  "fig12_throughput": { "aggregate_gbps": 1.98 },
-  "multi_tenant": { "aggregate_gbps": 2.05 }
+  "fig12_throughput": {"aggregate_gbps": 1.98},
+  "multi_tenant": {"aggregate_gbps": 2.05}
 }"#;
-        assert_eq!(
-            extract_scoped(json, "multi_tenant", "aggregate_gbps"),
-            Some(2.05)
-        );
-        assert_eq!(
-            extract_scoped(json, "fig12_throughput", "aggregate_gbps"),
-            Some(1.98)
-        );
+        let dumps = [
+            ("fig12_throughput", r#"{"aggregate_gbps": 1.98}"#),
+            ("multi_tenant", r#"{"aggregate_gbps": 2.05}"#),
+        ];
+        assert_eq!(run("quoted", base, &dumps), (2, 0));
+    }
+
+    #[test]
+    fn a_baseline_comment_string_is_ignored() {
+        let base = r#"{
+  "_comment": "refresh by copying the dumps' values; see multi_tenant.json",
+  "multi_tenant": {"aggregate_gbps": 2.05}
+}"#;
+        let dumps = [("multi_tenant", r#"{"aggregate_gbps": 2.05}"#)];
+        assert_eq!(run("comment", base, &dumps), (1, 0));
     }
 
     #[test]
     fn scoped_lookup_does_not_leak_forwards() {
-        // A scope missing the key must not pick it up from the next
-        // scope's object.
-        let json = r#"{"a": {}, "b": {"x": 2.0}}"#;
-        assert_eq!(extract_scoped(json, "a", "x"), None);
-        assert_eq!(extract_scoped(json, "b", "x"), Some(2.0));
+        // A missing key fails: `a` lacks x, and b.json's x must not
+        // stand in for it.
+        let base = r#"{"a": {"x": 2.0}, "b": {"x": 2.0}}"#;
+        let dumps = [("a", "{}"), ("b", r#"{"x": 2.0}"#)];
+        assert_eq!(run("missing_key", base, &dumps), (1, 1));
     }
 
     #[test]
-    fn spec_parsing_defaults_to_aggregate_gbps() {
-        assert_eq!(
-            parse_spec("multi_tenant"),
-            ("multi_tenant", "aggregate_gbps")
-        );
-        assert_eq!(
-            parse_spec("service_load:sustained_rps"),
-            ("service_load", "sustained_rps")
-        );
+    fn a_missing_dump_file_fails() {
+        let base = r#"{"a": {"x": 1.0}, "b": {"x": 2.0}}"#;
+        assert_eq!(run("missing_file", base, &[("a", r#"{"x": 1.0}"#)]), (1, 1));
     }
 
     #[test]
     fn gate_is_two_sided_and_exact() {
         assert!(reproduces(1.850409, 1.850409));
-        assert!(reproduces(1.8504095, 1.850409));
-        // A drop and a gain beyond the dumps' precision both fail.
+        // A drop and a gain both fail, however small.
         assert!(!reproduces(1.850407, 1.850409));
         assert!(!reproduces(1.850411, 1.850409));
+        assert!(!reproduces(1.8504095, 1.850409));
+        assert!(!reproduces(f64::NAN, f64::NAN));
         assert!(!reproduces(f64::NAN, 1.0));
     }
 
     #[test]
+    fn a_one_ulp_difference_fails() {
+        let v = 1.8504093145187277_f64;
+        let next = f64::from_bits(v.to_bits() + 1);
+        assert!(!reproduces(next, v));
+        let base = Json::object()
+            .field("a", Json::object().field("x", v))
+            .to_string();
+        let dump = Json::object().field("x", next).to_string();
+        assert_eq!(run("ulp", &base, &[("a", &dump)]), (0, 1));
+        let same = Json::object().field("x", v).to_string();
+        assert_eq!(run("ulp_same", &base, &[("a", &same)]), (1, 0));
+    }
+
+    #[test]
+    fn non_finite_dumps_fail() {
+        // NaN writes as null, which is not a number.
+        let dump = Json::object().field("x", f64::NAN).to_string();
+        assert_eq!(run("nan", r#"{"a": {"x": 1.0}}"#, &[("a", &dump)]), (0, 1));
+    }
+
+    #[test]
     fn handles_scientific_and_negative_numbers() {
-        let json = r#"{"v": -1.5e-3}"#;
-        assert_eq!(extract_number(json, "v"), Some(-0.0015));
+        let base = r#"{"a": {"v": -0.0015}}"#;
+        assert_eq!(run("sci", base, &[("a", r#"{"v": -1.5e-3}"#)]), (1, 0));
     }
 }

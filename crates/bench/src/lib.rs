@@ -11,6 +11,8 @@
 
 use std::fmt::Display;
 
+use shredder_telemetry::Json;
+
 /// Prints an experiment header.
 pub fn header(experiment: &str, description: &str) {
     println!();
@@ -62,18 +64,15 @@ pub fn ms(d: shredder_des::Dur) -> String {
 }
 
 /// Dumps a bench's headline JSON to the path named by the
-/// `SHREDDER_BENCH_JSON` env var (no-op when unset). One of the three
-/// env-var dump channels (`SHREDDER_BENCH_JSON`, `SHREDDER_FAULT_JSON`,
-/// `SHREDDER_TRACE_JSON`) that share
-/// [`shredder_telemetry::dump_json`]'s hard-error-on-write-failure
-/// semantics: the CI bench gate (`bench_gate`) reads these dumps, so
-/// it is better to fail here than have the gate later report a
-/// confusing "cannot read" failure.
+/// `SHREDDER_BENCH_JSON` env var (no-op when unset), through
+/// [`shredder_telemetry::dump_json`]: a write failure is a hard error,
+/// because the CI bench gate (`bench_gate`) reads these dumps and a
+/// confusing "cannot read" failure there is worse than failing here.
 ///
 /// # Panics
 ///
 /// Panics if the env var is set but the file cannot be written.
-pub fn dump_bench_json(json: &str) {
+pub fn dump_bench_json(json: &Json) {
     if let Some(path) = shredder_telemetry::dump_json("SHREDDER_BENCH_JSON", json) {
         println!("\n  perf trajectory written to {path}");
     }

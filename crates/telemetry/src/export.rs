@@ -4,49 +4,42 @@
 //! The emitter produces the Trace Event Format's JSON-array flavor —
 //! `B`/`E` duration pairs per lane, `i` instants, `M` metadata naming
 //! processes and threads — loadable directly in Perfetto or
-//! `chrome://tracing`. The validator re-parses a trace with a
-//! hand-rolled JSON reader (the workspace's vendored `serde` is a
-//! no-op stub) and checks the structural contract CI relies on:
-//! required keys, nondecreasing `ts`, and matched `B`/`E` pairs per
-//! thread.
+//! `chrome://tracing`. Both directions go through [`Json`]: the
+//! emitter builds one array of event objects, and the validator
+//! re-parses a trace with [`Json::parse`] and checks the structural
+//! contract CI relies on: required keys, nondecreasing `ts`, and
+//! matched `B`/`E` pairs per thread.
 
 use std::collections::BTreeMap;
 
+use crate::json::Json;
 use crate::recorder::{ArgValue, Args, Lane, LaneEngine, TraceRecord};
 
-/// Microsecond timestamp with nanosecond fraction, e.g. `12.345`.
-fn ts_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// A trace event's common keys. `ts` is in microseconds.
+fn event(name: &str, cat: &str, ph: &str, ts_ns: u64, pid: u64, tid: u64) -> Json {
+    Json::object()
+        .field("name", name)
+        .field("cat", cat)
+        .field("ph", ph)
+        .field("ts", ts_ns as f64 / 1000.0)
+        .field("pid", pid)
+        .field("tid", tid)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn args_json(id: u64, args: &Args) -> String {
-    let mut out = format!("{{\"record_id\": {id}");
-    for (key, value) in args {
-        out.push_str(&format!(", \"{key}\": "));
+impl From<&ArgValue> for Json {
+    fn from(value: &ArgValue) -> Json {
         match value {
-            ArgValue::U64(v) => out.push_str(&v.to_string()),
-            ArgValue::F64(v) => out.push_str(&format!("{v}")),
-            ArgValue::Text(v) => out.push_str(&format!("\"{}\"", json_escape(v))),
+            ArgValue::U64(v) => Json::from(*v),
+            ArgValue::F64(v) => Json::from(*v),
+            ArgValue::Text(v) => Json::from(v.as_str()),
         }
     }
-    out.push('}');
-    out
+}
+
+fn record_args(id: u64, args: &Args) -> Json {
+    let record_id = Json::object().field("record_id", id);
+    args.iter()
+        .fold(record_id, |obj, (key, value)| obj.field(key, value))
 }
 
 /// Stable (pid, tid, process name, thread name) assignment for a lane.
@@ -87,11 +80,6 @@ fn lane_category(lane: &Lane) -> &'static str {
     }
 }
 
-struct PendingEvent {
-    ts: u64,
-    json: String,
-}
-
 /// Renders records as a Chrome trace-event JSON array.
 ///
 /// Spans become `B`/`E` pairs; because a lane's spans are emitted with
@@ -111,7 +99,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
 
     // Group span records per lane; instants go straight to the pool.
     let mut lanes: BTreeMap<Lane, Vec<&TraceRecord>> = BTreeMap::new();
-    let mut events: Vec<PendingEvent> = Vec::new();
+    let mut events: Vec<(u64, Json)> = Vec::new(); // (ts ns, event)
     let mut tracks: BTreeMap<(u64, u64), (&'static str, String)> = BTreeMap::new();
     for r in records {
         let (pid, tid, pname, tname) = lane_track(r.lane(), &stage_tids);
@@ -122,17 +110,10 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                 id, name, at, args, ..
             } => {
                 let ts = at.as_nanos();
-                events.push(PendingEvent {
-                    ts,
-                    json: format!(
-                        "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \
-                         \"ts\": {}, \"pid\": {pid}, \"tid\": {tid}, \"args\": {}}}",
-                        json_escape(name),
-                        lane_category(r.lane()),
-                        ts_us(ts),
-                        args_json(*id, args),
-                    ),
-                });
+                let instant = event(name, lane_category(r.lane()), "i", ts, pid, tid)
+                    .field("s", "t")
+                    .field("args", record_args(*id, args));
+                events.push((ts, instant));
             }
         }
     }
@@ -167,21 +148,13 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
         });
         let mut stack: Vec<(u64, &'static str)> = Vec::new(); // (end ns, name)
         let close =
-            |stack: &mut Vec<(u64, &'static str)>, events: &mut Vec<PendingEvent>, upto: u64| {
+            |stack: &mut Vec<(u64, &'static str)>, events: &mut Vec<(u64, Json)>, upto: u64| {
                 while let Some(&(end, name)) = stack.last() {
                     if end > upto {
                         break;
                     }
                     stack.pop();
-                    events.push(PendingEvent {
-                        ts: end,
-                        json: format!(
-                            "{{\"name\": \"{}\", \"cat\": \"{cat}\", \"ph\": \"E\", \
-                         \"ts\": {}, \"pid\": {pid}, \"tid\": {tid}}}",
-                            json_escape(name),
-                            ts_us(end),
-                        ),
-                    });
+                    events.push((end, event(name, cat, "E", end, pid, tid)));
                 }
             };
         for r in spans {
@@ -201,16 +174,9 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
             if let Some(&(outer_end, _)) = stack.last() {
                 end = end.min(outer_end);
             }
-            events.push(PendingEvent {
-                ts: start,
-                json: format!(
-                    "{{\"name\": \"{}\", \"cat\": \"{cat}\", \"ph\": \"B\", \
-                     \"ts\": {}, \"pid\": {pid}, \"tid\": {tid}, \"args\": {}}}",
-                    json_escape(name),
-                    ts_us(start),
-                    args_json(*id, args),
-                ),
-            });
+            let begin =
+                event(name, cat, "B", start, pid, tid).field("args", record_args(*id, args));
+            events.push((start, begin));
             stack.push((end, name));
         }
         close(&mut stack, &mut events, u64::MAX);
@@ -218,50 +184,32 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
 
     // Globally: stable sort by ts. Per-lane streams are already in
     // order, and cross-lane ties keep deterministic insertion order.
-    events.sort_by_key(|e| e.ts);
+    events.sort_by_key(|&(ts, _)| ts);
 
-    let mut out = String::from("[\n");
-    let mut first = true;
-    let mut push = |line: String, first: &mut bool| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        out.push_str("  ");
-        out.push_str(&line);
-    };
+    // Metadata first: process names, then thread names.
     let mut pids_named: BTreeMap<u64, &'static str> = BTreeMap::new();
     for (&(pid, _), &(pname, _)) in &tracks {
         pids_named.entry(pid).or_insert(pname);
     }
-    for (pid, pname) in &pids_named {
-        push(
-            format!(
-                "{{\"name\": \"process_name\", \"ph\": \"M\", \"ts\": 0.000, \"pid\": {pid}, \
-                 \"tid\": 0, \"args\": {{\"name\": \"{pname}\"}}}}"
-            ),
-            &mut first,
-        );
-    }
-    for (&(pid, tid), (_, tname)) in &tracks {
-        push(
-            format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"ts\": 0.000, \"pid\": {pid}, \
-                 \"tid\": {tid}, \"args\": {{\"name\": \"{}\"}}}}",
-                json_escape(tname)
-            ),
-            &mut first,
-        );
-    }
-    for e in &events {
-        push(e.json.clone(), &mut first);
-    }
-    out.push_str("\n]\n");
-    out
+    let name_event = |kind: &str, pid: u64, tid: u64, name: &str| {
+        event(kind, "__metadata", "M", 0, pid, tid)
+            .field("args", Json::object().field("name", name))
+    };
+    let processes = pids_named
+        .iter()
+        .map(|(&pid, pname)| name_event("process_name", pid, 0, pname));
+    let threads = tracks
+        .iter()
+        .map(|(&(pid, tid), (_, tname))| name_event("thread_name", pid, tid, tname));
+    processes
+        .chain(threads)
+        .chain(events.into_iter().map(|(_, e)| e))
+        .collect::<Json>()
+        .to_string()
 }
 
 // ---------------------------------------------------------------------
-// Structural validation (hand-rolled JSON reader; no serde_json here).
+// Structural validation.
 // ---------------------------------------------------------------------
 
 /// Summary counts from a validated trace.
@@ -275,216 +223,6 @@ pub struct TraceCheck {
     pub instants: usize,
     /// `M` metadata events.
     pub metadata: usize,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Self {
-        Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn fail(&self, msg: &str) -> String {
-        format!("JSON error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.fail(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err(self.fail("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.fail(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.fail("invalid utf-8 in number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.fail(&format!("bad number '{text}'")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.fail("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.fail("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.fail("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.fail("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Copy the full UTF-8 sequence starting at b.
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.fail("invalid utf-8 in string"))?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.fail("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.fail("expected ',' or '}'")),
-            }
-        }
-    }
 }
 
 /// Parses and structurally validates a Chrome trace-event JSON array.
@@ -508,13 +246,7 @@ impl<'a> Parser<'a> {
 /// assert_eq!(check.spans, 1);
 /// ```
 pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
-    let mut parser = Parser::new(json);
-    let doc = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.fail("trailing garbage after document"));
-    }
-    let Json::Arr(events) = doc else {
+    let Json::Arr(events) = Json::parse(json)? else {
         return Err("trace must be a JSON array of events".to_string());
     };
 
@@ -543,15 +275,15 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
             .ok_or_else(|| ctx("missing string 'ph'".to_string()))?;
         let ts = ev
             .get("ts")
-            .and_then(Json::as_num)
+            .and_then(Json::as_f64)
             .ok_or_else(|| ctx("missing numeric 'ts'".to_string()))?;
         let pid = ev
             .get("pid")
-            .and_then(Json::as_num)
+            .and_then(Json::as_f64)
             .ok_or_else(|| ctx("missing numeric 'pid'".to_string()))? as u64;
         let tid = ev
             .get("tid")
-            .and_then(Json::as_num)
+            .and_then(Json::as_f64)
             .ok_or_else(|| ctx("missing numeric 'tid'".to_string()))? as u64;
 
         match ph {
@@ -609,21 +341,22 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
 // Env-var dump plumbing.
 // ---------------------------------------------------------------------
 
-/// Writes `json` to the path named by the environment variable
-/// `env_var`, if set and non-empty.
+/// Writes `json` (a [`Json`] or an already-rendered trace) to the
+/// path named by the environment variable `env_var`, if set and
+/// non-empty.
 ///
 /// This is the single dump gate for `SHREDDER_BENCH_JSON`,
-/// `SHREDDER_FAULT_JSON` and `SHREDDER_TRACE_JSON`: returns `None`
-/// (and writes nothing) when the variable is unset, and returns the
-/// path written otherwise.
+/// `SHREDDER_FAULT_JSON`, `SHREDDER_FLEET_JSON` and
+/// `SHREDDER_TRACE_JSON`: returns `None` (and writes nothing) when the
+/// variable is unset, and returns the path written otherwise.
 ///
 /// # Panics
 ///
 /// Panics if the write fails — a requested dump that cannot land is a
 /// hard error, never a silent skip (CI depends on the artifact).
-pub fn dump_json(env_var: &str, json: &str) -> Option<String> {
+pub fn dump_json(env_var: &str, json: impl std::fmt::Display) -> Option<String> {
     let path = std::env::var(env_var).ok().filter(|p| !p.is_empty())?;
-    std::fs::write(&path, json)
+    std::fs::write(&path, json.to_string())
         .unwrap_or_else(|e| panic!("could not write {env_var} JSON to {path}: {e}"));
     Some(path)
 }

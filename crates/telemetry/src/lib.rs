@@ -14,10 +14,15 @@
 //! * [`chrome_trace_json`] / [`validate_chrome_trace`] — Chrome
 //!   trace-event export (loadable in Perfetto) and the structural
 //!   validator CI runs against every exported trace.
+//! * [`Json`] — the one JSON value type: every dump in the workspace
+//!   (bench headlines, fault and fleet reports, metrics snapshots,
+//!   Chrome traces) is built as a `Json` and printed by its writer, and
+//!   every reader (`bench_gate`, the trace validator) goes through
+//!   [`Json::parse`].
 //! * [`dump_json`] — the one env-var-gated JSON dump path shared by
-//!   `SHREDDER_BENCH_JSON`, `SHREDDER_FAULT_JSON` and
-//!   `SHREDDER_TRACE_JSON`, with hard-error-on-write-failure
-//!   semantics.
+//!   `SHREDDER_BENCH_JSON`, `SHREDDER_FAULT_JSON`,
+//!   `SHREDDER_FLEET_JSON` and `SHREDDER_TRACE_JSON`, with
+//!   hard-error-on-write-failure semantics.
 //!
 //! # The zero-overhead-off contract
 //!
@@ -42,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 
@@ -49,6 +55,7 @@ use serde::{Deserialize, Serialize};
 use shredder_des::Dur;
 
 pub use export::{chrome_trace_json, dump_json, validate_chrome_trace, TraceCheck};
+pub use json::Json;
 pub use metrics::MetricsRegistry;
 pub use recorder::{ArgValue, Args, Lane, LaneEngine, TelemetryConfig, TraceRecord, TraceRecorder};
 

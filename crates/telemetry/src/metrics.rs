@@ -12,6 +12,8 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 use shredder_des::{Histogram, SimTime, TimeSeries};
 
+use crate::json::Json;
+
 /// A named collection of counters, gauges, histograms and time series.
 ///
 /// # Examples
@@ -140,78 +142,34 @@ impl MetricsRegistry {
 
     /// JSON snapshot: counters and gauges verbatim, histograms as
     /// `{count, sum, min, max, p50, p95, p99}`, series as `[t, v]`
-    /// pairs. Hand-formatted and deterministic.
+    /// pairs. Deterministic: names ascend.
     pub fn json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        push_entries(
-            &mut out,
-            self.counters.iter().map(|(k, v)| (k, v.to_string())),
-        );
-        out.push_str("},\n  \"gauges\": {");
-        push_entries(&mut out, self.gauges.iter().map(|(k, v)| (k, json_f64(*v))));
-        out.push_str("},\n  \"histograms\": {");
-        push_entries(
-            &mut out,
-            self.histograms.iter().map(|(k, h)| {
-                let q = |p: f64| h.quantile(p).unwrap_or(0);
-                (
-                    k,
-                    format!(
-                        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                         \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                        h.count(),
-                        h.sum(),
-                        h.min().unwrap_or(0),
-                        h.max().unwrap_or(0),
-                        q(0.50),
-                        q(0.95),
-                        q(0.99),
-                    ),
-                )
-            }),
-        );
-        out.push_str("},\n  \"series\": {");
-        push_entries(
-            &mut out,
-            self.series.iter().map(|(k, s)| {
-                let points: Vec<String> = s
-                    .points()
-                    .iter()
-                    .map(|&(t, v)| format!("[{}, {}]", t.as_nanos(), json_f64(v)))
-                    .collect();
-                (k, format!("[{}]", points.join(", ")))
-            }),
-        );
-        out.push_str("}\n}\n");
-        out
-    }
-}
-
-/// Formats an f64 as a JSON number (always with a decimal point or
-/// exponent so it round-trips as a float).
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-fn push_entries(out: &mut String, entries: impl Iterator<Item = (impl AsRef<str>, String)>) {
-    let mut first = true;
-    for (key, value) in entries {
-        if !first {
-            out.push(',');
+        fn section<V>(map: &BTreeMap<String, V>, value: impl Fn(&V) -> Json) -> Json {
+            Json::Obj(map.iter().map(|(k, v)| (k.clone(), value(v))).collect())
         }
-        first = false;
-        out.push_str(&format!("\n    \"{}\": {}", key.as_ref(), value));
-    }
-    if !first {
-        out.push_str("\n  ");
+        let histogram = |h: &Histogram| {
+            let q = |p: f64| h.quantile(p).unwrap_or(0);
+            Json::object()
+                .field("count", h.count())
+                .field("sum", h.sum())
+                .field("min", h.min().unwrap_or(0))
+                .field("max", h.max().unwrap_or(0))
+                .field("p50", q(0.50))
+                .field("p95", q(0.95))
+                .field("p99", q(0.99))
+        };
+        let series = |s: &TimeSeries| {
+            s.points()
+                .iter()
+                .map(|&(t, v)| Json::Arr(vec![t.as_nanos().into(), v.into()]))
+                .collect::<Json>()
+        };
+        Json::object()
+            .field("counters", section(&self.counters, |v| Json::from(*v)))
+            .field("gauges", section(&self.gauges, |v| Json::from(*v)))
+            .field("histograms", section(&self.histograms, histogram))
+            .field("series", section(&self.series, series))
+            .to_string()
     }
 }
 
@@ -269,7 +227,7 @@ mod tests {
         for needle in [
             "\"counters\"",
             "\"c\": 1",
-            "\"g\": 3.0",
+            "\"g\": 3",
             "\"count\": 1",
             "\"p99\": 42",
             "[7, 1.5]",

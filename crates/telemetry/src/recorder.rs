@@ -145,7 +145,7 @@ pub enum Lane {
 pub enum ArgValue {
     /// An unsigned integer.
     U64(u64),
-    /// A float (formatted with shortest-roundtrip `Display`).
+    /// A float (written in round-trip form; non-finite as `null`).
     F64(f64),
     /// A string label.
     Text(String),

@@ -34,6 +34,7 @@ use shredder::des::Dur;
 use shredder::hash::{sha256, Digest};
 use shredder::rabin::{chunk_all, ChunkParams};
 use shredder::store::{ChunkStore, StoreError};
+use shredder::telemetry::Json;
 use shredder::workloads;
 
 use proptest::prelude::*;
@@ -467,27 +468,20 @@ fn fleet_fault_matrix_dump() {
             .with_membership(MembershipPlan::new().join(Dur::from_nanos(full.as_nanos() * 2), 0)),
     );
     let r = &faulted.report;
-    let json = format!(
-        concat!(
-            "{{\"nodes\":2,\"replication\":{},\"completed\":{},\"shed\":{},",
-            "\"lost\":{},\"repair_snapshots\":{},\"repair_bytes\":{},",
-            "\"replication_logical_bytes\":{},\"replication_physical_bytes\":{},",
-            "\"replication_amplification\":{:.6},\"rebalance_bytes\":{},",
-            "\"makespan_ms\":{:.6},\"baseline_makespan_ms\":{:.6}}}"
-        ),
-        r.replication.factor,
-        r.completed,
-        r.shed,
-        r.lost,
-        r.repair.snapshots_installed,
-        r.repair.bytes_copied,
-        r.replication.logical_bytes,
-        r.replication.physical_bytes,
-        r.replication_amplification(),
-        r.rebalance.bytes_moved,
-        r.makespan.as_millis_f64(),
-        base.report.makespan.as_millis_f64(),
-    );
+    let json = Json::object()
+        .field("nodes", 2u64)
+        .field("replication", r.replication.factor)
+        .field("completed", r.completed)
+        .field("shed", r.shed)
+        .field("lost", r.lost)
+        .field("repair_snapshots", r.repair.snapshots_installed)
+        .field("repair_bytes", r.repair.bytes_copied)
+        .field("replication_logical_bytes", r.replication.logical_bytes)
+        .field("replication_physical_bytes", r.replication.physical_bytes)
+        .field("replication_amplification", r.replication_amplification())
+        .field("rebalance_bytes", r.rebalance.bytes_moved)
+        .field("makespan_ms", r.makespan.as_millis_f64())
+        .field("baseline_makespan_ms", base.report.makespan.as_millis_f64());
     if let Some(path) = shredder::telemetry::dump_json("SHREDDER_FLEET_JSON", &json) {
         println!("fleet fault report written to {path}");
     }
@@ -561,32 +555,27 @@ fn fault_matrix_report_dump() {
     assert_sessions_identical(&base, &faulted, &streams);
 
     let f = &faulted.report.faults;
-    let slowdowns: Vec<String> = f
-        .slowdowns
-        .iter()
-        .map(|(d, s)| format!("{{\"device\":{d},\"slowdown\":{s}}}"))
-        .collect();
-    let dead: Vec<String> = f.dead_devices.iter().map(|d| d.to_string()).collect();
-    let json = format!(
-        concat!(
-            "{{\"seed\":{},\"injected\":{},\"device_deaths\":{},",
-            "\"deaths_skipped\":{},\"stragglers\":{},\"requeued_buffers\":{},",
-            "\"replaced_sessions\":{},\"dead_devices\":[{}],\"slowdowns\":[{}],",
-            "\"makespan_ms\":{:.6},\"baseline_makespan_ms\":{:.6},",
-            "\"sessions_bit_identical\":true}}"
-        ),
-        seed,
-        f.injected,
-        f.device_deaths,
-        f.deaths_skipped,
-        f.stragglers,
-        f.requeued_buffers,
-        f.replaced_sessions,
-        dead.join(","),
-        slowdowns.join(","),
-        faulted.report.makespan.as_millis_f64(),
-        base.report.makespan.as_millis_f64(),
-    );
+    let slowdowns = f.slowdowns.iter().map(|&(device, slowdown)| {
+        Json::object()
+            .field("device", device)
+            .field("slowdown", slowdown)
+    });
+    let json = Json::object()
+        .field("seed", seed)
+        .field("injected", f.injected)
+        .field("device_deaths", f.device_deaths)
+        .field("deaths_skipped", f.deaths_skipped)
+        .field("stragglers", f.stragglers)
+        .field("requeued_buffers", f.requeued_buffers)
+        .field("replaced_sessions", f.replaced_sessions)
+        .field(
+            "dead_devices",
+            f.dead_devices.iter().copied().collect::<Json>(),
+        )
+        .field("slowdowns", slowdowns.collect::<Json>())
+        .field("makespan_ms", faulted.report.makespan.as_millis_f64())
+        .field("baseline_makespan_ms", base.report.makespan.as_millis_f64())
+        .field("sessions_bit_identical", true);
     if let Some(path) = shredder::telemetry::dump_json("SHREDDER_FAULT_JSON", &json) {
         println!("fault report written to {path}");
     }
@@ -603,7 +592,7 @@ fn fault_matrix_report_dump() {
             .telemetry
             .expect("telemetry-on run carries a report");
         if let Some(path) =
-            shredder::telemetry::dump_json("SHREDDER_TRACE_JSON", &telemetry.to_chrome_json())
+            shredder::telemetry::dump_json("SHREDDER_TRACE_JSON", telemetry.to_chrome_json())
         {
             println!("chrome trace written to {path}");
         }
