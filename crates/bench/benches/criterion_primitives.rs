@@ -15,7 +15,7 @@ use shredder_core::{
 };
 use shredder_gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder_gpu::DeviceConfig;
-use shredder_hash::sha256;
+use shredder_hash::{sha256, sha256_many};
 use shredder_rabin::{
     chunk_all, chunk_fixed, ChunkParams, GearKernel, ParallelChunker, Polynomial, RabinTables,
 };
@@ -154,6 +154,14 @@ fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
     group.throughput(Throughput::Bytes(data.len() as u64));
     group.bench_function("digest_1MiB", |b| b.iter(|| sha256(&data)));
+    group.finish();
+
+    // A backup stream's worth of 8 KiB chunks, hashed as one batch.
+    let data = test_data(1024 * 8192);
+    let chunks: Vec<&[u8]> = data.chunks(8192).collect();
+    let mut group = c.benchmark_group("sha256");
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.bench_function("many_1024x8KiB", |b| b.iter(|| sha256_many(&chunks)));
     group.finish();
 }
 

@@ -28,7 +28,7 @@
 //! engine ([`Shredder::engine`]) directly.
 
 use shredder_des::{Dur, SimTime};
-use shredder_hash::{sha256, Digest};
+use shredder_hash::{sha256_many, Digest};
 use shredder_rabin::Chunk;
 
 use crate::config::{Executor, ShredderConfig};
@@ -52,9 +52,11 @@ pub struct ChunkOutcome {
 
 impl ChunkOutcome {
     /// Computes the SHA-256 digest of every chunk (the hashing step of
-    /// §2.1, performed by the Store thread in the backup case study).
+    /// §2.1, performed by the Store thread in the backup case study),
+    /// as one [`sha256_many`] batch.
     pub fn digests(&self, data: &[u8]) -> Vec<Digest> {
-        self.chunks.iter().map(|c| sha256(c.slice(data))).collect()
+        let payloads: Vec<&[u8]> = self.chunks.iter().map(|c| c.slice(data)).collect();
+        sha256_many(&payloads)
     }
 
     /// Mean chunk size in bytes.
@@ -215,6 +217,7 @@ mod tests {
     use crate::engine::host_scan_time;
     use crate::report::SessionReport;
     use shredder_gpu::calibration;
+    use shredder_hash::sha256;
     use shredder_rabin::{chunk_all, ChunkParams};
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {

@@ -83,7 +83,7 @@ use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 use shredder_des::Dur;
-use shredder_hash::{sha256, Digest};
+use shredder_hash::{sha256, sha256_many, Digest};
 use shredder_rabin::Chunk;
 
 /// The typed identity of a downstream stage.
@@ -143,6 +143,12 @@ pub trait ChunkSink {
     /// sink's lifetime.
     fn stages(&self) -> Vec<StageSpec>;
 
+    /// Called once per stream, before the first [`accept`](Self::accept),
+    /// with every chunk's payload in stream order. A sink that hashes
+    /// payloads hashes them here as one batch
+    /// ([`FingerprintStage::prehash`]); the default does nothing.
+    fn prehash(&mut self, _payloads: &[&[u8]]) {}
+
     /// Delivers one chunk in stream order with its payload; returns the
     /// service demand per stage, aligned with [`stages`](Self::stages).
     fn accept(&mut self, chunk: Chunk, payload: &[u8]) -> Vec<Dur>;
@@ -167,6 +173,10 @@ pub trait ChunkSink {
 impl<S: ChunkSink + ?Sized> ChunkSink for &mut S {
     fn stages(&self) -> Vec<StageSpec> {
         (**self).stages()
+    }
+
+    fn prehash(&mut self, payloads: &[&[u8]]) {
+        (**self).prehash(payloads)
     }
 
     fn accept(&mut self, chunk: Chunk, payload: &[u8]) -> Vec<Dur> {
@@ -243,6 +253,9 @@ impl FingerprintIndex for HashSet<Digest> {
 pub struct FingerprintStage {
     hash_bw: f64,
     digests: Vec<Digest>,
+    /// Digests of [`prehash`](Self::prehash)ed payloads not yet
+    /// [`process`](Self::process)ed.
+    queued: std::vec::IntoIter<Digest>,
 }
 
 impl FingerprintStage {
@@ -259,6 +272,7 @@ impl FingerprintStage {
         FingerprintStage {
             hash_bw,
             digests: Vec::new(),
+            queued: Vec::new().into_iter(),
         }
     }
 
@@ -270,10 +284,26 @@ impl FingerprintStage {
         }
     }
 
-    /// Hashes one payload for real, records the digest, and returns it
-    /// with the simulated service time.
+    /// Hashes the payloads the next `payloads.len()` calls to
+    /// [`process`](Self::process) will receive, in that order, as one
+    /// [`sha256_many`] batch.
+    pub fn prehash(&mut self, payloads: &[&[u8]]) {
+        debug_assert_eq!(self.queued.len(), 0, "prehashed digests left unused");
+        self.queued = sha256_many(payloads).into_iter();
+    }
+
+    /// Fingerprints one payload — with the next
+    /// [`prehash`](Self::prehash)ed digest if one is queued, else by
+    /// hashing it now — records the digest, and returns it with the
+    /// simulated service time.
     pub fn process(&mut self, payload: &[u8]) -> (Digest, Dur) {
-        let digest = sha256(payload);
+        let digest = match self.queued.next() {
+            Some(digest) => {
+                debug_assert_eq!(digest, sha256(payload), "prehashed out of order");
+                digest
+            }
+            None => sha256(payload),
+        };
         self.digests.push(digest);
         (
             digest,
@@ -594,6 +624,10 @@ impl ChunkSink for StoreSink {
         vec![self.fingerprint.spec(), self.stage.spec()]
     }
 
+    fn prehash(&mut self, payloads: &[&[u8]]) {
+        self.fingerprint.prehash(payloads);
+    }
+
     fn accept(&mut self, chunk: Chunk, payload: &[u8]) -> Vec<Dur> {
         assert!(
             self.generation.is_none(),
@@ -718,6 +752,10 @@ impl ChunkSink for DedupSink {
         vec![self.fingerprint.spec(), self.dedup.spec(), self.ship.spec()]
     }
 
+    fn prehash(&mut self, payloads: &[&[u8]]) {
+        self.fingerprint.prehash(payloads);
+    }
+
     fn accept(&mut self, chunk: Chunk, payload: &[u8]) -> Vec<Dur> {
         let (digest, hash_service) = self.fingerprint.process(payload);
         let (duplicate, dedup_service) = self.dedup.process(digest);
@@ -740,7 +778,8 @@ impl std::fmt::Debug for DedupSink {
     }
 }
 
-/// The shared functional pass over one stream's final chunks: delivers
+/// The shared functional pass over one stream's final chunks: hands
+/// the sink every payload at once ([`ChunkSink::prehash`]), delivers
 /// every chunk to the sink in stream order and aggregates the returned
 /// per-stage service demand into `buckets` buckets of `bucket_size`
 /// stream bytes (the engine's pipeline buffers);
@@ -759,12 +798,18 @@ pub(crate) fn drive_sink_functional(
 ) -> (Vec<StageSpec>, Vec<Vec<Dur>>) {
     let specs = sink.stages();
     let mut per_bucket: Vec<Vec<Dur>> = vec![vec![Dur::ZERO; specs.len()]; buckets];
-    for chunk in chunks {
-        let payload = if data.len() as u64 >= chunk.end() {
-            chunk.slice(data)
-        } else {
-            &[]
-        };
+    let payloads: Vec<&[u8]> = chunks
+        .iter()
+        .map(|chunk| {
+            if data.len() as u64 >= chunk.end() {
+                chunk.slice(data)
+            } else {
+                &[]
+            }
+        })
+        .collect();
+    sink.prehash(&payloads);
+    for (chunk, payload) in chunks.iter().zip(payloads) {
         let services = sink.accept(*chunk, payload);
         debug_assert_eq!(services.len(), specs.len(), "sink stage arity mismatch");
         if buckets == 0 {
@@ -906,6 +951,91 @@ mod tests {
         stream.extend_from_slice(&a);
         assert_eq!(store.borrow().restore("vm", generation).unwrap(), stream);
         assert_eq!(store.borrow().physical_bytes(), (a.len() + b.len()) as u64);
+    }
+
+    /// Forwards everything but [`ChunkSink::prehash`], so the wrapped
+    /// sink hashes each chunk as it is accepted.
+    struct PerChunk<S>(S);
+
+    impl<S: ChunkSink> ChunkSink for PerChunk<S> {
+        fn stages(&self) -> Vec<StageSpec> {
+            self.0.stages()
+        }
+
+        fn accept(&mut self, chunk: Chunk, payload: &[u8]) -> Vec<Dur> {
+            self.0.accept(chunk, payload)
+        }
+
+        fn finish(&mut self) -> Vec<Dur> {
+            self.0.finish()
+        }
+    }
+
+    /// A stream of 41 chunks of varied lengths, every third one a
+    /// repeat of an earlier chunk's content.
+    fn stream_with_repeats() -> (Vec<u8>, Vec<Chunk>) {
+        let mut data = Vec::new();
+        let mut chunks = Vec::new();
+        for k in 0..41usize {
+            let seed = if k % 3 == 2 { (k / 2) as u8 } else { k as u8 };
+            let piece = payload(64 + (seed as usize * 997) % 6000, seed | 1);
+            chunks.push(Chunk {
+                offset: data.len() as u64,
+                len: piece.len(),
+            });
+            data.extend_from_slice(&piece);
+        }
+        (data, chunks)
+    }
+
+    #[test]
+    fn prehashed_sinks_match_per_chunk_hashing() {
+        let (data, chunks) = stream_with_repeats();
+        let config = DedupSinkConfig {
+            hash_bw: 1.5e9,
+            index_lookup: Dur::from_micros(7),
+            index_insert: Dur::from_micros(10),
+            ship_bw: 0.9e9,
+            pointer_bytes: 40,
+            ship_chunk_overhead: Dur::from_micros(2),
+        };
+        let index_a: Rc<RefCell<HashSet<Digest>>> = Rc::default();
+        let index_b: Rc<RefCell<HashSet<Digest>>> = Rc::default();
+        let mut batched = DedupSink::new(config, index_a);
+        let mut single = PerChunk(DedupSink::new(config, index_b));
+        let demand = drive_sink_functional(&mut batched, &chunks, &data, 4, 64 << 10);
+        assert_eq!(
+            demand,
+            drive_sink_functional(&mut single, &chunks, &data, 4, 64 << 10)
+        );
+        assert_eq!(batched.verdicts(), single.0.verdicts());
+        assert!(batched.verdicts().iter().any(|v| v.duplicate));
+        for (v, chunk) in batched.verdicts().iter().zip(&chunks) {
+            assert_eq!(v.digest, sha256(chunk.slice(&data)));
+        }
+
+        let store_a = Rc::new(RefCell::new(shredder_store::ChunkStore::new()));
+        let store_b = Rc::new(RefCell::new(shredder_store::ChunkStore::new()));
+        let mut batched = StoreSink::new("vm", StoreSinkConfig::default(), store_a.clone());
+        let mut single = PerChunk(StoreSink::new(
+            "vm",
+            StoreSinkConfig::default(),
+            store_b.clone(),
+        ));
+        let demand = drive_sink_functional(&mut batched, &chunks, &data, 4, 64 << 10);
+        assert_eq!(
+            demand,
+            drive_sink_functional(&mut single, &chunks, &data, 4, 64 << 10)
+        );
+        assert_eq!(batched.new_chunks(), single.0.new_chunks());
+        assert_eq!(batched.dedup_bytes(), single.0.dedup_bytes());
+        let generation = batched.generation().expect("committed");
+        assert_eq!(single.0.generation(), Some(generation));
+        assert_eq!(
+            store_a.borrow().manifest("vm", generation),
+            store_b.borrow().manifest("vm", generation)
+        );
+        assert_eq!(store_a.borrow().restore("vm", generation).unwrap(), data);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! and *matching*. This crate provides the hashing half: a from-scratch
 //! [SHA-256](fn@sha256) implementation used to compute collision-resistant
 //! chunk fingerprints (the paper's Store thread "computes a hash for the
-//! overall chunk", §7.2), a fast non-cryptographic [FNV-1a](fnv) hash used
+//! overall chunk", §7.2) — one message at a time, or a batch eight at a
+//! time with [`sha256_many`] — a fast non-cryptographic [FNV-1a](fnv) hash used
 //! by in-memory dedup indexes, the [`Digest`] newtype that the rest of
 //! the workspace uses as a chunk identity, and the shared seeded-hash /
 //! deterministic-PRNG utilities ([`mix`]) behind every reproducible
@@ -38,4 +39,4 @@ pub mod sha256;
 pub use digest::Digest;
 pub use fnv::{fnv1a_32, fnv1a_64, Fnv1a64};
 pub use mix::{scramble_seed, splitmix64, SeededRng};
-pub use sha256::{sha256, Sha256};
+pub use sha256::{sha256, sha256_many, Sha256};

@@ -4,6 +4,10 @@
 //! integrity verification in the backup case study. Implemented here
 //! because the offline crate set contains no cryptographic hash; tested
 //! against the NIST example vectors.
+//!
+//! [`sha256_many`] hashes a batch of independent messages eight at a
+//! time in vector lanes; it needs an AVX2 build target (the workspace's
+//! `.cargo/config.toml`) to beat the scalar [`sha256`].
 
 use crate::Digest;
 
@@ -26,6 +30,18 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// Messages [`sha256_many`] hashes side by side: each state word of
+/// eight lanes is one 256-bit vector under AVX2.
+const LANES: usize = 8;
+
+/// With no message left to refill from, [`sha256_many`] finishes the
+/// last messages on the scalar [`compress`] once fewer than this many
+/// lanes are busy: a lockstep step costs two to three scalar blocks.
+const MIN_BUSY_LANES: usize = 3;
+
+/// The block an idle lane compresses; its result is discarded.
+const IDLE_BLOCK: [u8; 64] = [0; 64];
+
 /// Computes the SHA-256 digest of `data` in one shot.
 ///
 /// # Examples
@@ -38,9 +54,212 @@ const K: [u32; 64] = [
 /// );
 /// ```
 pub fn sha256(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    let (blocks, tail) = data.as_chunks::<64>();
+    let mut state = H0;
+    for block in blocks {
+        compress(&mut state, block);
+    }
+    finish(state, tail, data.len() as u64)
+}
+
+/// Computes the SHA-256 digest of every message, in order — the same
+/// digests as `messages.iter().map(|m| sha256(m))`, eight messages at
+/// a time.
+///
+/// Eight lanes each hold one message's state and compress one block
+/// per step, in lockstep; a lane whose message is done refills with
+/// the next one. Once no message is left and fewer than three lanes
+/// are busy, those messages finish on the scalar block function, so a
+/// batch of one costs what [`sha256`] does.
+///
+/// # Examples
+///
+/// ```
+/// use shredder_hash::{sha256, sha256_many};
+///
+/// let messages: [&[u8]; 3] = [b"", b"abc", &[7u8; 1000]];
+/// assert_eq!(sha256_many(&messages), messages.map(sha256));
+/// ```
+pub fn sha256_many(messages: &[&[u8]]) -> Vec<Digest> {
+    let mut out = vec![Digest::ZERO; messages.len()];
+    let mut queue = messages.iter().enumerate();
+    let mut lanes: [Option<Lane<'_>>; LANES] = Default::default();
+    // `state[word][lane]`: each state word of all lanes is one vector.
+    let mut state = [[0u32; LANES]; 8];
+    loop {
+        for (l, slot) in lanes.iter_mut().enumerate() {
+            if slot.is_none() {
+                if let Some((index, message)) = queue.next() {
+                    *slot = Some(Lane::new(index, message));
+                    for (word, h) in state.iter_mut().zip(H0) {
+                        word[l] = h;
+                    }
+                }
+            }
+        }
+        if queue.len() == 0 && lanes.iter().flatten().count() < MIN_BUSY_LANES {
+            break;
+        }
+        let blocks = lanes
+            .each_ref()
+            .map(|slot| slot.as_ref().map_or(&IDLE_BLOCK, Lane::block));
+        compress_lanes(&mut state, &blocks);
+        for (l, slot) in lanes.iter_mut().enumerate() {
+            if let Some(lane) = slot {
+                lane.next += 1;
+                if lane.done() {
+                    out[lane.index] = digest_of(&state.map(|word| word[l]));
+                    *slot = None;
+                }
+            }
+        }
+    }
+    for (l, lane) in lanes.iter().enumerate() {
+        if let Some(lane) = lane {
+            let mut scalar = state.map(|word| word[l]);
+            for block in lane.remaining() {
+                compress(&mut scalar, block);
+            }
+            out[lane.index] = digest_of(&scalar);
+        }
+    }
+    out
+}
+
+/// One message in flight in a [`sha256_many`] lane: its full blocks,
+/// then its one or two padded blocks.
+struct Lane<'a> {
+    index: usize,
+    blocks: &'a [[u8; 64]],
+    pad: [[u8; 64]; 2],
+    pad_len: usize,
+    /// Blocks already compressed into the lane's state.
+    next: usize,
+}
+
+impl<'a> Lane<'a> {
+    fn new(index: usize, message: &'a [u8]) -> Self {
+        let (blocks, tail) = message.as_chunks::<64>();
+        let (pad, pad_len) = pad(tail, message.len() as u64);
+        Lane {
+            index,
+            blocks,
+            pad,
+            pad_len,
+            next: 0,
+        }
+    }
+
+    /// The next block to compress.
+    fn block(&self) -> &[u8; 64] {
+        match self.blocks.get(self.next) {
+            Some(block) => block,
+            None => &self.pad[self.next - self.blocks.len()],
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.next == self.blocks.len() + self.pad_len
+    }
+
+    /// The blocks not yet compressed.
+    fn remaining(&self) -> impl Iterator<Item = &[u8; 64]> {
+        self.blocks
+            .iter()
+            .chain(&self.pad[..self.pad_len])
+            .skip(self.next)
+    }
+}
+
+/// The final padded blocks of a message of `total_len` bytes whose
+/// last partial block is `tail` (shorter than 64 bytes): `tail`, 0x80,
+/// zeros, then the 64-bit big-endian bit length. Returns the blocks
+/// and how many of them (one or two) are used.
+fn pad(tail: &[u8], total_len: u64) -> ([[u8; 64]; 2], usize) {
+    debug_assert!(tail.len() < 64, "tail of {} bytes", tail.len());
+    let mut blocks = [[0u8; 64]; 2];
+    let used = if tail.len() < 56 { 1 } else { 2 };
+    blocks[0][..tail.len()].copy_from_slice(tail);
+    blocks[0][tail.len()] = 0x80;
+    blocks[used - 1][56..].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    (blocks, used)
+}
+
+/// Compresses a message's padded blocks into `state` (which holds all
+/// its full blocks) and returns the digest.
+fn finish(mut state: [u32; 8], tail: &[u8], total_len: u64) -> Digest {
+    let (blocks, used) = pad(tail, total_len);
+    for block in &blocks[..used] {
+        compress(&mut state, block);
+    }
+    digest_of(&state)
+}
+
+/// The digest: the state words, big-endian.
+fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(state) {
+        *bytes = word.to_be_bytes();
+    }
+    Digest(out)
+}
+
+/// The SHA-256 block function on one message.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut lanes = state.map(|word| [word]);
+    compress_lanes(&mut lanes, &[block]);
+    *state = lanes.map(|[word]| word);
+}
+
+/// The SHA-256 block function on `N` messages in lockstep:
+/// `state[word][lane]` absorbs `blocks[lane]`. Every step is a loop
+/// over the lanes, which LLVM turns into vector instructions.
+fn compress_lanes<const N: usize>(state: &mut [[u32; N]; 8], blocks: &[&[u8; 64]; N]) {
+    let mut w = [[0u32; N]; 64];
+    for (l, block) in blocks.iter().enumerate() {
+        for (i, word) in block.as_chunks::<4>().0.iter().enumerate() {
+            w[i][l] = u32::from_be_bytes(*word);
+        }
+    }
+    for i in 16..64 {
+        let [w16, w15, w7, w2] = [w[i - 16], w[i - 15], w[i - 7], w[i - 2]];
+        w[i] = std::array::from_fn(|l| {
+            let (x, y) = (w15[l], w2[l]);
+            let s0 = x.rotate_right(7) ^ x.rotate_right(18) ^ (x >> 3);
+            let s1 = y.rotate_right(17) ^ y.rotate_right(19) ^ (y >> 10);
+            w16[l].wrapping_add(s0).wrapping_add(w7[l]).wrapping_add(s1)
+        });
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for (k, w) in K.iter().zip(&w) {
+        for l in 0..N {
+            let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
+            let ch = (e[l] & f[l]) ^ (!e[l] & g[l]);
+            let t1 = h[l]
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(*k)
+                .wrapping_add(w[l]);
+            let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
+            let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
+            let t2 = s0.wrapping_add(maj);
+            h[l] = g[l];
+            g[l] = f[l];
+            f[l] = e[l];
+            e[l] = d[l].wrapping_add(t1);
+            d[l] = c[l];
+            c[l] = b[l];
+            b[l] = a[l];
+            a[l] = t1.wrapping_add(t2);
+        }
+    }
+
+    for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (x, y) in word.iter_mut().zip(v) {
+            *x = x.wrapping_add(y);
+        }
+    }
 }
 
 /// An incremental SHA-256 hasher.
@@ -94,97 +313,21 @@ impl Sha256 {
                 debug_assert!(rest.is_empty());
                 return;
             }
-            let block = self.buf;
-            self.compress(&block);
+            compress(&mut self.state, &self.buf);
             self.buf_len = 0;
         }
 
-        let mut blocks = rest.chunks_exact(64);
-        for block in &mut blocks {
-            let arr: [u8; 64] = block.try_into().expect("exact 64-byte block");
-            self.compress(&arr);
+        let (blocks, tail) = rest.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
-        let tail = blocks.remainder();
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
     }
 
     /// Consumes the hasher, returning the digest of everything fed so far.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update_padding(&[0x80]);
-        while self.buf_len != 56 {
-            self.update_padding(&[0]);
-        }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
-    }
-
-    /// Like `update` but does not count the bytes toward the message
-    /// length (used only for the padding suffix).
-    fn update_padding(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buf[self.buf_len] = b;
-            self.buf_len += 1;
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(word.try_into().expect("4-byte word"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    pub fn finalize(self) -> Digest {
+        finish(self.state, &self.buf[..self.buf_len], self.total_len)
     }
 }
 
@@ -227,6 +370,21 @@ mod tests {
         for (input, expected) in VECTORS {
             assert_eq!(&sha256(input).to_hex(), expected, "input {input:?}");
         }
+    }
+
+    #[test]
+    fn nist_vectors_through_sha256_many() {
+        // Three copies: lanes refill, and the last ones finish on the
+        // scalar fallback.
+        let batch: Vec<&[u8]> = (0..3)
+            .flat_map(|_| VECTORS.iter().map(|(input, _)| *input))
+            .collect();
+        let digests = sha256_many(&batch);
+        assert_eq!(digests.len(), batch.len());
+        for (digest, (input, expected)) in digests.iter().zip(VECTORS.iter().cycle()) {
+            assert_eq!(&digest.to_hex(), expected, "input {input:?}");
+        }
+        assert_eq!(sha256_many(&[]), Vec::new());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use shredder_core::{
     AdmissionControl, ChunkError, ChunkRequest, ServiceReport, Shredder, SliceSource, Workload,
 };
 use shredder_des::Dur;
-use shredder_hash::{sha256, Digest};
+use shredder_hash::{sha256_many, Digest};
 use shredder_rabin::{chunk_fixed, Chunk};
 
 use crate::input_format::InputFormat;
@@ -217,10 +217,10 @@ impl IncHdfs {
     /// Plain-HDFS upload: fixed-size splits of `split_size` bytes
     /// (`copyFromLocal`).
     pub fn copy_from_local(&mut self, path: &str, data: &[u8], split_size: usize) -> UploadReport {
-        let aligned: Vec<(Chunk, Digest)> = chunk_fixed(data, split_size)
-            .into_iter()
-            .map(|c| (c, sha256(c.slice(data))))
-            .collect();
+        let splits = chunk_fixed(data, split_size);
+        let payloads: Vec<&[u8]> = splits.iter().map(|c| c.slice(data)).collect();
+        let aligned: Vec<(Chunk, Digest)> =
+            splits.into_iter().zip(sha256_many(&payloads)).collect();
         self.commit(path, data, &aligned, Dur::ZERO, Dur::ZERO)
     }
 

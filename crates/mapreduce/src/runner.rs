@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use shredder_hash::sha256;
+use shredder_hash::sha256_many;
 use shredder_hdfs::SplitData;
 
 use crate::cluster::{simulate_job, ClusterConfig, JobTiming, MapTaskSpec};
@@ -182,7 +182,7 @@ impl<J: MapReduceJob> IncrementalRunner<J> {
 pub fn splits_from_bytes(data: &[u8], target_split: usize) -> Vec<SplitData> {
     use shredder_hdfs::namenode::SplitMeta;
     assert!(target_split > 0, "split size must be non-zero");
-    let mut out = Vec::new();
+    let mut ranges = Vec::new();
     let mut start = 0usize;
     while start < data.len() {
         let mut end = (start + target_split).min(data.len());
@@ -190,19 +190,23 @@ pub fn splits_from_bytes(data: &[u8], target_split: usize) -> Vec<SplitData> {
         while end < data.len() && data[end - 1] != b'\n' {
             end += 1;
         }
-        let bytes = bytes::Bytes::copy_from_slice(&data[start..end]);
-        out.push(SplitData {
-            meta: SplitMeta {
-                digest: sha256(&bytes),
-                offset: start as u64,
-                len: bytes.len(),
-                datanode: 0,
-            },
-            bytes,
-        });
+        ranges.push(start..end);
         start = end;
     }
-    out
+    let payloads: Vec<&[u8]> = ranges.iter().map(|r| &data[r.clone()]).collect();
+    ranges
+        .into_iter()
+        .zip(sha256_many(&payloads))
+        .map(|(range, digest)| SplitData {
+            meta: SplitMeta {
+                digest,
+                offset: range.start as u64,
+                len: range.len(),
+                datanode: 0,
+            },
+            bytes: bytes::Bytes::copy_from_slice(&data[range]),
+        })
+        .collect()
 }
 
 /// Builds record-aligned splits by **content-defined chunking** through
@@ -250,6 +254,7 @@ pub fn content_defined_splits(
 mod tests {
     use super::*;
     use crate::apps::WordCount;
+    use shredder_hash::sha256;
 
     fn corpus() -> Vec<u8> {
         shredder_workloads::words_corpus(100_000, 100, 8)
@@ -267,6 +272,10 @@ mod tests {
     fn output_matches_single_pass_reference() {
         let data = corpus();
         let splits = splits_from_bytes(&data, 4096);
+        for s in &splits {
+            assert_eq!(s.meta.digest, sha256(&s.bytes));
+            assert_eq!(s.bytes, data[s.meta.offset as usize..][..s.meta.len]);
+        }
         let mut runner = IncrementalRunner::new(WordCount, ClusterConfig::paper());
         let out = runner.run(&splits);
         assert_eq!(out.output, count_reference(&data));

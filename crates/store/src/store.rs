@@ -5,7 +5,7 @@ use std::fmt;
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use shredder_hash::{sha256, Digest};
+use shredder_hash::{sha256, sha256_many, Digest};
 use shredder_telemetry::MetricsRegistry;
 
 use crate::index::ChunkIndex;
@@ -622,21 +622,38 @@ impl ChunkStore {
                 generation,
             })?;
         let mut out = Vec::with_capacity(manifest.logical_bytes() as usize);
-        for entry in &manifest.entries {
-            let loc = *self
-                .index
-                .get(&entry.digest)
-                .ok_or(StoreError::MissingChunk(entry.digest))?;
-            let payload = self
-                .log
-                .read(loc)
-                .ok_or(StoreError::MissingChunk(entry.digest))?;
-            if payload.len() != entry.len as usize || sha256(payload) != entry.digest {
-                return Err(StoreError::CorruptChunk(entry.digest));
-            }
-            out.extend_from_slice(payload);
+        for payload in self.read_verified(&manifest.entries) {
+            out.extend_from_slice(payload?);
         }
         Ok(out)
+    }
+
+    /// Reads every entry's payload and verifies it against the entry's
+    /// length and digest, hashing all resident payloads as one
+    /// [`sha256_many`] batch. Yields one result per entry, in order:
+    /// [`StoreError::MissingChunk`] if the payload is not resident,
+    /// [`StoreError::CorruptChunk`] if it fails verification.
+    fn read_verified<'a>(
+        &'a self,
+        entries: &'a [ManifestEntry],
+    ) -> impl Iterator<Item = Result<&'a [u8], StoreError>> + 'a {
+        let payloads: Vec<Option<&[u8]>> = entries
+            .iter()
+            .map(|entry| {
+                let loc = self.index.get(&entry.digest)?;
+                self.log.read(*loc)
+            })
+            .collect();
+        let resident: Vec<&[u8]> = payloads.iter().flatten().copied().collect();
+        let mut digests = sha256_many(&resident).into_iter();
+        entries.iter().zip(payloads).map(move |(entry, payload)| {
+            let payload = payload.ok_or(StoreError::MissingChunk(entry.digest))?;
+            let digest = digests.next();
+            if payload.len() != entry.len as usize || digest != Some(entry.digest) {
+                return Err(StoreError::CorruptChunk(entry.digest));
+            }
+            Ok(payload)
+        })
     }
 
     // ----- Expiry and GC -----
@@ -780,18 +797,21 @@ impl ChunkStore {
     ///
     /// [`StoreError::ScrubFailed`] if any chunk fails verification.
     pub fn scrub(&self) -> Result<ScrubReport, StoreError> {
-        let mut entries: Vec<(Digest, ChunkLoc)> =
-            self.index.iter().map(|(d, loc)| (*d, *loc)).collect();
-        entries.sort_by_key(|(d, _)| *d);
+        let mut entries: Vec<ManifestEntry> = self
+            .index
+            .iter()
+            .map(|(digest, loc)| ManifestEntry {
+                digest: *digest,
+                len: loc.len,
+            })
+            .collect();
+        entries.sort_by_key(|entry| entry.digest);
         let mut report = ScrubReport::default();
-        for (digest, loc) in entries {
+        for (entry, verified) in entries.iter().zip(self.read_verified(&entries)) {
             report.chunks_scanned += 1;
-            report.bytes_scanned += loc.byte_len();
-            let ok = self.log.read(loc).is_some_and(|payload| {
-                payload.len() == loc.len as usize && sha256(payload) == digest
-            });
-            if !ok {
-                report.corrupt.push(digest);
+            report.bytes_scanned += u64::from(entry.len);
+            if verified.is_err() {
+                report.corrupt.push(entry.digest);
             }
         }
         if report.corrupt.is_empty() {
@@ -941,24 +961,16 @@ impl ChunkStore {
         // Verify-and-copy the missing payloads before touching local
         // snapshot state, so a corrupt peer chunk cannot leave a
         // half-installed manifest behind.
-        let mut incoming: Vec<(Digest, Bytes)> = Vec::new();
         let mut seen = HashSet::new();
-        for entry in &manifest.entries {
-            if self.index.contains(&entry.digest) || !seen.insert(entry.digest) {
-                continue;
-            }
-            let loc = *peer
-                .index
-                .get(&entry.digest)
-                .ok_or(StoreError::MissingChunk(entry.digest))?;
-            let payload = peer
-                .log
-                .read(loc)
-                .ok_or(StoreError::MissingChunk(entry.digest))?;
-            if payload.len() != entry.len as usize || sha256(payload) != entry.digest {
-                return Err(StoreError::CorruptChunk(entry.digest));
-            }
-            incoming.push((entry.digest, Bytes::copy_from_slice(payload)));
+        let missing: Vec<ManifestEntry> = manifest
+            .entries
+            .iter()
+            .filter(|entry| !self.index.contains(&entry.digest) && seen.insert(entry.digest))
+            .copied()
+            .collect();
+        let mut incoming: Vec<(Digest, Bytes)> = Vec::with_capacity(missing.len());
+        for (entry, payload) in missing.iter().zip(peer.read_verified(&missing)) {
+            incoming.push((entry.digest, Bytes::copy_from_slice(payload?)));
         }
         report.chunks_already_present += manifest.entries.len().saturating_sub(incoming.len());
         for (digest, payload) in incoming {
@@ -1551,6 +1563,77 @@ mod tests {
             s.restore("vm", gen).unwrap(),
             [&a[..], &b[..], &c[..]].concat()
         );
+    }
+
+    /// A store holding `a`, `c` (corrupt) and `b` (torn off the log,
+    /// so missing) with two snapshots that reference the bad chunks in
+    /// opposite orders: `[a, c, b]` and `[a, b, c]`.
+    fn store_with_corrupt_and_missing() -> (ChunkStore, [Digest; 3], [u64; 2]) {
+        let mut s = ChunkStore::with_config(StoreConfig {
+            segment_bytes: 1 << 20,
+            ..StoreConfig::default()
+        });
+        let da = s.put(payload(300, 1));
+        let dc = s.put(payload(200, 3));
+        let db = s.put(payload(100, 2));
+        let g0 = s
+            .commit_snapshot("vm", &[(da, 300), (dc, 200), (db, 100)])
+            .unwrap();
+        let g1 = s
+            .commit_snapshot("vm", &[(da, 300), (db, 100), (dc, 200)])
+            .unwrap();
+        assert!(s.corrupt_chunk(&dc, 9));
+        assert_eq!(s.tear_log_tail(100), 100);
+        (s, [da, db, dc], [g0, g1])
+    }
+
+    #[test]
+    fn restore_reports_the_first_failing_entry() {
+        let (s, [_, db, dc], [g0, g1]) = store_with_corrupt_and_missing();
+        assert_eq!(s.restore("vm", g0), Err(StoreError::CorruptChunk(dc)));
+        assert_eq!(s.restore("vm", g1), Err(StoreError::MissingChunk(db)));
+    }
+
+    #[test]
+    fn scrub_lists_every_bad_chunk_sorted() {
+        let mut s = ChunkStore::with_config(StoreConfig {
+            segment_bytes: 1 << 20,
+            ..StoreConfig::default()
+        });
+        // Enough chunks that the batch fills every hash lane.
+        let digests: Vec<Digest> = (10..30).map(|k| s.put(payload(k * 37, k as u8))).collect();
+        let corrupt: Vec<Digest> = digests.iter().step_by(7).copied().collect();
+        for d in &corrupt {
+            assert!(s.corrupt_chunk(d, 1));
+        }
+        // The last chunk torn off the log is missing, which scrub lists
+        // too; healthy chunks sort after it, so they must still verify.
+        let missing = digests[19];
+        assert_eq!(s.tear_log_tail(29 * 37), 29 * 37);
+        assert!(digests.iter().any(|d| *d > missing && !corrupt.contains(d)));
+        let StoreError::ScrubFailed(r) = s.scrub().unwrap_err() else {
+            panic!("expected ScrubFailed");
+        };
+        assert_eq!(r.chunks_scanned, 20);
+        let mut expect = [&corrupt[..], &[missing]].concat();
+        expect.sort();
+        assert_eq!(r.corrupt, expect);
+    }
+
+    #[test]
+    fn install_snapshot_rejects_the_first_bad_peer_chunk_and_installs_nothing() {
+        let (peer, [_, db, dc], [g0, g1]) = store_with_corrupt_and_missing();
+        let mut local = ChunkStore::new();
+        assert_eq!(
+            local.install_snapshot("vm", g0, &peer),
+            Err(StoreError::CorruptChunk(dc))
+        );
+        assert_eq!(
+            local.install_snapshot("vm", g1, &peer),
+            Err(StoreError::MissingChunk(db))
+        );
+        assert_eq!(local.chunk_count(), 0);
+        assert!(local.generations("vm").is_empty());
     }
 
     #[test]
