@@ -417,8 +417,8 @@ impl<'a> ShredderEngine<'a> {
         let classes: Vec<ClassRuntime> = self.classes.iter().map(ClassRuntime::from).collect();
 
         // Functional pass: real chunk boundaries per session. Sessions
-        // with a payload-reading sink also retain their stream bytes so
-        // the sink's functional half can see real payloads.
+        // with a sink also retain their stream bytes so the sink's
+        // functional half can see real payloads.
         let mut plans = Vec::with_capacity(requests.len());
         let mut bindings = Vec::with_capacity(requests.len());
         for ((i, request), class) in requests.into_iter().enumerate().zip(class_of) {
@@ -565,9 +565,8 @@ impl<'a> ShredderEngine<'a> {
     /// buffer at a time, keep a kernel-overlap byte carry so windows
     /// spanning buffer boundaries are found exactly once, and run the
     /// chunking kernel on each buffer. Kernel errors propagate. When the
-    /// session has a payload-reading sink, the stream's bytes are
-    /// retained alongside it so the sink's functional pass can
-    /// hash/inspect real payloads.
+    /// session has a sink, the stream's bytes are retained alongside it
+    /// so the sink's functional pass can hash/inspect real payloads.
     fn plan_session(
         &self,
         index: usize,
@@ -578,9 +577,9 @@ impl<'a> ShredderEngine<'a> {
         // bytes for Rabin, `GEAR_WINDOW − 1` for Gear.
         let overlap = self.kernel.overlap();
         let size = self.config.buffer_size;
-        // Retain the stream only when the sink actually reads payloads:
-        // boundary-only sinks (the upcall path) stay zero-copy.
-        let retain = request.sink.as_ref().is_some_and(|s| s.needs_payload());
+        // Retain the stream only for a sink: a sink-less request (the
+        // boundaries-only path) stays zero-copy.
+        let retain = request.sink.is_some();
 
         let mut cuts: Vec<RawCut> = Vec::new();
         let mut buffers: Vec<PlannedBuffer> = Vec::new();
@@ -1304,7 +1303,7 @@ fn launch(ctx: PipeCtx, sim: &mut Simulation, sid: usize, bidx: usize) {
 
 /// Runs one buffer's downstream sink work, stage by stage, then
 /// completes the buffer. A buffer with no sink work completes
-/// immediately — the degenerate (upcall-only) path is byte-for-byte the
+/// immediately — the degenerate (sink-less) path is byte-for-byte the
 /// pre-sink pipeline.
 fn sink_chain(ctx: PipeCtx, sim: &mut Simulation, sid: usize, bidx: usize, k: usize) {
     let Some((stage, service)) = ctx.work_at(sid, bidx, k) else {
@@ -1519,9 +1518,9 @@ fn apply_fault(ctx: &PipeCtx, sim: &mut Simulation, kind: FaultKind) {
 }
 
 /// Runs the deferred sink functional pass of one freshly-dispatched
-/// request: every final chunk is delivered to the sink (real payloads,
-/// real digests/dedup decisions) and the per-buffer, per-stage service
-/// demand lands in `ctx.sink_work` for the timing chain to consume.
+/// request: the sink consumes the whole stream (real payloads, real
+/// digests/dedup decisions) and the per-buffer, per-stage service demand
+/// lands in `ctx.sink_work` for the timing chain to consume.
 ///
 /// Runs *outside* the event closures (the driver loop below) so sinks
 /// can borrow caller state; dispatch order is deterministic, so shared
@@ -1540,7 +1539,7 @@ fn run_deferred_sink<'a>(
         return;
     };
     let nbuf = plans[sid].buffers.len();
-    let (_, per_buffer) =
+    let per_buffer =
         crate::sink::drive_sink_functional(&mut *sink, &chunk_sets[sid], &data, nbuf, buffer_size);
     let map = &stage_map[sid];
     ctx.svc.borrow_mut().session_service[sid] = per_buffer.iter().flatten().copied().sum();

@@ -33,10 +33,12 @@
 //!   [`EngineReport`] (aggregate GB/s over the shared makespan).
 //! * [`sink`] — the **staged sink API**: a [`ChunkSink`] attaches typed
 //!   downstream stages ([`FingerprintStage`], [`DedupStage`],
-//!   [`ShipStage`], [`StoreStage`]) to a request; the stages execute
-//!   *inside* the shared simulation with their own service times,
-//!   queues and backpressure onto the kernel FIFO, reported per stage
-//!   in the [`EngineReport`]. This replaces the old
+//!   [`ShipStage`], [`StoreStage`]) to a request and consumes the whole
+//!   stream in one call ([`ChunkSink::consume`]), returning a
+//!   [`SinkDemand`] row per chunk plus an end-of-stream tail; the stages
+//!   execute *inside* the shared simulation with their own service
+//!   times, queues and backpressure onto the kernel FIFO, reported per
+//!   stage in the [`EngineReport`]. This replaces the old
 //!   collect-then-postprocess consumer pattern. [`StoreSink`] commits
 //!   chunks and snapshot manifests into the versioned
 //!   [`shredder_store::ChunkStore`] in-simulation, making each session
@@ -56,9 +58,10 @@
 //!   sustained Poisson rate meeting a p99 SLO.
 //! * [`pipeline`] — the single-stream [`Shredder`] the case studies
 //!   (Inc-HDFS, cloud backup) call: a one-session run of the engine for
-//!   either executor, through [`Shredder::chunk_stream`] or
-//!   [`Shredder::chunk_stream_sink`] (the §3.1 upcall is the
-//!   stage-less [`UpcallSink`]), returning the run's [`EngineReport`].
+//!   either executor, through [`Shredder::chunk_stream`] (boundaries
+//!   only: a sink-less request) or [`Shredder::chunk_stream_sink`] (the
+//!   whole stream handed to one [`ChunkSink`]), returning the run's
+//!   [`EngineReport`].
 //!
 //! Everywhere, chunk boundaries are **real** (computed by the shared
 //! Rabin tables over the actual bytes, identical across every engine and
@@ -173,8 +176,8 @@ pub use report::{
 pub use session::{SessionId, SessionOutcome};
 pub use sink::{
     ChunkSink, ChunkVerdict, DedupSink, DedupSinkConfig, DedupStage, FingerprintIndex,
-    FingerprintStage, ShipStage, StageKind, StageSpec, StoreSink, StoreSinkConfig, StoreStage,
-    UpcallSink,
+    FingerprintStage, ShipStage, SinkDemand, StageKind, StageSpec, StoreSink, StoreSinkConfig,
+    StoreStage,
 };
 pub use source::{MemorySource, SliceSource, StreamSource};
 pub use workload::{AdmissionControl, TenantClass, Workload};

@@ -9,11 +9,11 @@
 //!
 //! [`Shredder`] submits exactly one [`ChunkRequest`] to a private
 //! [`ShredderEngine`] per call and hands back that run's
-//! [`EngineReport`]. Chunk boundaries reach the application through a
-//! [`ChunkSink`] passed to [`Shredder::chunk_stream_sink`]; the upcall
-//! of §3.1 is the stage-less [`UpcallSink`], and
-//! [`Shredder::chunk_stream`] collects through one. The configuration
-//! semantics:
+//! [`EngineReport`]. [`Shredder::chunk_stream`] returns the boundaries
+//! alone (a sink-less request: no stages, zero sink service);
+//! [`Shredder::chunk_stream_sink`] hands the whole stream to a
+//! [`ChunkSink`] whose stages run inside the same simulation. The
+//! configuration semantics:
 //!
 //! * **pipeline depth** caps how many buffers are in flight — the §4.2
 //!   streaming pipeline, varied 1–4 in Figure 9 (a *global* cap the
@@ -32,11 +32,11 @@ use shredder_hash::{sha256_many, Digest};
 use shredder_rabin::Chunk;
 
 use crate::config::{Executor, ShredderConfig};
-use crate::engine::{PlannedBuffer, SessionPlan, ShredderEngine};
+use crate::engine::{EngineOutcome, PlannedBuffer, SessionPlan, ShredderEngine};
 use crate::error::ChunkError;
 use crate::frontend::ChunkRequest;
 use crate::report::EngineReport;
-use crate::sink::{ChunkSink, UpcallSink};
+use crate::sink::ChunkSink;
 use crate::source::SliceSource;
 use crate::workload::Workload;
 
@@ -106,25 +106,27 @@ impl Shredder {
         ShredderEngine::new(self.config.clone())
     }
 
-    /// Chunks an in-memory stream and collects its chunks through the
-    /// stage-less [`UpcallSink`].
+    /// Chunks an in-memory stream and returns its chunks: one sink-less
+    /// request, so no sink stages run and no bytes are retained.
     ///
     /// # Errors
     ///
     /// [`ChunkError`] when the engine rejects the configuration or a
     /// kernel launch fails.
     pub fn chunk_stream(&self, data: &[u8]) -> Result<ChunkOutcome, ChunkError> {
-        let mut chunks = Vec::new();
-        let mut upcall = |chunk| chunks.push(chunk);
-        let report = self.chunk_stream_sink(data, &mut UpcallSink::new(&mut upcall))?;
-        Ok(ChunkOutcome { chunks, report })
+        let mut outcome = self.run_one(ChunkRequest::new(SliceSource::new(data)))?;
+        let session = outcome.sessions.swap_remove(0)?;
+        Ok(ChunkOutcome {
+            chunks: session.chunks,
+            report: outcome.report,
+        })
     }
 
     /// Chunks an in-memory stream into `sink`, whose downstream stages
     /// run inside the same simulation as the chunking pipeline, so
     /// hashing overlaps (and backpressures) chunking. The sink's
-    /// functional half (hashing, dedup decisions) runs for real, chunk
-    /// by chunk in stream order. To model a capped intake link, lower
+    /// functional half (hashing, dedup decisions) runs for real, over
+    /// the whole stream at once. To model a capped intake link, lower
     /// the config's
     /// [`reader_bandwidth`](ShredderConfig::with_reader_bandwidth).
     ///
@@ -136,13 +138,16 @@ impl Shredder {
         data: &[u8],
         sink: &mut dyn ChunkSink,
     ) -> Result<EngineReport, ChunkError> {
+        let request = ChunkRequest::new(SliceSource::new(data)).with_sink(sink);
+        Ok(self.run_one(request)?.report)
+    }
+
+    /// Runs one request, named `chunk-stream`, as a closed batch on a
+    /// fresh engine.
+    fn run_one(&self, request: ChunkRequest<'_>) -> Result<EngineOutcome, ChunkError> {
         let mut engine = self.engine();
-        engine.submit(
-            ChunkRequest::new(SliceSource::new(data))
-                .named("chunk-stream")
-                .with_sink(sink),
-        );
-        Ok(engine.run(&Workload::Batch)?.report)
+        engine.submit(request.named("chunk-stream"));
+        engine.run(&Workload::Batch)
     }
 
     /// Human-readable engine name (used in experiment output).

@@ -14,25 +14,26 @@
 //! [`ChunkRequest`](crate::ChunkRequest) with
 //! [`with_sink`](crate::ChunkRequest::with_sink):
 //!
-//! * the *functional* half runs immediately: [`ChunkSink::accept`] is
-//!   called once per chunk in stream order with the real payload, so
-//!   digests, dedup decisions and ship payloads are computed for real;
-//! * the *timing* half is the per-stage service demand `accept`
-//!   returns, which the engine schedules through shared per-stage FIFO
-//!   servers **inside the same discrete-event simulation** as the
-//!   chunking pipeline. A session's admission slot is held until its
-//!   buffer clears the *last* sink stage, so a slow downstream stage
-//!   backpressures the kernel FIFO exactly as a slow Store thread
-//!   would.
+//! * the *functional* half runs for real: [`ChunkSink::consume`] is
+//!   called once per stream with the stream's bytes and its final
+//!   chunks, so digests, dedup decisions and ship payloads are computed
+//!   for real (a hashing sink fingerprints the whole stream as one
+//!   [`sha256_many`] batch);
+//! * the *timing* half is the [`SinkDemand`] `consume` returns — per
+//!   stage, one row per chunk plus an end-of-stream tail — which the
+//!   engine schedules through shared per-stage FIFO servers **inside
+//!   the same discrete-event simulation** as the chunking pipeline. A
+//!   session's admission slot is held until its buffer clears the
+//!   *last* sink stage, so a slow downstream stage backpressures the
+//!   kernel FIFO exactly as a slow Store thread would.
 //!
 //! Three ready-made stages model the §7.2 consumer path:
 //! [`FingerprintStage`] (SHA-256 at a configurable `hash_bw`),
 //! [`DedupStage`] (fingerprint-index lookup/insert) and [`ShipStage`]
 //! (pointer-vs-payload transfer); [`DedupSink`] composes all three into
-//! the backup server's graph. [`UpcallSink`] is the stage-less sink —
-//! boundaries forwarded to an upcall, the §3.1 delivery path, passed
-//! to [`Shredder::chunk_stream_sink`](crate::Shredder::chunk_stream_sink)
-//! like any other sink.
+//! the backup server's graph. Boundaries alone need no sink: a
+//! sink-less request (or [`Shredder::chunk_stream`](crate::Shredder::chunk_stream))
+//! returns the chunks with no stages and zero sink service.
 //!
 //! # Examples
 //!
@@ -40,25 +41,34 @@
 //!
 //! ```
 //! use shredder_core::{
-//!     ChunkRequest, ChunkSink, FingerprintStage, ShredderConfig, ShredderEngine, SliceSource,
-//!     StageSpec, Workload,
+//!     ChunkRequest, ChunkSink, FingerprintStage, ShredderConfig, ShredderEngine, SinkDemand,
+//!     SliceSource, StageSpec, Workload,
 //! };
 //! use shredder_des::Dur;
+//! use shredder_hash::Digest;
 //! use shredder_rabin::Chunk;
 //!
-//! struct HashSink(FingerprintStage);
+//! struct HashSink {
+//!     stage: FingerprintStage,
+//!     digests: Vec<Digest>,
+//! }
 //! impl ChunkSink for HashSink {
 //!     fn stages(&self) -> Vec<StageSpec> {
-//!         vec![self.0.spec()]
+//!         vec![self.stage.spec()]
 //!     }
-//!     fn accept(&mut self, _chunk: Chunk, payload: &[u8]) -> Vec<Dur> {
-//!         let (_digest, service) = self.0.process(payload);
-//!         vec![service]
+//!     fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand {
+//!         let payloads: Vec<&[u8]> = chunks.iter().map(|c| c.slice(data)).collect();
+//!         let mut rows = Vec::new();
+//!         for (digest, service) in self.stage.process(&payloads) {
+//!             self.digests.push(digest);
+//!             rows.push(vec![service]);
+//!         }
+//!         SinkDemand { rows, tail: Vec::new() }
 //!     }
 //! }
 //!
 //! let data: Vec<u8> = (0..1u32 << 19).map(|i| (i.wrapping_mul(0x9e3779b9) >> 11) as u8).collect();
-//! let mut sink = HashSink(FingerprintStage::new(1.5e9));
+//! let mut sink = HashSink { stage: FingerprintStage::new(1.5e9), digests: Vec::new() };
 //! let mut engine =
 //!     ShredderEngine::new(ShredderConfig::gpu_streams_memory().with_buffer_size(128 << 10));
 //! engine.submit(
@@ -74,7 +84,7 @@
 //! assert_eq!(outcome.report.sink_stages.len(), 1);
 //! assert!(outcome.report.sink_stages[0].busy > Dur::ZERO);
 //! let session = outcome.completed().next().unwrap();
-//! assert_eq!(sink.0.digests().len(), session.chunks.len());
+//! assert_eq!(sink.digests.len(), session.chunks.len());
 //! ```
 
 use std::cell::RefCell;
@@ -83,7 +93,7 @@ use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 use shredder_des::Dur;
-use shredder_hash::{sha256, sha256_many, Digest};
+use shredder_hash::{sha256_many, Digest};
 use shredder_rabin::Chunk;
 
 /// The typed identity of a downstream stage.
@@ -128,46 +138,38 @@ pub struct StageSpec {
     pub name: &'static str,
 }
 
+/// A sink's simulated service demand for one stream, each entry
+/// aligned with [`ChunkSink::stages`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SinkDemand {
+    /// One row per chunk, in stream order.
+    pub rows: Vec<Vec<Dur>>,
+    /// End-of-stream work (a manifest write, a held-back split),
+    /// charged to the stream's last pipeline buffer. Empty means none.
+    pub tail: Vec<Dur>,
+}
+
 /// A typed graph of downstream stages consuming chunk boundaries inside
 /// the simulation.
 ///
 /// Implementations do the *real* downstream work (hash, dedup, collect)
-/// in [`accept`](Self::accept) and return the simulated service demand
-/// each attached stage charges for that chunk. The engine aggregates
-/// the demand per pipeline buffer and schedules it through shared
-/// per-stage FIFO servers in the same simulation as the chunking
-/// pipeline, holding the buffer's admission slot until the last stage
-/// finishes (backpressure).
+/// in [`consume`](Self::consume) and return the simulated service
+/// demand each attached stage charges. The engine aggregates the demand
+/// per pipeline buffer — chunk `i`'s row goes to the buffer holding
+/// `chunks[i].offset`, the tail to the last buffer — and schedules it
+/// through shared per-stage FIFO servers in the same simulation as the
+/// chunking pipeline, holding the buffer's admission slot until the
+/// last stage finishes (backpressure).
 pub trait ChunkSink {
     /// The downstream stages, in pipeline order. Must be stable for the
     /// sink's lifetime.
     fn stages(&self) -> Vec<StageSpec>;
 
-    /// Called once per stream, before the first [`accept`](Self::accept),
-    /// with every chunk's payload in stream order. A sink that hashes
-    /// payloads hashes them here as one batch
-    /// ([`FingerprintStage::prehash`]); the default does nothing.
-    fn prehash(&mut self, _payloads: &[&[u8]]) {}
-
-    /// Delivers one chunk in stream order with its payload; returns the
-    /// service demand per stage, aligned with [`stages`](Self::stages).
-    fn accept(&mut self, chunk: Chunk, payload: &[u8]) -> Vec<Dur>;
-
-    /// Called once after the last chunk. A sink that holds back work
-    /// (e.g. record re-alignment) flushes here; the returned demand is
-    /// charged to the stream's final buffer. An empty vector means no
-    /// extra work.
-    fn finish(&mut self) -> Vec<Dur> {
-        Vec::new()
-    }
-
-    /// Whether [`accept`](Self::accept) reads the payload. Sinks that
-    /// only consume boundaries (e.g. [`UpcallSink`]) return `false`,
-    /// which lets the engine skip retaining a copy of the stream; such
-    /// sinks are handed an empty payload slice.
-    fn needs_payload(&self) -> bool {
-        true
-    }
+    /// Consumes one whole stream: `data` is its bytes and `chunks` its
+    /// final chunks, tiling `data` in order. Called exactly once per
+    /// stream, an empty one included. Returns one demand row per chunk
+    /// plus the end-of-stream tail.
+    fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand;
 }
 
 impl<S: ChunkSink + ?Sized> ChunkSink for &mut S {
@@ -175,55 +177,14 @@ impl<S: ChunkSink + ?Sized> ChunkSink for &mut S {
         (**self).stages()
     }
 
-    fn prehash(&mut self, payloads: &[&[u8]]) {
-        (**self).prehash(payloads)
-    }
-
-    fn accept(&mut self, chunk: Chunk, payload: &[u8]) -> Vec<Dur> {
-        (**self).accept(chunk, payload)
-    }
-
-    fn finish(&mut self) -> Vec<Dur> {
-        (**self).finish()
-    }
-
-    fn needs_payload(&self) -> bool {
-        (**self).needs_payload()
+    fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand {
+        (**self).consume(data, chunks)
     }
 }
 
-/// The stage-less sink: every boundary forwarded to an upcall — the
-/// §3.1 notification interface expressed as a sink.
-pub struct UpcallSink<'f> {
-    upcall: &'f mut dyn FnMut(Chunk),
-}
-
-impl<'f> UpcallSink<'f> {
-    /// Wraps an upcall.
-    pub fn new(upcall: &'f mut dyn FnMut(Chunk)) -> Self {
-        UpcallSink { upcall }
-    }
-}
-
-impl ChunkSink for UpcallSink<'_> {
-    fn stages(&self) -> Vec<StageSpec> {
-        Vec::new()
-    }
-
-    fn accept(&mut self, chunk: Chunk, _payload: &[u8]) -> Vec<Dur> {
-        (self.upcall)(chunk);
-        Vec::new()
-    }
-
-    fn needs_payload(&self) -> bool {
-        false
-    }
-}
-
-impl std::fmt::Debug for UpcallSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UpcallSink").finish_non_exhaustive()
-    }
+/// The payload of every chunk, in order.
+fn payloads<'d>(data: &'d [u8], chunks: &[Chunk]) -> Vec<&'d [u8]> {
+    chunks.iter().map(|c| c.slice(data)).collect()
 }
 
 /// A fingerprint index a [`DedupStage`] consults: presence lookup plus
@@ -248,14 +209,11 @@ impl FingerprintIndex for HashSet<Digest> {
 
 /// SHA-256 fingerprinting at a configurable hashing bandwidth — the
 /// Store thread's "computes a hash for the overall chunk" step (§7.2),
-/// as an in-simulation stage.
-#[derive(Debug, Clone)]
+/// as an in-simulation stage. The stage keeps no digests: its sink
+/// keeps what it needs of them.
+#[derive(Debug, Clone, Copy)]
 pub struct FingerprintStage {
     hash_bw: f64,
-    digests: Vec<Digest>,
-    /// Digests of [`prehash`](Self::prehash)ed payloads not yet
-    /// [`process`](Self::process)ed.
-    queued: std::vec::IntoIter<Digest>,
 }
 
 impl FingerprintStage {
@@ -269,11 +227,7 @@ impl FingerprintStage {
             hash_bw.is_finite() && hash_bw > 0.0,
             "invalid hash bandwidth {hash_bw}"
         );
-        FingerprintStage {
-            hash_bw,
-            digests: Vec::new(),
-            queued: Vec::new().into_iter(),
-        }
+        FingerprintStage { hash_bw }
     }
 
     /// The stage descriptor.
@@ -284,41 +238,16 @@ impl FingerprintStage {
         }
     }
 
-    /// Hashes the payloads the next `payloads.len()` calls to
-    /// [`process`](Self::process) will receive, in that order, as one
-    /// [`sha256_many`] batch.
-    pub fn prehash(&mut self, payloads: &[&[u8]]) {
-        debug_assert_eq!(self.queued.len(), 0, "prehashed digests left unused");
-        self.queued = sha256_many(payloads).into_iter();
-    }
-
-    /// Fingerprints one payload — with the next
-    /// [`prehash`](Self::prehash)ed digest if one is queued, else by
-    /// hashing it now — records the digest, and returns it with the
-    /// simulated service time.
-    pub fn process(&mut self, payload: &[u8]) -> (Digest, Dur) {
-        let digest = match self.queued.next() {
-            Some(digest) => {
-                debug_assert_eq!(digest, sha256(payload), "prehashed out of order");
-                digest
-            }
-            None => sha256(payload),
-        };
-        self.digests.push(digest);
-        (
-            digest,
-            Dur::from_bytes_at(payload.len() as u64, self.hash_bw),
-        )
-    }
-
-    /// Digests computed so far, in delivery order.
-    pub fn digests(&self) -> &[Digest] {
-        &self.digests
-    }
-
-    /// Consumes the stage, returning the digests.
-    pub fn into_digests(self) -> Vec<Digest> {
-        self.digests
+    /// Fingerprints `payloads` as one [`sha256_many`] batch and yields
+    /// each payload's digest with its simulated service time, in order.
+    pub fn process<'p>(&self, payloads: &'p [&[u8]]) -> impl Iterator<Item = (Digest, Dur)> + 'p {
+        let hash_bw = self.hash_bw;
+        sha256_many(payloads)
+            .into_iter()
+            .zip(payloads)
+            .map(move |(digest, payload)| {
+                (digest, Dur::from_bytes_at(payload.len() as u64, hash_bw))
+            })
     }
 }
 
@@ -532,9 +461,9 @@ impl Default for StoreSinkConfig {
 /// log, dedup decisions come from its index, and after the engine run
 /// the committed generation restores bit-identical (digest-verified).
 ///
-/// A sink commits **one stream**: [`finish`](ChunkSink::finish) seals
-/// the generation, after which delivering further chunks panics —
-/// build a fresh `StoreSink` (over the same shared store) per stream.
+/// A sink commits **one stream**: [`consume`](ChunkSink::consume)
+/// seals the generation, after which a second `consume` panics — build
+/// a fresh `StoreSink` (over the same shared store) per stream.
 ///
 /// # Examples
 ///
@@ -562,7 +491,7 @@ pub struct StoreSink {
     store: Rc<RefCell<shredder_store::ChunkStore>>,
     manifest_entry_bytes: usize,
     write_bw: f64,
-    recipe: Vec<(Digest, usize)>,
+    chunks: usize,
     generation: Option<u64>,
     new_chunks: usize,
     new_bytes: u64,
@@ -583,7 +512,7 @@ impl StoreSink {
             store,
             manifest_entry_bytes: config.manifest_entry_bytes,
             write_bw: config.write_bw,
-            recipe: Vec::new(),
+            chunks: 0,
             generation: None,
             new_chunks: 0,
             new_bytes: 0,
@@ -592,7 +521,7 @@ impl StoreSink {
     }
 
     /// The generation committed for this stream (`None` until
-    /// [`finish`](ChunkSink::finish) ran, i.e. until the chunking call
+    /// [`consume`](ChunkSink::consume) ran, i.e. until the chunking call
     /// returned).
     pub fn generation(&self) -> Option<u64> {
         self.generation
@@ -600,7 +529,7 @@ impl StoreSink {
 
     /// Chunks delivered.
     pub fn chunks(&self) -> usize {
-        self.recipe.len()
+        self.chunks
     }
 
     /// Chunks that were new to the store.
@@ -624,11 +553,7 @@ impl ChunkSink for StoreSink {
         vec![self.fingerprint.spec(), self.stage.spec()]
     }
 
-    fn prehash(&mut self, payloads: &[&[u8]]) {
-        self.fingerprint.prehash(payloads);
-    }
-
-    fn accept(&mut self, chunk: Chunk, payload: &[u8]) -> Vec<Dur> {
+    fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand {
         assert!(
             self.generation.is_none(),
             "StoreSink already committed stream '{}' as generation {:?}; \
@@ -636,36 +561,36 @@ impl ChunkSink for StoreSink {
             self.stream,
             self.generation
         );
-        let (digest, hash_service) = self.fingerprint.process(payload);
-        // `put_slice`: a dedup hit copies nothing — only new payloads
-        // land in the segment log.
-        let new = self.store.borrow_mut().put_slice(digest, payload);
-        if new {
-            self.new_chunks += 1;
-            self.new_bytes += chunk.len as u64;
-        } else {
-            self.dedup_bytes += chunk.len as u64;
+        let payloads = payloads(data, chunks);
+        let hashed = self.fingerprint.process(&payloads);
+        let mut store = self.store.borrow_mut();
+        let mut recipe = Vec::with_capacity(chunks.len());
+        let mut rows = Vec::with_capacity(chunks.len());
+        for ((chunk, payload), (digest, hash_service)) in chunks.iter().zip(&payloads).zip(hashed) {
+            // `put_slice`: a dedup hit copies nothing — only new payloads
+            // land in the segment log.
+            let new = store.put_slice(digest, payload);
+            if new {
+                self.new_chunks += 1;
+                self.new_bytes += chunk.len as u64;
+            } else {
+                self.dedup_bytes += chunk.len as u64;
+            }
+            recipe.push((digest, chunk.len));
+            rows.push(vec![hash_service, self.stage.process(new, chunk.len)]);
         }
-        self.recipe.push((digest, chunk.len));
-        vec![hash_service, self.stage.process(new, chunk.len)]
-    }
-
-    fn finish(&mut self) -> Vec<Dur> {
-        // Idempotent: a second `finish` without new chunks must not
-        // commit the same recipe as another generation.
-        if self.generation.is_some() {
-            return vec![Dur::ZERO, Dur::ZERO];
-        }
-        let generation = self
-            .store
-            .borrow_mut()
-            .commit_snapshot(&self.stream, &self.recipe)
+        let generation = store
+            .commit_snapshot(&self.stream, &recipe)
             // shredder-lint: allow(R5) — every recipe digest was stored by this sink, and ShredderConfig::validate rejects retention Some(0)
             .expect("recipe chunks were just stored");
         self.generation = Some(generation);
+        self.chunks = chunks.len();
         // The manifest itself is a segment-log write.
-        let manifest_bytes = (self.recipe.len() * self.manifest_entry_bytes) as u64;
-        vec![Dur::ZERO, Dur::from_bytes_at(manifest_bytes, self.write_bw)]
+        let manifest_bytes = (chunks.len() * self.manifest_entry_bytes) as u64;
+        SinkDemand {
+            rows,
+            tail: vec![Dur::ZERO, Dur::from_bytes_at(manifest_bytes, self.write_bw)],
+        }
     }
 }
 
@@ -673,7 +598,7 @@ impl std::fmt::Debug for StoreSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreSink")
             .field("stream", &self.stream)
-            .field("chunks", &self.recipe.len())
+            .field("chunks", &self.chunks)
             .field("generation", &self.generation)
             .finish_non_exhaustive()
     }
@@ -752,21 +677,25 @@ impl ChunkSink for DedupSink {
         vec![self.fingerprint.spec(), self.dedup.spec(), self.ship.spec()]
     }
 
-    fn prehash(&mut self, payloads: &[&[u8]]) {
-        self.fingerprint.prehash(payloads);
-    }
-
-    fn accept(&mut self, chunk: Chunk, payload: &[u8]) -> Vec<Dur> {
-        let (digest, hash_service) = self.fingerprint.process(payload);
-        let (duplicate, dedup_service) = self.dedup.process(digest);
-        let (ship_bytes, ship_service) = self.ship.process(duplicate, chunk.len);
-        self.verdicts.push(ChunkVerdict {
-            chunk,
-            digest,
-            duplicate,
-            ship_bytes,
-        });
-        vec![hash_service, dedup_service, ship_service]
+    fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand {
+        let payloads = payloads(data, chunks);
+        let hashed = self.fingerprint.process(&payloads);
+        let mut rows = Vec::with_capacity(chunks.len());
+        for (&chunk, (digest, hash_service)) in chunks.iter().zip(hashed) {
+            let (duplicate, dedup_service) = self.dedup.process(digest);
+            let (ship_bytes, ship_service) = self.ship.process(duplicate, chunk.len);
+            self.verdicts.push(ChunkVerdict {
+                chunk,
+                digest,
+                duplicate,
+                ship_bytes,
+            });
+            rows.push(vec![hash_service, dedup_service, ship_service]);
+        }
+        SinkDemand {
+            rows,
+            tail: Vec::new(),
+        }
     }
 }
 
@@ -779,73 +708,88 @@ impl std::fmt::Debug for DedupSink {
 }
 
 /// The shared functional pass over one stream's final chunks: hands
-/// the sink every payload at once ([`ChunkSink::prehash`]), delivers
-/// every chunk to the sink in stream order and aggregates the returned
-/// per-stage service demand into `buckets` buckets of `bucket_size`
-/// stream bytes (the engine's pipeline buffers);
-/// [`ChunkSink::finish`]'s tail demand is charged to the last bucket. Sinks that don't
-/// [`need the payload`](ChunkSink::needs_payload) may be driven with
-/// `data` shorter than the stream; they receive empty payload slices.
-///
-/// Returns the sink's stage list alongside the `[bucket][stage]`
-/// demand.
+/// the sink the whole stream ([`ChunkSink::consume`]) and aggregates
+/// its demand into `buckets` buckets of `bucket_size` stream bytes (the
+/// engine's pipeline buffers), returned as `[bucket][stage]`. Chunk
+/// `i`'s row goes to bucket `chunks[i].offset / bucket_size`, clamped
+/// to the last; the tail goes to the last bucket.
 pub(crate) fn drive_sink_functional(
     sink: &mut dyn ChunkSink,
     chunks: &[Chunk],
     data: &[u8],
     buckets: usize,
     bucket_size: usize,
-) -> (Vec<StageSpec>, Vec<Vec<Dur>>) {
-    let specs = sink.stages();
-    let mut per_bucket: Vec<Vec<Dur>> = vec![vec![Dur::ZERO; specs.len()]; buckets];
-    let payloads: Vec<&[u8]> = chunks
+) -> Vec<Vec<Dur>> {
+    let stages = sink.stages().len();
+    let demand = sink.consume(data, chunks);
+    debug_assert_eq!(demand.rows.len(), chunks.len(), "one demand row per chunk");
+    let mut per_bucket: Vec<Vec<Dur>> = vec![vec![Dur::ZERO; stages]; buckets];
+    let Some(last) = buckets.checked_sub(1) else {
+        return per_bucket;
+    };
+    let placed = chunks
         .iter()
-        .map(|chunk| {
-            if data.len() as u64 >= chunk.end() {
-                chunk.slice(data)
-            } else {
-                &[]
-            }
-        })
-        .collect();
-    sink.prehash(&payloads);
-    for (chunk, payload) in chunks.iter().zip(payloads) {
-        let services = sink.accept(*chunk, payload);
-        debug_assert_eq!(services.len(), specs.len(), "sink stage arity mismatch");
-        if buckets == 0 {
-            continue;
-        }
-        let b = (chunk.offset as usize / bucket_size.max(1)).min(buckets - 1);
-        for (k, d) in services.iter().enumerate().take(specs.len()) {
-            per_bucket[b][k] += *d;
+        .map(|chunk| (chunk.offset as usize / bucket_size.max(1)).min(last))
+        .zip(&demand.rows)
+        .chain(std::iter::once((last, &demand.tail)));
+    for (b, services) in placed {
+        debug_assert!(
+            services.is_empty() || services.len() == stages,
+            "sink stage arity mismatch"
+        );
+        for (acc, d) in per_bucket[b].iter_mut().zip(services) {
+            *acc += *d;
         }
     }
-    let tail = sink.finish();
-    if !tail.is_empty() && buckets > 0 {
-        debug_assert_eq!(tail.len(), specs.len(), "sink stage arity mismatch");
-        for (k, d) in tail.iter().enumerate().take(specs.len()) {
-            per_bucket[buckets - 1][k] += *d;
-        }
-    }
-    (specs, per_bucket)
+    per_bucket
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shredder_hash::sha256;
 
     fn payload(len: usize, seed: u8) -> Vec<u8> {
         (0..len).map(|i| (i as u8).wrapping_mul(seed)).collect()
     }
 
+    /// Chunks tiling `pieces` laid end to end, and the stream itself.
+    fn stream_of(pieces: &[&[u8]]) -> (Vec<u8>, Vec<Chunk>) {
+        let mut data = Vec::new();
+        let mut chunks = Vec::new();
+        for piece in pieces {
+            chunks.push(Chunk {
+                offset: data.len() as u64,
+                len: piece.len(),
+            });
+            data.extend_from_slice(piece);
+        }
+        (data, chunks)
+    }
+
+    fn dedup_config() -> DedupSinkConfig {
+        DedupSinkConfig {
+            hash_bw: 1.5e9,
+            index_lookup: Dur::from_micros(7),
+            index_insert: Dur::from_micros(10),
+            ship_bw: 0.9e9,
+            pointer_bytes: 40,
+            ship_chunk_overhead: Dur::from_micros(2),
+        }
+    }
+
     #[test]
     fn fingerprint_stage_hashes_for_real() {
-        let mut stage = FingerprintStage::new(1e9);
-        let data = payload(1000, 3);
-        let (digest, service) = stage.process(&data);
-        assert_eq!(digest, sha256(&data));
-        assert_eq!(service, Dur::from_bytes_at(1000, 1e9));
-        assert_eq!(stage.digests().len(), 1);
+        let stage = FingerprintStage::new(1e9);
+        let (a, b) = (payload(1000, 3), payload(70, 5));
+        let hashed: Vec<(Digest, Dur)> = stage.process(&[&a, &b]).collect();
+        assert_eq!(
+            hashed,
+            vec![
+                (sha256(&a), Dur::from_bytes_at(1000, 1e9)),
+                (sha256(&b), Dur::from_bytes_at(70, 1e9)),
+            ]
+        );
     }
 
     #[test]
@@ -875,31 +819,19 @@ mod tests {
     #[test]
     fn dedup_sink_verdicts_match_index_state() {
         let index: Rc<RefCell<HashSet<Digest>>> = Rc::default();
-        let mut sink = DedupSink::new(
-            DedupSinkConfig {
-                hash_bw: 1.5e9,
-                index_lookup: Dur::from_micros(7),
-                index_insert: Dur::from_micros(10),
-                ship_bw: 0.9e9,
-                pointer_bytes: 40,
-                ship_chunk_overhead: Dur::from_micros(2),
-            },
-            index,
-        );
-        let data = payload(4096, 9);
-        let chunk = Chunk {
-            offset: 0,
-            len: data.len(),
-        };
-        let first = sink.accept(chunk, &data);
+        let mut sink = DedupSink::new(dedup_config(), index);
+        let piece = payload(4096, 9);
+        let (data, chunks) = stream_of(&[&piece, &piece]);
+        let demand = sink.consume(&data, &chunks);
+        let (first, second) = (&demand.rows[0], &demand.rows[1]);
         assert_eq!(first.len(), 3);
-        let second = sink.accept(chunk, &data);
         assert!(second[2] < first[2], "duplicate ships only a pointer");
+        assert!(demand.tail.is_empty());
         let verdicts = sink.verdicts();
         assert!(!verdicts[0].duplicate);
         assert!(verdicts[1].duplicate);
         assert_eq!(verdicts[1].ship_bytes, 40);
-        assert_eq!(verdicts[0].digest, sha256(&data));
+        assert_eq!(verdicts[0].digest, sha256(&piece));
     }
 
     #[test]
@@ -919,137 +851,158 @@ mod tests {
 
         let a = payload(4096, 3);
         let b = payload(2048, 5);
-        let mut stream = a.clone();
-        stream.extend_from_slice(&b);
-        let ca = Chunk {
-            offset: 0,
-            len: a.len(),
-        };
-        let cb = Chunk {
-            offset: a.len() as u64,
-            len: b.len(),
-        };
-        let first = sink.accept(ca, &a);
-        let second = sink.accept(cb, &b);
-        // Same content again: dedups, cheaper store service.
-        let third = sink.accept(
-            Chunk {
-                offset: stream.len() as u64,
-                len: a.len(),
-            },
-            &a,
+        // The third chunk repeats the first: it dedups.
+        let (stream, chunks) = stream_of(&[&a, &b, &a]);
+        let demand = sink.consume(&stream, &chunks);
+        assert_eq!(demand.rows.len(), 3);
+        assert_eq!(demand.rows[1].len(), 2);
+        assert!(
+            demand.rows[2][1] < demand.rows[0][1],
+            "duplicate skips the segment write"
         );
-        assert!(third[1] < first[1], "duplicate skips the segment write");
-        assert_eq!(second.len(), 2);
         assert_eq!(sink.new_chunks(), 2);
         assert_eq!(sink.dedup_bytes(), a.len() as u64);
-        assert!(sink.generation().is_none(), "not committed mid-stream");
 
-        let tail = sink.finish();
-        assert_eq!(tail.len(), 2);
+        assert_eq!(demand.tail.len(), 2);
         let generation = sink.generation().expect("committed");
-        stream.extend_from_slice(&a);
         assert_eq!(store.borrow().restore("vm", generation).unwrap(), stream);
         assert_eq!(store.borrow().physical_bytes(), (a.len() + b.len()) as u64);
-    }
-
-    /// Forwards everything but [`ChunkSink::prehash`], so the wrapped
-    /// sink hashes each chunk as it is accepted.
-    struct PerChunk<S>(S);
-
-    impl<S: ChunkSink> ChunkSink for PerChunk<S> {
-        fn stages(&self) -> Vec<StageSpec> {
-            self.0.stages()
-        }
-
-        fn accept(&mut self, chunk: Chunk, payload: &[u8]) -> Vec<Dur> {
-            self.0.accept(chunk, payload)
-        }
-
-        fn finish(&mut self) -> Vec<Dur> {
-            self.0.finish()
-        }
     }
 
     /// A stream of 41 chunks of varied lengths, every third one a
     /// repeat of an earlier chunk's content.
     fn stream_with_repeats() -> (Vec<u8>, Vec<Chunk>) {
-        let mut data = Vec::new();
-        let mut chunks = Vec::new();
-        for k in 0..41usize {
-            let seed = if k % 3 == 2 { (k / 2) as u8 } else { k as u8 };
-            let piece = payload(64 + (seed as usize * 997) % 6000, seed | 1);
-            chunks.push(Chunk {
-                offset: data.len() as u64,
-                len: piece.len(),
-            });
-            data.extend_from_slice(&piece);
-        }
-        (data, chunks)
+        let pieces: Vec<Vec<u8>> = (0..41usize)
+            .map(|k| {
+                let seed = if k % 3 == 2 { (k / 2) as u8 } else { k as u8 };
+                payload(64 + (seed as usize * 997) % 6000, seed | 1)
+            })
+            .collect();
+        let pieces: Vec<&[u8]> = pieces.iter().map(Vec::as_slice).collect();
+        stream_of(&pieces)
     }
 
+    /// One batched `consume` equals hashing chunk by chunk with `sha256`
+    /// and charging each stage's formula per chunk.
     #[test]
-    fn prehashed_sinks_match_per_chunk_hashing() {
+    fn batched_sinks_match_per_chunk_hashing() {
         let (data, chunks) = stream_with_repeats();
-        let config = DedupSinkConfig {
-            hash_bw: 1.5e9,
-            index_lookup: Dur::from_micros(7),
-            index_insert: Dur::from_micros(10),
-            ship_bw: 0.9e9,
-            pointer_bytes: 40,
-            ship_chunk_overhead: Dur::from_micros(2),
-        };
-        let index_a: Rc<RefCell<HashSet<Digest>>> = Rc::default();
-        let index_b: Rc<RefCell<HashSet<Digest>>> = Rc::default();
-        let mut batched = DedupSink::new(config, index_a);
-        let mut single = PerChunk(DedupSink::new(config, index_b));
-        let demand = drive_sink_functional(&mut batched, &chunks, &data, 4, 64 << 10);
-        assert_eq!(
-            demand,
-            drive_sink_functional(&mut single, &chunks, &data, 4, 64 << 10)
+        let hash = |chunk: &Chunk| Dur::from_bytes_at(chunk.len as u64, 1.5e9);
+
+        let config = dedup_config();
+        let mut sink = DedupSink::new(config, Rc::new(RefCell::new(HashSet::new())));
+        let demand = sink.consume(&data, &chunks);
+        let ship = ShipStage::new(
+            config.ship_bw,
+            config.pointer_bytes,
+            config.ship_chunk_overhead,
         );
-        assert_eq!(batched.verdicts(), single.0.verdicts());
-        assert!(batched.verdicts().iter().any(|v| v.duplicate));
-        for (v, chunk) in batched.verdicts().iter().zip(&chunks) {
-            assert_eq!(v.digest, sha256(chunk.slice(&data)));
+        let mut seen = HashSet::new();
+        let mut verdicts = Vec::new();
+        let mut rows = Vec::new();
+        for &chunk in &chunks {
+            let digest = sha256(chunk.slice(&data));
+            let duplicate = !seen.insert(digest);
+            let (ship_bytes, ship_service) = ship.process(duplicate, chunk.len);
+            let dedup_service = if duplicate {
+                config.index_lookup
+            } else {
+                config.index_lookup + config.index_insert
+            };
+            verdicts.push(ChunkVerdict {
+                chunk,
+                digest,
+                duplicate,
+                ship_bytes,
+            });
+            rows.push(vec![hash(&chunk), dedup_service, ship_service]);
+        }
+        assert!(verdicts.iter().any(|v| v.duplicate));
+        assert_eq!(sink.verdicts(), verdicts);
+        assert_eq!(demand, SinkDemand { rows, tail: vec![] });
+
+        let store = Rc::new(RefCell::new(shredder_store::ChunkStore::new()));
+        let config = StoreSinkConfig::default();
+        let mut sink = StoreSink::new("vm", config, store.clone());
+        let demand = sink.consume(&data, &chunks);
+        let stage = StoreStage::new(config.write_bw, config.index_lookup, config.index_insert);
+        let mut seen = HashSet::new();
+        let rows: Vec<Vec<Dur>> = chunks
+            .iter()
+            .map(|chunk| {
+                let new = seen.insert(sha256(chunk.slice(&data)));
+                vec![hash(chunk), stage.process(new, chunk.len)]
+            })
+            .collect();
+        let manifest = (chunks.len() * config.manifest_entry_bytes) as u64;
+        let tail = vec![Dur::ZERO, Dur::from_bytes_at(manifest, config.write_bw)];
+        assert_eq!(demand, SinkDemand { rows, tail });
+        assert_eq!(sink.new_chunks(), seen.len());
+        let generation = sink.generation().expect("committed");
+        let store = store.borrow();
+        let manifest = store.manifest("vm", generation).expect("manifest");
+        let digests: Vec<Digest> = manifest.entries.iter().map(|e| e.digest).collect();
+        let expected: Vec<Digest> = chunks.iter().map(|c| sha256(c.slice(&data))).collect();
+        assert_eq!(digests, expected);
+        assert_eq!(store.restore("vm", generation).unwrap(), data);
+    }
+
+    /// Charges each chunk its length in ns, plus 1 ns at the tail.
+    struct LenSink;
+
+    impl ChunkSink for LenSink {
+        fn stages(&self) -> Vec<StageSpec> {
+            vec![StageSpec {
+                kind: StageKind::Custom,
+                name: "len",
+            }]
         }
 
-        let store_a = Rc::new(RefCell::new(shredder_store::ChunkStore::new()));
-        let store_b = Rc::new(RefCell::new(shredder_store::ChunkStore::new()));
-        let mut batched = StoreSink::new("vm", StoreSinkConfig::default(), store_a.clone());
-        let mut single = PerChunk(StoreSink::new(
-            "vm",
-            StoreSinkConfig::default(),
-            store_b.clone(),
-        ));
-        let demand = drive_sink_functional(&mut batched, &chunks, &data, 4, 64 << 10);
+        fn consume(&mut self, _data: &[u8], chunks: &[Chunk]) -> SinkDemand {
+            SinkDemand {
+                rows: chunks
+                    .iter()
+                    .map(|c| vec![Dur::from_nanos(c.len as u64)])
+                    .collect(),
+                tail: vec![Dur::from_nanos(1)],
+            }
+        }
+    }
+
+    /// Rows go to the bucket holding the chunk's offset (clamped to the
+    /// last); the tail goes to the last bucket. An empty stream is still
+    /// consumed, so a `StoreSink` commits its empty generation.
+    #[test]
+    fn demand_is_bucketed_by_chunk_offset() {
+        let (data, chunks) = stream_of(&[&[1; 100], &[2; 150], &[3; 50], &[4; 300]]);
+        let ns = |v: &[u64]| {
+            v.iter()
+                .map(|&n| vec![Dur::from_nanos(n)])
+                .collect::<Vec<_>>()
+        };
         assert_eq!(
-            demand,
-            drive_sink_functional(&mut single, &chunks, &data, 4, 64 << 10)
+            drive_sink_functional(&mut LenSink, &chunks, &data, 2, 128),
+            ns(&[100 + 150, 50 + 300 + 1])
         );
-        assert_eq!(batched.new_chunks(), single.0.new_chunks());
-        assert_eq!(batched.dedup_bytes(), single.0.dedup_bytes());
-        let generation = batched.generation().expect("committed");
-        assert_eq!(single.0.generation(), Some(generation));
         assert_eq!(
-            store_a.borrow().manifest("vm", generation),
-            store_b.borrow().manifest("vm", generation)
+            drive_sink_functional(&mut LenSink, &chunks, &data, 4, 128),
+            ns(&[250, 50, 300, 1])
         );
-        assert_eq!(store_a.borrow().restore("vm", generation).unwrap(), data);
+
+        let store = Rc::new(RefCell::new(shredder_store::ChunkStore::new()));
+        let mut sink = StoreSink::new("vm", StoreSinkConfig::default(), store.clone());
+        assert!(drive_sink_functional(&mut sink, &[], &[], 0, 128).is_empty());
+        assert_eq!(sink.generation(), Some(0));
+        assert_eq!(store.borrow().restore("vm", 0).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn store_sink_consecutive_streams_form_generations() {
         let store = Rc::new(RefCell::new(shredder_store::ChunkStore::new()));
-        let data = payload(4096, 9);
-        let chunk = Chunk {
-            offset: 0,
-            len: data.len(),
-        };
+        let (data, chunks) = stream_of(&[&payload(4096, 9)]);
         for expected_gen in 0..3u64 {
             let mut sink = StoreSink::new("vm", StoreSinkConfig::default(), store.clone());
-            sink.accept(chunk, &data);
-            sink.finish();
+            sink.consume(&data, &chunks);
             assert_eq!(sink.generation(), Some(expected_gen));
         }
         // One physical copy across three generations.
@@ -1062,35 +1015,11 @@ mod tests {
     fn store_sink_rejects_reuse_after_commit() {
         let store = Rc::new(RefCell::new(shredder_store::ChunkStore::new()));
         let mut sink = StoreSink::new("vm", StoreSinkConfig::default(), store);
-        let data = payload(512, 2);
-        let chunk = Chunk {
-            offset: 0,
-            len: data.len(),
-        };
-        sink.accept(chunk, &data);
-        sink.finish();
+        let (data, chunks) = stream_of(&[&payload(512, 2)]);
+        sink.consume(&data, &chunks);
         // A second stream through the same sink would merge recipes
         // into a corrupt generation — it must panic instead.
-        sink.accept(chunk, &data);
-    }
-
-    #[test]
-    fn store_sink_double_finish_commits_once() {
-        let store = Rc::new(RefCell::new(shredder_store::ChunkStore::new()));
-        let mut sink = StoreSink::new("vm", StoreSinkConfig::default(), store.clone());
-        let data = payload(512, 4);
-        sink.accept(
-            Chunk {
-                offset: 0,
-                len: data.len(),
-            },
-            &data,
-        );
-        sink.finish();
-        let tail = sink.finish();
-        assert_eq!(tail, vec![Dur::ZERO, Dur::ZERO]);
-        assert_eq!(sink.generation(), Some(0));
-        assert_eq!(store.borrow().snapshot_count(), 1, "no duplicate commit");
+        sink.consume(&data, &chunks);
     }
 
     #[test]
@@ -1102,17 +1031,5 @@ mod tests {
         assert!(stage.process(d).0);
         assert_eq!(index.borrow().len(), 1);
         assert_eq!(index.borrow().hits(), 1);
-    }
-
-    #[test]
-    fn upcall_sink_is_stage_less() {
-        let mut seen = Vec::new();
-        let mut upcall = |c: Chunk| seen.push(c);
-        let mut sink = UpcallSink::new(&mut upcall);
-        assert!(sink.stages().is_empty());
-        assert!(sink
-            .accept(Chunk { offset: 0, len: 5 }, b"abcde")
-            .is_empty());
-        assert_eq!(seen.len(), 1);
     }
 }

@@ -6,10 +6,10 @@
 use proptest::prelude::*;
 use shredder_core::{
     AdmissionPolicy, ChunkRequest, ChunkSink, FingerprintStage, Shredder, ShredderConfig,
-    ShredderEngine, SliceSource, StageSpec, Workload,
+    ShredderEngine, SinkDemand, SliceSource, StageSpec, Workload,
 };
 use shredder_des::Dur;
-use shredder_hash::sha256;
+use shredder_hash::{sha256, Digest};
 use shredder_rabin::{chunk_all, Chunk, ChunkParams};
 
 /// A recording sink: collects every delivered chunk (and its payload
@@ -18,6 +18,7 @@ use shredder_rabin::{chunk_all, Chunk, ChunkParams};
 struct RecordingSink {
     fingerprint: FingerprintStage,
     delivered: Vec<Chunk>,
+    digests: Vec<Digest>,
 }
 
 impl RecordingSink {
@@ -25,6 +26,7 @@ impl RecordingSink {
         RecordingSink {
             fingerprint: FingerprintStage::new(1.5e9),
             delivered: Vec::new(),
+            digests: Vec::new(),
         }
     }
 }
@@ -34,10 +36,18 @@ impl ChunkSink for RecordingSink {
         vec![self.fingerprint.spec()]
     }
 
-    fn accept(&mut self, chunk: Chunk, payload: &[u8]) -> Vec<Dur> {
-        let (_digest, service) = self.fingerprint.process(payload);
-        self.delivered.push(chunk);
-        vec![service]
+    fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand {
+        let payloads: Vec<&[u8]> = chunks.iter().map(|c| c.slice(data)).collect();
+        let mut rows = Vec::with_capacity(chunks.len());
+        for (digest, service) in self.fingerprint.process(&payloads) {
+            self.digests.push(digest);
+            rows.push(vec![service]);
+        }
+        self.delivered.extend_from_slice(chunks);
+        SinkDemand {
+            rows,
+            tail: Vec::new(),
+        }
     }
 }
 
@@ -177,8 +187,8 @@ proptest! {
         // Digests computed inside the simulation equal the
         // post-processed digests.
         let collected_digests = collected.digests(&data);
-        prop_assert_eq!(sink.fingerprint.digests(), collected_digests.as_slice());
-        for (chunk, digest) in sink.delivered.iter().zip(sink.fingerprint.digests()) {
+        prop_assert_eq!(&sink.digests, &collected_digests);
+        for (chunk, digest) in sink.delivered.iter().zip(&sink.digests) {
             prop_assert_eq!(*digest, sha256(chunk.slice(&data)));
         }
         // The end-to-end makespan extends (or equals) the chunk-only one.

@@ -7,7 +7,8 @@
 //! to DataNodes, deduplicating splits whose content is already stored.
 //! Record alignment and split fingerprinting run as a
 //! [`RecordAlignedSink`] inside the engine's simulation, so the hash
-//! work overlaps chunking.
+//! work overlaps chunking. An upload that finds every DataNode down
+//! fails with [`HdfsError::NoLiveDataNode`] and commits nothing.
 
 use std::fmt;
 
@@ -40,6 +41,9 @@ pub enum HdfsError {
     MissingChunk(Digest),
     /// The chunking engine failed while ingesting the file.
     Chunking(ChunkError),
+    /// Every DataNode is down: an upload has nowhere to store its
+    /// splits, so nothing is committed.
+    NoLiveDataNode,
 }
 
 impl fmt::Display for HdfsError {
@@ -51,6 +55,7 @@ impl fmt::Display for HdfsError {
             }
             HdfsError::MissingChunk(d) => write!(f, "missing chunk payload {d:?}"),
             HdfsError::Chunking(e) => write!(f, "chunking failed: {e}"),
+            HdfsError::NoLiveDataNode => f.write_str("no live datanode to store splits on"),
         }
     }
 }
@@ -113,7 +118,7 @@ pub struct SplitData {
 /// use shredder_hdfs::IncHdfs;
 ///
 /// let mut fs = IncHdfs::new(3);
-/// fs.copy_from_local("/plain", b"0123456789", 4);
+/// fs.copy_from_local("/plain", b"0123456789", 4).unwrap();
 /// assert_eq!(fs.read("/plain").unwrap(), b"0123456789");
 /// assert_eq!(fs.splits("/plain").unwrap().len(), 3);
 /// ```
@@ -216,7 +221,17 @@ impl IncHdfs {
 
     /// Plain-HDFS upload: fixed-size splits of `split_size` bytes
     /// (`copyFromLocal`).
-    pub fn copy_from_local(&mut self, path: &str, data: &[u8], split_size: usize) -> UploadReport {
+    ///
+    /// # Errors
+    ///
+    /// [`HdfsError::NoLiveDataNode`] if every DataNode is down; nothing
+    /// is committed then.
+    pub fn copy_from_local(
+        &mut self,
+        path: &str,
+        data: &[u8],
+        split_size: usize,
+    ) -> Result<UploadReport, HdfsError> {
         let splits = chunk_fixed(data, split_size);
         let payloads: Vec<&[u8]> = splits.iter().map(|c| c.slice(data)).collect();
         let aligned: Vec<(Chunk, Digest)> =
@@ -231,7 +246,8 @@ impl IncHdfs {
     ///
     /// # Errors
     ///
-    /// [`HdfsError::Chunking`] if the chunking engine fails.
+    /// [`HdfsError::Chunking`] if the chunking engine fails;
+    /// [`HdfsError::NoLiveDataNode`] if every DataNode is down.
     pub fn copy_from_local_gpu(
         &mut self,
         path: &str,
@@ -263,12 +279,13 @@ impl IncHdfs {
     ///
     /// Returns one result per `(path, data)` pair in order (shed
     /// uploads carry [`HdfsError::Chunking`] wrapping
-    /// `ChunkError::Overloaded` and commit nothing) plus the run's
-    /// [`ServiceReport`] (offered vs. achieved req/s, queue-depth
-    /// timeline, latency percentiles). Each file's `chunking_time` is
-    /// its own chunk-only duration (first admit → last Store
-    /// completion) and its `upload_makespan` its arrival-to-done
-    /// latency inside the shared run.
+    /// `ChunkError::Overloaded`, and uploads finding every DataNode
+    /// down [`HdfsError::NoLiveDataNode`]; neither commits anything)
+    /// plus the run's [`ServiceReport`] (offered vs. achieved req/s,
+    /// queue-depth timeline, latency percentiles). Each file's
+    /// `chunking_time` is its own chunk-only duration (first admit →
+    /// last Store completion) and its `upload_makespan` its
+    /// arrival-to-done latency inside the shared run.
     ///
     /// # Errors
     ///
@@ -311,13 +328,13 @@ impl IncHdfs {
                 Ok(_) => {
                     let per = &outcome.report.sessions[i];
                     let latency = service.requests[i].latency().unwrap_or(per.makespan);
-                    reports.push(Ok(self.commit(
+                    reports.push(self.commit(
                         path,
                         data,
                         &sink.into_aligned(),
                         per.chunking_time(),
                         latency,
-                    )));
+                    ));
                 }
                 Err(e) => reports.push(Err(HdfsError::Chunking(e))),
             }
@@ -325,6 +342,8 @@ impl IncHdfs {
         Ok((reports, service))
     }
 
+    /// Stores an upload's splits and commits it as the file's next
+    /// version; rejects it untouched when every DataNode is down.
     fn commit(
         &mut self,
         path: &str,
@@ -332,7 +351,10 @@ impl IncHdfs {
         aligned: &[(Chunk, Digest)],
         chunking_time: Dur,
         upload_makespan: Dur,
-    ) -> UploadReport {
+    ) -> Result<UploadReport, HdfsError> {
+        if self.dead.len() == self.datanodes.len() {
+            return Err(HdfsError::NoLiveDataNode);
+        }
         let mut splits = Vec::with_capacity(aligned.len());
         let mut new_bytes = 0u64;
         let mut dedup_bytes = 0u64;
@@ -367,8 +389,9 @@ impl IncHdfs {
                         placed.push(n);
                     }
                     // Fewer live nodes than the replication factor: store
-                    // on whatever is available (possibly fewer copies).
-                    let primary = placed.first().copied().unwrap_or(0);
+                    // on whatever is available (possibly fewer copies, but
+                    // at least one: some node is live).
+                    let primary = placed[0];
                     self.replicas.insert(digest, placed);
                     new_bytes += chunk.len as u64;
                     new_splits += 1;
@@ -384,7 +407,7 @@ impl IncHdfs {
         }
 
         let version = self.namenode.commit_version(path, FileVersion { splits });
-        UploadReport {
+        Ok(UploadReport {
             version,
             total_bytes: data.len() as u64,
             new_bytes,
@@ -393,7 +416,7 @@ impl IncHdfs {
             new_splits,
             chunking_time,
             upload_makespan,
-        }
+        })
     }
 
     /// Reads back the latest version of a file.
@@ -514,7 +537,7 @@ mod tests {
     fn fixed_upload_roundtrip() {
         let mut fs = IncHdfs::new(4);
         let data = corpus(1);
-        let report = fs.copy_from_local("/f", &data, 64 << 10);
+        let report = fs.copy_from_local("/f", &data, 64 << 10).unwrap();
         assert_eq!(report.total_bytes, data.len() as u64);
         assert_eq!(fs.read("/f").unwrap(), data);
     }
@@ -568,7 +591,7 @@ mod tests {
         let data = corpus(4);
         let svc = service();
 
-        fs_fixed.copy_from_local("/f", &data, 32 << 10);
+        fs_fixed.copy_from_local("/f", &data, 32 << 10).unwrap();
         fs_cdc
             .copy_from_local_gpu("/f", &data, &svc, &TextInputFormat)
             .unwrap();
@@ -577,7 +600,7 @@ mod tests {
         let mut shifted = b"NEW RECORD AT FRONT\n".to_vec();
         shifted.extend_from_slice(&data);
 
-        let fixed_report = fs_fixed.copy_from_local("/f", &shifted, 32 << 10);
+        let fixed_report = fs_fixed.copy_from_local("/f", &shifted, 32 << 10).unwrap();
         let cdc_report = fs_cdc
             .copy_from_local_gpu("/f", &shifted, &svc, &TextInputFormat)
             .unwrap();
@@ -715,7 +738,7 @@ mod tests {
         assert!(matches!(fs.read("/nope"), Err(HdfsError::FileNotFound(_))));
         assert!(fs.splits("/nope").is_err());
         let mut fs = fs;
-        fs.copy_from_local("/f", b"abc", 2);
+        fs.copy_from_local("/f", b"abc", 2).unwrap();
         assert!(matches!(
             fs.read_version("/f", 5),
             Err(HdfsError::VersionNotFound { .. })
@@ -726,7 +749,7 @@ mod tests {
     fn replication_stores_multiple_copies() {
         let mut fs = IncHdfs::with_replication(5, 3);
         let data = corpus(7);
-        fs.copy_from_local("/f", &data, 64 << 10);
+        fs.copy_from_local("/f", &data, 64 << 10).unwrap();
         // Roughly 3x the data stored physically (dedup of repeated
         // chunks makes it <= exactly 3x).
         let ratio = fs.physical_bytes() as f64 / data.len() as f64;
@@ -760,9 +783,81 @@ mod tests {
     fn unreplicated_cluster_loses_data_on_failure() {
         let mut fs = IncHdfs::new(4);
         let data = corpus(9);
-        fs.copy_from_local("/f", &data, 64 << 10);
+        fs.copy_from_local("/f", &data, 64 << 10).unwrap();
         fs.fail_datanode(1);
         assert!(matches!(fs.read("/f"), Err(HdfsError::MissingChunk(_))));
+    }
+
+    #[test]
+    fn upload_with_every_datanode_dead_commits_nothing() {
+        let mut fs = IncHdfs::new(2);
+        fs.fail_datanode(0);
+        fs.fail_datanode(1);
+        assert_eq!(
+            fs.copy_from_local("/f", b"0123456789", 4),
+            Err(HdfsError::NoLiveDataNode)
+        );
+        assert_eq!(
+            fs.copy_from_local_gpu("/g", &corpus(6), &service(), &TextInputFormat),
+            Err(HdfsError::NoLiveDataNode)
+        );
+        assert_eq!(fs.namenode().version_count("/f"), 0);
+        assert_eq!(fs.namenode().version_count("/g"), 0);
+        assert_eq!(fs.physical_bytes(), 0);
+
+        fs.revive_datanode(1);
+        let report = fs.copy_from_local("/f", b"0123456789", 4).unwrap();
+        assert_eq!((report.version, report.new_splits), (0, 3));
+        assert_eq!(fs.read("/f").unwrap(), b"0123456789");
+    }
+
+    /// The simulated upload times of two versions of a seeded corpus,
+    /// in ns: chunking, arrival-to-done makespan, and the record-aligned
+    /// sink's fingerprint service, on both executors.
+    #[test]
+    fn upload_timing_is_pinned() {
+        let v1 = shredder_workloads::words_corpus(1 << 20, 500, 42);
+        let v2 =
+            shredder_workloads::mutate(&v1, &shredder_workloads::MutationSpec::replace(0.05, 7));
+        let params = ChunkParams::paper().with_expected_size(4096);
+        let gpu = ShredderConfig::gpu_streams_memory();
+        let cpu = ShredderConfig::cpu_pthreads();
+        // (config, [(chunking, upload makespan, sink service)] for v1, v2)
+        let expected = [
+            (
+                gpu,
+                [
+                    (1_449_134, 1_467_807, 699_060),
+                    (1_449_134, 1_467_958, 699_059),
+                ],
+            ),
+            (
+                cpu,
+                [
+                    (12_886_514, 12_887_150, 699_060),
+                    (12_886_514, 12_886_902, 699_059),
+                ],
+            ),
+        ];
+        for (config, times) in expected {
+            let svc = Shredder::new(
+                config
+                    .with_params(params.clone())
+                    .with_buffer_size(64 << 10),
+            );
+            let mut fs = IncHdfs::new(3);
+            for (data, (chunking, makespan, sink)) in [&v1, &v2].into_iter().zip(times) {
+                let report = fs
+                    .copy_from_local_gpu("/f", data, &svc, &TextInputFormat)
+                    .unwrap();
+                let mut aligned = RecordAlignedSink::new(&TextInputFormat);
+                let run = svc.chunk_stream_sink(data, &mut aligned).unwrap();
+                let name = svc.service_name();
+                assert_eq!(report.chunking_time.as_nanos(), chunking, "{name}");
+                assert_eq!(report.upload_makespan.as_nanos(), makespan, "{name}");
+                assert_eq!(run.sessions[0].sink_service.as_nanos(), sink, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! * [`input_format`] — the semantic-chunking framework of §6.3: snap
 //!   content-defined cuts to record boundaries so a split never cuts a
 //!   record in half (reusing the job's `InputFormat` notion).
-//! * [`sink`] — the ingestion consumer: a
-//!   [`RecordAlignedSink`] performs record
-//!   alignment incrementally and fingerprints every aligned split as an
-//!   in-simulation stage, so hashing overlaps chunking.
+//! * [`sink`] — the ingestion consumer: a [`RecordAlignedSink`] aligns
+//!   each uploaded stream with [`apply_input_format`] and fingerprints
+//!   its splits as one batch, charged to an in-simulation stage, so
+//!   hashing overlaps chunking.
 //! * [`fs`] — the client API: `copy_from_local` (fixed-size, plain HDFS
 //!   behaviour) and `copy_from_local_gpu` (content-based via a
 //!   [`Shredder`](shredder_core::Shredder) — the `copyFromLocalGPU`

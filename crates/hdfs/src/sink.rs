@@ -3,26 +3,24 @@
 //!
 //! §6.3's semantic chunking snaps content-defined cuts forward to
 //! record boundaries; the client then fingerprints every aligned split
-//! for cluster-wide dedup. Before the staged sink API both steps were
-//! post-processing over a collected `Vec<Chunk>`; a
-//! [`RecordAlignedSink`] instead consumes the engine's upcalls
-//! incrementally — holding back only the bytes between the last emitted
-//! record boundary and the stream head — and charges its SHA-256
-//! hashing to a [`FingerprintStage`] scheduled inside the shared
+//! for cluster-wide dedup. A [`RecordAlignedSink`] does both inside the
+//! engine's simulation: it aligns the stream's final chunks with
+//! [`apply_input_format`] and hashes the splits as one batch, charging
+//! the hashing to a [`FingerprintStage`] scheduled in the shared
 //! simulation, so split fingerprinting overlaps chunking.
 //!
-//! The alignment is bit-identical to
-//! [`apply_input_format`](crate::input_format::apply_input_format) over
-//! the collected cut list (a property test in `fs.rs` pins this).
+//! The charge lands where a streaming client would pay it: when the
+//! split's end record boundary becomes visible. Every split but the
+//! last is charged to the chunk holding its end offset (the first byte
+//! of the next split); the last split, which ends at the stream end, is
+//! charged to the end-of-stream tail.
 
-use std::collections::VecDeque;
-
-use shredder_core::{ChunkSink, FingerprintStage, StageSpec};
+use shredder_core::{ChunkSink, FingerprintStage, SinkDemand, StageSpec};
 use shredder_des::Dur;
 use shredder_hash::Digest;
 use shredder_rabin::Chunk;
 
-use crate::input_format::InputFormat;
+use crate::input_format::{apply_input_format, InputFormat};
 
 /// Default client-side fingerprinting bandwidth (the Store thread's
 /// SHA-256 rate, matching the §7.3 backup emulation).
@@ -33,13 +31,6 @@ pub const CLIENT_HASH_BW: f64 = 1.5e9;
 pub struct RecordAlignedSink<'f> {
     format: &'f dyn InputFormat,
     fingerprint: FingerprintStage,
-    /// Bytes from the last emitted boundary to the stream head.
-    pending: Vec<u8>,
-    /// Absolute offset of `pending[0]`.
-    pending_base: u64,
-    /// Proposed (content-defined) cuts not yet resolved to a record
-    /// boundary, in increasing offset order.
-    proposed: VecDeque<u64>,
     /// Aligned splits emitted so far, with their fingerprints.
     aligned: Vec<(Chunk, Digest)>,
 }
@@ -56,9 +47,6 @@ impl<'f> RecordAlignedSink<'f> {
         RecordAlignedSink {
             format,
             fingerprint: FingerprintStage::new(hash_bw),
-            pending: Vec::new(),
-            pending_base: 0,
-            proposed: VecDeque::new(),
             aligned: Vec::new(),
         }
     }
@@ -72,59 +60,6 @@ impl<'f> RecordAlignedSink<'f> {
     pub fn into_aligned(self) -> Vec<(Chunk, Digest)> {
         self.aligned
     }
-
-    /// Emits the aligned split `[pending_base, pending_base + len)`,
-    /// hashing its payload; returns the fingerprint service time.
-    fn emit(&mut self, len: usize) -> Dur {
-        let (digest, service) = self.fingerprint.process(&self.pending[..len]);
-        self.aligned.push((
-            Chunk {
-                offset: self.pending_base,
-                len,
-            },
-            digest,
-        ));
-        self.pending.drain(..len);
-        self.pending_base += len as u64;
-        service
-    }
-
-    /// Resolves every proposed cut whose snapped record boundary is
-    /// already visible in `pending`. A boundary that would land exactly
-    /// on the stream head is deferred (it is only legal if more bytes
-    /// follow; at `finished` it merges into the final split).
-    fn resolve(&mut self, finished: bool) -> Dur {
-        let mut service = Dur::ZERO;
-        while let Some(&p) = self.proposed.front() {
-            if p <= self.pending_base {
-                // Collapsed into an earlier snap (several content cuts
-                // inside one long record).
-                self.proposed.pop_front();
-                continue;
-            }
-            let rel = (p - self.pending_base) as usize;
-            if rel >= self.pending.len() {
-                // The cut itself is beyond the buffered head (possible
-                // only at finish, after earlier emits).
-                self.proposed.pop_front();
-                continue;
-            }
-            let snapped = self.format.next_record_boundary(&self.pending, rel as u64) as usize;
-            if snapped >= self.pending.len() {
-                if finished {
-                    // Snaps to the stream end: no cut (the final split
-                    // absorbs it).
-                    self.proposed.pop_front();
-                    continue;
-                }
-                // Boundary not visible yet — wait for more bytes.
-                break;
-            }
-            self.proposed.pop_front();
-            service += self.emit(snapped);
-        }
-        service
-    }
 }
 
 impl ChunkSink for RecordAlignedSink<'_> {
@@ -132,24 +67,26 @@ impl ChunkSink for RecordAlignedSink<'_> {
         vec![self.fingerprint.spec()]
     }
 
-    fn accept(&mut self, chunk: Chunk, payload: &[u8]) -> Vec<Dur> {
-        debug_assert_eq!(chunk.offset, self.pending_base + self.pending.len() as u64);
-        if chunk.offset > 0 {
-            // The boundary between the previous chunk and this one is a
-            // proposed cut.
-            self.proposed.push_back(chunk.offset);
+    fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand {
+        // Every chunk start but the stream's first is a proposed cut.
+        let cuts: Vec<u64> = chunks.iter().skip(1).map(|c| c.offset).collect();
+        let splits = apply_input_format(data, &cuts, self.format);
+        let payloads: Vec<&[u8]> = splits.iter().map(|s| s.slice(data)).collect();
+        let mut rows = vec![vec![Dur::ZERO]; chunks.len()];
+        let mut tail = Dur::ZERO;
+        for (split, (digest, service)) in splits.iter().zip(self.fingerprint.process(&payloads)) {
+            let end = split.end();
+            if end == data.len() as u64 {
+                tail += service;
+            } else {
+                rows[chunks.partition_point(|c| c.end() <= end)][0] += service;
+            }
+            self.aligned.push((*split, digest));
         }
-        self.pending.extend_from_slice(payload);
-        vec![self.resolve(false)]
-    }
-
-    fn finish(&mut self) -> Vec<Dur> {
-        let mut service = self.resolve(true);
-        if !self.pending.is_empty() {
-            let len = self.pending.len();
-            service += self.emit(len);
+        SinkDemand {
+            rows,
+            tail: vec![tail],
         }
-        vec![service]
     }
 }
 
@@ -158,7 +95,6 @@ impl std::fmt::Debug for RecordAlignedSink<'_> {
         f.debug_struct("RecordAlignedSink")
             .field("format", &self.format.format_name())
             .field("aligned", &self.aligned.len())
-            .field("pending", &self.pending.len())
             .finish()
     }
 }
@@ -166,31 +102,40 @@ impl std::fmt::Debug for RecordAlignedSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input_format::{apply_input_format, TextInputFormat};
+    use crate::input_format::TextInputFormat;
     use shredder_hash::sha256;
     use shredder_rabin::chunker::{cuts_to_chunks, raw_cuts};
     use shredder_rabin::ChunkParams;
 
-    /// Feeds `data`, pre-chunked at `cuts`, through the sink and returns
-    /// the aligned splits.
-    fn run_sink(data: &[u8], cuts: &[u64]) -> Vec<(Chunk, Digest)> {
+    /// Feeds `data`, pre-chunked at `cuts`, through the sink and checks
+    /// its splits and digests against [`apply_input_format`]; returns
+    /// the demand.
+    fn run_sink(data: &[u8], cuts: &[u64]) -> SinkDemand {
         let chunks = cuts_to_chunks(cuts, data.len() as u64);
         let mut sink = RecordAlignedSink::new(&TextInputFormat);
-        for c in &chunks {
-            sink.accept(*c, c.slice(data));
-        }
-        sink.finish();
-        sink.into_aligned()
-    }
-
-    fn assert_matches_batch(data: &[u8], cuts: &[u64]) {
-        let streamed = run_sink(data, cuts);
-        let batch = apply_input_format(data, cuts, &TextInputFormat);
-        let streamed_chunks: Vec<Chunk> = streamed.iter().map(|(c, _)| *c).collect();
-        assert_eq!(streamed_chunks, batch);
-        for (c, d) in &streamed {
+        let demand = sink.consume(data, &chunks);
+        let splits: Vec<Chunk> = sink.aligned().iter().map(|(c, _)| *c).collect();
+        assert_eq!(splits, apply_input_format(data, cuts, &TextInputFormat));
+        for (c, d) in sink.aligned() {
             assert_eq!(*d, sha256(c.slice(data)), "digest of {c:?}");
         }
+        demand
+    }
+
+    /// Asserts the demand charges, per chunk row and at the tail, the
+    /// hashing of splits of the given lengths.
+    fn assert_charged(demand: &SinkDemand, rows: &[&[usize]], tail: &[usize]) {
+        let hashing = |lens: &[usize]| {
+            vec![lens
+                .iter()
+                .map(|&len| Dur::from_bytes_at(len as u64, CLIENT_HASH_BW))
+                .sum::<Dur>()]
+        };
+        let expected = SinkDemand {
+            rows: rows.iter().map(|lens| hashing(lens)).collect(),
+            tail: hashing(tail),
+        };
+        assert_eq!(*demand, expected);
     }
 
     #[test]
@@ -198,42 +143,62 @@ mod tests {
         let record = b"some record content here\n";
         let data: Vec<u8> = record.iter().copied().cycle().take(100_000).collect();
         let cuts = raw_cuts(&data, &ChunkParams::paper().with_expected_size(2048));
-        assert_matches_batch(&data, &cuts);
+        let demand = run_sink(&data, &cuts);
+        // Every split's hashing is charged exactly once.
+        let charged: Dur = demand.rows.iter().chain([&demand.tail]).map(|r| r[0]).sum();
+        let hashing: Dur = apply_input_format(&data, &cuts, &TextInputFormat)
+            .iter()
+            .map(|s| Dur::from_bytes_at(s.len as u64, CLIENT_HASH_BW))
+            .sum();
+        assert_eq!(charged, hashing);
     }
 
     #[test]
     fn collapsing_cuts_merge() {
-        // One giant record: every cut snaps to the same end boundary.
+        // One giant record: every cut snaps to the same end boundary,
+        // which is the stream end, so all hashing lands on the tail.
         let mut data = vec![b'x'; 50_000];
         data.push(b'\n');
-        assert_matches_batch(&data, &[100, 5000, 20000]);
+        let demand = run_sink(&data, &[100, 5000, 20000]);
+        assert_charged(&demand, &[&[], &[], &[], &[]], &[50_001]);
+        // A record after it: the giant split ends inside the fourth
+        // chunk, which is charged for it.
+        data.extend_from_slice(b"tail\n");
+        let demand = run_sink(&data, &[100, 5000, 20000, 50_003]);
+        assert_charged(&demand, &[&[], &[], &[], &[50_001], &[]], &[5]);
     }
 
     #[test]
     fn cut_on_existing_boundary_stays() {
         let data = b"aaa\nbbb\nccc\n".to_vec();
-        assert_matches_batch(&data, &[4, 9]);
+        let demand = run_sink(&data, &[4, 9]);
+        assert_charged(&demand, &[&[], &[4], &[]], &[8]);
     }
 
     #[test]
     fn no_trailing_newline() {
         let data = b"abc\ndef\nghij".to_vec();
-        assert_matches_batch(&data, &[2, 6, 10]);
+        let demand = run_sink(&data, &[2, 6, 10]);
+        assert_charged(&demand, &[&[], &[4], &[4], &[]], &[4]);
     }
 
     #[test]
     fn empty_stream_emits_nothing() {
-        assert!(run_sink(&[], &[]).is_empty());
+        let demand = run_sink(&[], &[]);
+        assert_charged(&demand, &[], &[]);
     }
 
     #[test]
     fn boundary_exactly_at_chunk_edge_defers_correctly() {
-        // Newline as the last byte of a chunk: the cut is only legal
-        // once the next chunk arrives.
+        // Newline as the last byte of a chunk: the split it ends is
+        // charged to the next chunk, whose first byte starts the next
+        // split.
         let data = b"aaaa\nbbbb\ncccc\n".to_vec();
-        assert_matches_batch(&data, &[5, 10]);
-        // And a newline at the stream end must not produce an empty split.
-        assert_matches_batch(&data, &[15]);
-        assert_matches_batch(&data, &[14]);
+        let demand = run_sink(&data, &[5, 10]);
+        assert_charged(&demand, &[&[], &[5], &[5]], &[5]);
+        // A newline as the stream's last byte must not produce an empty
+        // split: the whole stream is one split, charged to the tail.
+        assert_charged(&run_sink(&data, &[15]), &[&[]], &[15]);
+        assert_charged(&run_sink(&data, &[14]), &[&[], &[]], &[15]);
     }
 }

@@ -42,7 +42,7 @@ fn main() {
         "", "fixed-size splits", "content-based splits"
     );
     for (name, version) in [("v1", &v1), ("v2", &v2), ("v3", &v3)] {
-        let fr = fixed.copy_from_local("/file", version, 64 << 10);
+        let fr = fixed.copy_from_local("/file", version, 64 << 10).unwrap();
         let cr = cdc
             .copy_from_local_gpu("/file", version, &service, &TextInputFormat)
             .unwrap();

@@ -41,7 +41,7 @@ fn incremental_run_reports_identical_across_runs() {
     let corpus = workloads::words_corpus(256 << 10, 300, 0x5eed);
     let run = || {
         let mut fs = IncHdfs::new(4);
-        fs.copy_from_local("/in", &corpus, 32 << 10);
+        fs.copy_from_local("/in", &corpus, 32 << 10).unwrap();
         let splits = fs.splits("/in").unwrap();
         let mut runner = IncrementalRunner::new(WordCount, ClusterConfig::paper());
         let out = runner.run(&splits);

@@ -136,11 +136,11 @@ fn fixed_size_uploads_defeat_memoization() {
     v2.extend_from_slice(&v1);
 
     let mut fs = IncHdfs::new(20);
-    fs.copy_from_local("/in", &v1, 32 << 10);
+    fs.copy_from_local("/in", &v1, 32 << 10).unwrap();
     let mut runner = IncrementalRunner::new(WordCount, ClusterConfig::paper());
     runner.run(&fs.splits("/in").unwrap());
 
-    fs.copy_from_local("/in", &v2, 32 << 10);
+    fs.copy_from_local("/in", &v2, 32 << 10).unwrap();
     let splits = fs.splits("/in").unwrap();
     let rerun = runner.run(&splits);
     assert!(
