@@ -5,9 +5,10 @@
 //! the simulated experiments — but they measure the actual Rust
 //! implementations: Rabin table fingerprinting and construction,
 //! sequential vs parallel CDC, fixed-size chunking, SHA-256, one GPU
-//! kernel launch on a small buffer, and the online service path over a
+//! kernel launch on a small buffer, the online service path over a
 //! growing number of small requests (whose per-request cost should stay
-//! flat as the count grows).
+//! flat as the count grows), and the Word-Count and Co-occurrence map
+//! functions on one 64 KiB split of the fig15 words corpus.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use shredder_core::{
@@ -16,6 +17,8 @@ use shredder_core::{
 use shredder_gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder_gpu::DeviceConfig;
 use shredder_hash::{sha256, sha256_many};
+use shredder_mapreduce::apps::{Cooccurrence, WordCount};
+use shredder_mapreduce::MapReduceJob;
 use shredder_rabin::{
     chunk_all, chunk_fixed, ChunkParams, GearKernel, ParallelChunker, Polynomial, RabinTables,
 };
@@ -165,6 +168,19 @@ fn bench_sha256(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_mapreduce_map(c: &mut Criterion) {
+    // One map task's worth of input: a 64 KiB split of a 2000-word
+    // vocabulary corpus, as the fig15 and perfbench splits are.
+    let split = shredder_workloads::words_corpus(64 << 10, 2000, 7);
+    let mut group = c.benchmark_group("mapreduce_map");
+    group.throughput(Throughput::Bytes(split.len() as u64));
+    group.bench_function("wordcount_64KiB", |b| b.iter(|| WordCount.map(&split)));
+    group.bench_function("cooccurrence_64KiB", |b| {
+        b.iter(|| Cooccurrence::default().map(&split))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_rabin_tables,
@@ -172,6 +188,7 @@ criterion_group!(
     bench_chunking,
     bench_kernel_small_buffer,
     bench_service_requests,
-    bench_sha256
+    bench_sha256,
+    bench_mapreduce_map
 );
 criterion_main!(benches);

@@ -2,12 +2,10 @@
 //! formulation of the co-occurrence computation, a standard text-mining
 //! MapReduce benchmark).
 
-use std::collections::BTreeMap;
-
-use crate::job::MapReduceJob;
+use crate::job::{Combiner, MapReduceJob};
 
 /// Counts co-occurrences of words within a sliding window inside each
-/// record. Pair keys are `"left right"`.
+/// record. Pair keys are `"left right"`; the map returns them sorted.
 ///
 /// # Examples
 ///
@@ -51,17 +49,28 @@ impl MapReduceJob for Cooccurrence {
 
     fn map(&self, split: &[u8]) -> Vec<(String, u64)> {
         let text = String::from_utf8_lossy(split);
-        // BTreeMap: memoized output ordering must be deterministic.
-        let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+        let mut counts: Combiner<(&str, &str), u64> = Combiner::new();
+        let mut words: Vec<&str> = Vec::new();
         for line in text.lines() {
-            let words: Vec<&str> = line.split_whitespace().collect();
+            words.clear();
+            words.extend(line.split_whitespace());
             for (i, &left) in words.iter().enumerate() {
-                for right in words.iter().skip(i + 1).take(self.window) {
-                    *counts.entry(format!("{left} {right}")).or_default() += 1;
+                for &right in words.iter().skip(i + 1).take(self.window) {
+                    *counts.slot((left, right)) += 1;
                 }
             }
         }
-        counts.into_iter().collect()
+        // Format only the distinct pairs. Words hold no ' ', so distinct
+        // pairs format to distinct keys; sort the formatted keys, since
+        // tuple order differs from "left right" order for words holding
+        // a byte below ' '.
+        let mut pairs: Vec<(String, u64)> = counts
+            .into_groups()
+            .into_iter()
+            .map(|((left, right), n)| (format!("{left} {right}"), n))
+            .collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        pairs
     }
 
     fn reduce(&self, _key: &String, values: &[u64]) -> u64 {

@@ -1,11 +1,10 @@
 //! Word-Count: the canonical MapReduce job.
 
-use std::collections::BTreeMap;
-
-use crate::job::MapReduceJob;
+use crate::job::{Combiner, MapReduceJob};
 
 /// Counts word occurrences. The map combines within its split (one pair
-/// per distinct word), the classic combiner optimization.
+/// per distinct word, sorted by word), the classic combiner
+/// optimization.
 ///
 /// # Examples
 ///
@@ -26,12 +25,12 @@ impl MapReduceJob for WordCount {
 
     fn map(&self, split: &[u8]) -> Vec<(String, u64)> {
         let text = String::from_utf8_lossy(split);
-        // BTreeMap: memoized output ordering must be deterministic.
-        let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut counts: Combiner<&str, u64> = Combiner::new();
         for word in text.split_whitespace() {
-            *counts.entry(word).or_default() += 1;
+            *counts.slot(word) += 1;
         }
         counts
+            .into_sorted()
             .into_iter()
             .map(|(w, c)| (w.to_string(), c))
             .collect()

@@ -15,13 +15,15 @@ pub type MemoKey = (Digest, u64);
 /// # Examples
 ///
 /// ```
+/// use std::rc::Rc;
+///
 /// use shredder_hash::sha256;
 /// use shredder_mapreduce::MemoTable;
 ///
 /// let mut memo: MemoTable<String, u64> = MemoTable::new();
 /// let key = (sha256(b"split"), 0);
 /// assert!(memo.lookup(&key).is_none());
-/// memo.insert(key, vec![("a".to_string(), 1)], 5);
+/// memo.insert(key, Rc::new(vec![("a".to_string(), 1)]));
 /// assert_eq!(memo.lookup(&key).unwrap().len(), 1);
 /// assert_eq!(memo.hits(), 1);
 /// ```
@@ -58,14 +60,16 @@ impl<K, V> MemoTable<K, V> {
         }
     }
 
-    /// Records a freshly computed map output; `split_bytes` is credited
-    /// to [`bytes_saved`](MemoTable::bytes_saved) on later hits.
-    pub fn insert(&mut self, key: MemoKey, output: Vec<(K, V)>, split_bytes: usize) {
-        let _ = split_bytes;
-        self.entries.insert(key, Rc::new(output));
+    /// Records a freshly computed map output, shared with the caller
+    /// (the runner's shuffle reads the same `Rc`). Saved bytes are not
+    /// credited here: the caller credits each later hit through
+    /// [`credit_saved`](MemoTable::credit_saved).
+    pub fn insert(&mut self, key: MemoKey, output: Rc<Vec<(K, V)>>) {
+        self.entries.insert(key, output);
     }
 
-    /// Credits saved work for a hit on a split of `split_bytes`.
+    /// Credits saved work for a hit on a split of `split_bytes` to
+    /// [`bytes_saved`](MemoTable::bytes_saved).
     pub fn credit_saved(&mut self, split_bytes: usize) {
         self.bytes_saved += split_bytes as u64;
     }
@@ -128,7 +132,7 @@ mod tests {
         let a = (sha256(b"a"), 0);
         let b = (sha256(b"b"), 0);
         assert!(memo.lookup(&a).is_none());
-        memo.insert(a, vec![(1, 1)], 100);
+        memo.insert(a, Rc::new(vec![(1, 1)]));
         assert!(memo.lookup(&a).is_some());
         memo.credit_saved(100);
         assert!(memo.lookup(&b).is_none());
@@ -143,9 +147,9 @@ mod tests {
         let mut memo: MemoTable<u32, u32> = MemoTable::new();
         let a = sha256(b"a");
         let b = sha256(b"b");
-        memo.insert((a, 1), vec![(1, 1)], 10);
-        memo.insert((a, 2), vec![(2, 2)], 10);
-        memo.insert((b, 1), vec![(3, 3)], 10);
+        memo.insert((a, 1), Rc::new(vec![(1, 1)]));
+        memo.insert((a, 2), Rc::new(vec![(2, 2)]));
+        memo.insert((b, 1), Rc::new(vec![(3, 3)]));
         assert_eq!(memo.evict_digests(&[a]), 2);
         assert!(memo.lookup(&(a, 1)).is_none());
         assert!(memo.lookup(&(a, 2)).is_none());
@@ -158,7 +162,7 @@ mod tests {
     fn aux_key_separates_job_states() {
         let mut memo: MemoTable<u32, u32> = MemoTable::new();
         let d = sha256(b"split");
-        memo.insert((d, 1), vec![(1, 1)], 10);
+        memo.insert((d, 1), Rc::new(vec![(1, 1)]));
         assert!(memo.lookup(&(d, 2)).is_none(), "different state must miss");
         assert!(memo.lookup(&(d, 1)).is_some());
     }

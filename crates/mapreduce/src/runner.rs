@@ -2,12 +2,13 @@
 //! simulated cluster timing.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use shredder_hash::sha256_many;
 use shredder_hdfs::SplitData;
 
 use crate::cluster::{simulate_job, ClusterConfig, JobTiming, MapTaskSpec};
-use crate::job::MapReduceJob;
+use crate::job::{Combiner, MapReduceJob};
 use crate::memo::MemoTable;
 
 /// Statistics of one job run.
@@ -25,9 +26,9 @@ pub struct RunStats {
     pub bytes_mapped: u64,
     /// Intermediate pairs entering the shuffle.
     pub reduce_pairs: usize,
-    /// Cumulative map-input bytes skipped thanks to memo hits over the
-    /// runner's lifetime (`MemoTable::bytes_saved`, previously internal
-    /// state no report ever surfaced).
+    /// Map-input bytes skipped thanks to memo hits, summed over every
+    /// run since the runner was created or its memo last cleared
+    /// ([`IncrementalRunner::clear_memo`] resets it to zero).
     pub memo_bytes_saved: u64,
     /// Memoized entries resident after this run.
     pub memo_entries: usize,
@@ -113,7 +114,7 @@ impl<J: MapReduceJob> IncrementalRunner<J> {
     pub fn run(&mut self, splits: &[SplitData]) -> RunOutcome<J::Key, J::Value> {
         let aux = self.job.aux_key();
         let mut tasks = Vec::with_capacity(splits.len());
-        let mut all_pairs: Vec<(J::Key, J::Value)> = Vec::new();
+        let mut outputs = Vec::with_capacity(splits.len());
         let mut memo_hits = 0usize;
         let mut bytes_mapped = 0u64;
 
@@ -122,13 +123,13 @@ impl<J: MapReduceJob> IncrementalRunner<J> {
             let memoized = if let Some(cached) = self.memo.lookup(&key) {
                 memo_hits += 1;
                 self.memo.credit_saved(split.bytes.len());
-                all_pairs.extend(cached.iter().cloned());
+                outputs.push(cached);
                 true
             } else {
-                let output = self.job.map(&split.bytes);
+                let output = Rc::new(self.job.map(&split.bytes));
                 bytes_mapped += split.bytes.len() as u64;
-                all_pairs.extend(output.iter().cloned());
-                self.memo.insert(key, output, split.bytes.len());
+                self.memo.insert(key, Rc::clone(&output));
+                outputs.push(output);
                 false
             };
             tasks.push(MapTaskSpec {
@@ -138,17 +139,19 @@ impl<J: MapReduceJob> IncrementalRunner<J> {
             });
         }
 
-        // Shuffle: group by key.
-        let reduce_pairs = all_pairs.len();
-        let mut grouped: BTreeMap<J::Key, Vec<J::Value>> = BTreeMap::new();
-        for (k, v) in all_pairs {
-            grouped.entry(k).or_default().push(v);
+        // Shuffle by reference: each key's values in split order, then
+        // in map-output order.
+        let reduce_pairs = outputs.iter().map(|out| out.len()).sum();
+        let mut grouped: Combiner<&J::Key, Vec<J::Value>> = Combiner::new();
+        for (k, v) in outputs.iter().flat_map(|out| out.iter()) {
+            grouped.slot(k).push(v.clone());
         }
 
-        // Reduce.
+        // Reduce, cloning each distinct key once.
         let output: BTreeMap<J::Key, J::Value> = grouped
-            .iter()
-            .map(|(k, vs)| (k.clone(), self.job.reduce(k, vs)))
+            .into_sorted()
+            .into_iter()
+            .map(|(k, vs)| (k.clone(), self.job.reduce(k, &vs)))
             .collect();
 
         let timing = simulate_job(&self.cluster, &tasks, reduce_pairs);
@@ -253,7 +256,7 @@ pub fn content_defined_splits(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::WordCount;
+    use crate::apps::{Cooccurrence, WordCount};
     use shredder_hash::sha256;
 
     fn corpus() -> Vec<u8> {
@@ -373,6 +376,87 @@ mod tests {
         assert_eq!(rerun.output, first.output, "eviction never changes output");
         assert_eq!(rerun.stats.memo_hits, splits.len() - evicted.len());
         assert_eq!(rerun.stats.memo_entries, splits.len(), "re-memoized");
+    }
+
+    /// Maps each `key value` record to `(key, [value])` in record order,
+    /// repeated keys included; the reduce concatenates, so the output
+    /// spells out the order the shuffle handed the values over in.
+    struct Concat;
+
+    impl MapReduceJob for Concat {
+        type Key = String;
+        type Value = Vec<u64>;
+
+        fn map(&self, split: &[u8]) -> Vec<(String, Vec<u64>)> {
+            String::from_utf8_lossy(split)
+                .lines()
+                .filter_map(|line| {
+                    let (k, v) = line.split_once(' ')?;
+                    Some((k.to_string(), vec![v.parse().ok()?]))
+                })
+                .collect()
+        }
+
+        fn reduce(&self, _key: &String, values: &[Vec<u64>]) -> Vec<u64> {
+            values.concat()
+        }
+
+        fn job_name(&self) -> String {
+            "concat".into()
+        }
+    }
+
+    #[test]
+    fn shuffle_keeps_split_then_map_order_across_hits_and_misses() {
+        // Fixed-width records, so an edit never moves a split boundary.
+        let records = |edit: std::ops::Range<usize>| -> Vec<u8> {
+            (0..400)
+                .map(|i| {
+                    let key = ["b", "a", "c", "a"][i % 4];
+                    let value = if edit.contains(&i) { 9000 + i } else { i };
+                    format!("{key} {value:04}\n")
+                })
+                .collect::<String>()
+                .into_bytes()
+        };
+        let mut runner = IncrementalRunner::new(Concat, ClusterConfig::paper());
+        runner.run(&splits_from_bytes(&records(0..0), 70));
+
+        let splits = splits_from_bytes(&records(150..230), 70);
+        let out = runner.run(&splits);
+        assert!(out.stats.memo_hits > 0 && out.stats.memo_hits < splits.len());
+
+        let maps: Vec<_> = splits.iter().map(|s| Concat.map(&s.bytes)).collect();
+        let mut expected: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        for (k, v) in maps.iter().flatten() {
+            expected.entry(k.clone()).or_default().extend(v);
+        }
+        assert_eq!(out.output, expected);
+        assert_eq!(
+            out.stats.reduce_pairs,
+            maps.iter().map(Vec::len).sum::<usize>()
+        );
+    }
+
+    #[test]
+    fn cooccurrence_incremental_equals_fresh() {
+        let data = corpus();
+        let mut changed = data.clone();
+        for i in (0..changed.len()).step_by(9973) {
+            if changed[i].is_ascii_lowercase() {
+                changed[i] = b'q';
+            }
+        }
+        let mut runner = IncrementalRunner::new(Cooccurrence::default(), ClusterConfig::paper());
+        runner.run(&splits_from_bytes(&data, 4096));
+        let splits = splits_from_bytes(&changed, 4096);
+        let incremental = runner.run(&splits);
+        assert!(incremental.stats.memo_hits > 0 && incremental.stats.memo_hits < splits.len());
+
+        let mut fresh = IncrementalRunner::new(Cooccurrence::default(), ClusterConfig::paper());
+        let full = fresh.run(&splits);
+        assert_eq!(incremental.output, full.output);
+        assert_eq!(incremental.stats.reduce_pairs, full.stats.reduce_pairs);
     }
 
     fn cdc_service() -> shredder_core::Shredder {

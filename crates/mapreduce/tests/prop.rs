@@ -1,10 +1,74 @@
 //! Property-based tests: incremental MapReduce always equals
-//! from-scratch execution, for arbitrary inputs and mutations.
+//! from-scratch execution, for arbitrary inputs and mutations, and the
+//! hash-combining text maps return exactly what the `BTreeMap` maps
+//! they replaced returned.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use shredder_mapreduce::apps::WordCount;
+use shredder_mapreduce::apps::{Cooccurrence, WordCount};
 use shredder_mapreduce::runner::{splits_from_bytes, IncrementalRunner};
-use shredder_mapreduce::ClusterConfig;
+use shredder_mapreduce::{ClusterConfig, MapReduceJob};
+
+/// The `BTreeMap` Word-Count map the hash combiner replaced.
+fn wordcount_oracle(split: &[u8]) -> Vec<(String, u64)> {
+    let text = String::from_utf8_lossy(split);
+    let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
+    for word in text.split_whitespace() {
+        *counts.entry(word).or_default() += 1;
+    }
+    counts
+        .into_iter()
+        .map(|(w, c)| (w.to_string(), c))
+        .collect()
+}
+
+/// The `BTreeMap` Co-occurrence map the hash combiner replaced.
+fn cooccurrence_oracle(window: usize, split: &[u8]) -> Vec<(String, u64)> {
+    let text = String::from_utf8_lossy(split);
+    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+    for line in text.lines() {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        for (i, &left) in words.iter().enumerate() {
+            for right in words.iter().skip(i + 1).take(window) {
+                *counts.entry(format!("{left} {right}")).or_default() += 1;
+            }
+        }
+    }
+    counts.into_iter().collect()
+}
+
+/// One piece of [`messy_bytes`] input, chosen and shaped by `seed`.
+fn messy_piece([kind, a, b, c]: [u8; 4]) -> Vec<u8> {
+    match kind % 16 {
+        // Short words over a tiny alphabet, so words and pairs repeat.
+        0..=5 => [a, b, c][..1 + a as usize % 3]
+            .iter()
+            .map(|&x| b"abz"[x as usize % 3])
+            .collect(),
+        6 | 7 => b" ".to_vec(),
+        8 => b"\n".to_vec(),
+        9 => b"\r\n".to_vec(),
+        10 => b"\x0B".to_vec(),
+        // 0x01-0x1F: sorts below the pair separator ' '.
+        11 => vec![1 + a % 0x1F],
+        12 => ["\u{85}", "\u{A0}", "\u{3000}"][a as usize % 3]
+            .as_bytes()
+            .to_vec(),
+        // Truncated UTF-8 (the first two bytes of U+3000).
+        13 => vec![0xE3, 0x80],
+        _ => vec![a],
+    }
+}
+
+/// Bytes that stress tokenizing: short words, ASCII and Unicode
+/// whitespace (`\x0B`, `\r\n`, U+0085, U+00A0, U+3000), control bytes
+/// 0x01-0x1F, and arbitrary bytes, including invalid and truncated
+/// UTF-8.
+fn messy_bytes() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<[u8; 4]>(), 0..64)
+        .prop_map(|seeds| seeds.into_iter().flat_map(messy_piece).collect())
+}
 
 /// Random newline-record text out of a small alphabet.
 fn text_strategy(max_records: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -23,6 +87,26 @@ fn text_strategy(max_records: usize) -> impl Strategy<Value = Vec<u8>> {
         }
         out
     })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The hash-combining Word-Count map returns exactly the `BTreeMap`
+    /// map's pairs, in the same order.
+    #[test]
+    fn wordcount_map_equals_btreemap_oracle(split in messy_bytes()) {
+        prop_assert_eq!(WordCount.map(&split), wordcount_oracle(&split));
+    }
+
+    /// The same for Co-occurrence, at windows 1 to 3.
+    #[test]
+    fn cooccurrence_map_equals_btreemap_oracle(split in messy_bytes(), window in 1usize..4) {
+        prop_assert_eq!(
+            Cooccurrence::new(window).map(&split),
+            cooccurrence_oracle(window, &split)
+        );
+    }
 }
 
 proptest! {

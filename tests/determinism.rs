@@ -5,6 +5,8 @@
 //! in different orders, so "build it twice, compare" is a real probe —
 //! before the `BTreeMap` conversions these assertions flaked.
 
+use std::rc::Rc;
+
 use shredder::hash::sha256;
 use shredder::hdfs::{FileVersion, IncHdfs, NameNode};
 use shredder::mapreduce::apps::{Cooccurrence, WordCount};
@@ -81,7 +83,7 @@ fn memo_eviction_identical_across_runs() {
     let evict = || {
         let mut memo: MemoTable<String, u64> = MemoTable::new();
         for (i, d) in victims.iter().enumerate() {
-            memo.insert((*d, 0), vec![(format!("k{i}"), i as u64)], 64);
+            memo.insert((*d, 0), Rc::new(vec![(format!("k{i}"), i as u64)]));
         }
         memo.evict_digests(&victims[..16])
     };
