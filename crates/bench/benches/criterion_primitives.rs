@@ -4,7 +4,7 @@
 //! These are *not* paper figures — the paper's timing is reproduced by
 //! the simulated experiments — but they measure the actual Rust
 //! implementations: Rabin table fingerprinting and construction,
-//! sequential vs parallel CDC, fixed-size chunking, SHA-256, one GPU
+//! sequential Rabin and Gear CDC, fixed-size chunking, SHA-256, one GPU
 //! kernel launch on a small buffer, the online service path over a
 //! growing number of small requests (whose per-request cost should stay
 //! flat as the count grows), and the Word-Count and Co-occurrence map
@@ -19,9 +19,7 @@ use shredder_gpu::DeviceConfig;
 use shredder_hash::{sha256, sha256_many};
 use shredder_mapreduce::apps::{Cooccurrence, WordCount};
 use shredder_mapreduce::MapReduceJob;
-use shredder_rabin::{
-    chunk_all, chunk_fixed, ChunkParams, GearKernel, ParallelChunker, Polynomial, RabinTables,
-};
+use shredder_rabin::{chunk_all, chunk_fixed, ChunkParams, GearKernel, Polynomial, RabinTables};
 
 fn test_data(len: usize) -> Vec<u8> {
     let mut state = 0x1234_5678_9abc_def0u64;
@@ -89,14 +87,6 @@ fn bench_chunking(c: &mut Criterion) {
     group.sample_size(20);
 
     group.bench_function("sequential_cdc", |b| b.iter(|| chunk_all(&data, &params)));
-    for threads in [2usize, 4, 8] {
-        let chunker = ParallelChunker::new(&params, threads);
-        group.bench_with_input(
-            BenchmarkId::new("parallel_cdc", threads),
-            &threads,
-            |b, _| b.iter(|| chunker.chunk(&data)),
-        );
-    }
     group.bench_function("fixed_size", |b| b.iter(|| chunk_fixed(&data, 8192)));
     let gear = GearKernel::matched(&params);
     group.bench_function("gear_cdc", |b| {

@@ -22,6 +22,12 @@
 //! candidates** — the functional scan reuses the same
 //! [`BoundaryKernel`] implementations as the CPU chunkers — and tests
 //! enforce equality. Only the *timing descriptors* differ.
+//!
+//! The functional half scans each buffer once, sequentially. The §3.1
+//! split into one overlapped substream per thread exists in the timing
+//! half ([`ChunkKernel::thread_count`] feeds the SIMT model) and in the
+//! tests, which check that the detector's substream scan at the
+//! launch's thread count finds exactly the cuts of the single scan.
 
 use std::sync::OnceLock;
 
@@ -275,7 +281,9 @@ impl ChunkKernel {
         let threads = self.thread_count(config, data.len());
 
         // ----- Functional half: real chunk boundaries. -----
-        let raw_cuts = self.boundary().raw_cuts_substreams(data, threads as usize);
+        // One sequential scan: the modeled threads' overlapped
+        // substreams find the same cuts (tested).
+        let raw_cuts = self.boundary().raw_cuts(data);
 
         // ----- Timing half: access-pattern descriptors. -----
         let model = AccessModel::new(config);
@@ -374,6 +382,15 @@ mod tests {
         DeviceConfig::tesla_c2050()
     }
 
+    /// The cuts the launch's modeled threads would find, each scanning
+    /// its own overlapped substream (§3.1).
+    fn substream_cuts(kernel: &ChunkKernel, data: &[u8]) -> Vec<RawCut> {
+        let threads = kernel.thread_count(&config(), data.len());
+        kernel
+            .boundary()
+            .raw_cuts_substreams(data, threads as usize)
+    }
+
     #[test]
     fn all_variants_match_their_sequential_scan() {
         let params = ChunkParams::paper();
@@ -381,6 +398,7 @@ mod tests {
         for variant in KernelVariant::ALL {
             let kernel = ChunkKernel::new(params.clone(), variant);
             let expected = kernel.boundary().raw_cuts(&data);
+            assert_eq!(substream_cuts(&kernel, &data), expected, "{variant}");
             let out = kernel.run(&config(), &data).unwrap();
             assert_eq!(out.raw_cuts, expected, "{variant}");
         }
@@ -511,10 +529,10 @@ mod tests {
         let params = ChunkParams::paper();
         for len in [0usize, 1, 47, 48, 100] {
             let data = pseudo_random(len, 6);
-            let out = ChunkKernel::new(params.clone(), KernelVariant::Basic)
-                .run(&config(), &data)
-                .unwrap();
+            let kernel = ChunkKernel::new(params.clone(), KernelVariant::Basic);
+            let out = kernel.run(&config(), &data).unwrap();
             assert_eq!(out.cut_offsets(), raw_cuts(&data, &params), "len {len}");
+            assert_eq!(substream_cuts(&kernel, &data), out.raw_cuts, "len {len}");
         }
     }
 

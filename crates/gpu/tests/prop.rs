@@ -17,8 +17,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Every kernel variant finds exactly its detector's sequential
-    /// CPU cuts on arbitrary data (Rabin variants additionally match
-    /// the free-function Rabin scan).
+    /// CPU cuts on arbitrary data, and so do the substreams of its
+    /// launch's modeled threads (Rabin variants additionally match the
+    /// free-function Rabin scan).
     #[test]
     fn kernels_match_sequential(data in proptest::collection::vec(any::<u8>(), 0..65536)) {
         let params = ChunkParams::paper();
@@ -26,6 +27,8 @@ proptest! {
         for variant in KernelVariant::ALL {
             let kernel = ChunkKernel::new(params.clone(), variant);
             let expected = kernel.boundary().raw_cuts(&data);
+            let threads = kernel.thread_count(&config(), data.len()) as usize;
+            prop_assert_eq!(&kernel.boundary().raw_cuts_substreams(&data, threads), &expected);
             let out = kernel.run(&config(), &data).unwrap();
             prop_assert_eq!(&out.raw_cuts, &expected);
             if !variant.is_gear() {

@@ -1,9 +1,9 @@
 //! `shredder-lint` — the workspace's determinism & invariant
 //! static-analysis pass.
 //!
-//! Every headline result of this reproduction (bit-identical
-//! parallel ≡ sequential chunking, replayable `ServiceReport`s, the CI
-//! bench gate) rests on the discrete-event simulation being
+//! Every headline result of this reproduction (GPU, host and
+//! sequential engines chunking bit-identically, replayable
+//! `ServiceReport`s, the CI bench gate) rests on the discrete-event simulation being
 //! deterministic. This crate machine-checks that contract instead of
 //! trusting convention: a dependency-free lexer ([`lexer`]) and a
 //! brace/attribute-aware scanner ([`scanner`]) walk every workspace

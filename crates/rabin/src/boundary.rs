@@ -1,25 +1,26 @@
 //! The [`BoundaryKernel`] abstraction: a pluggable content-defined
 //! boundary detector.
 //!
-//! Shredder's execution engines (sequential CPU, SPMD parallel, and the
+//! Shredder's execution engines (the sequential CPU chunkers and the
 //! simulated GPU kernels) all share one structure: a *raw scan* that
 //! emits position-independent boundary candidates, followed by a
 //! deterministic *policy post-pass* that enforces min/avg/max chunk
 //! sizes (the paper's Store-thread adjustment, §7.3). This module
-//! factors that structure into a trait so the Rabin scheme (§2.1/§3.1),
-//! the fixed-size baseline, and the Gear/FastCDC kernel
-//! ([`crate::gear`]) are interchangeable end to end — including the
-//! SPMD overlap/merge path of §5.1, which only needs to know how many
-//! bytes of lookback a kernel's rolling state requires.
+//! factors that structure into a trait so the Rabin scheme (§2.1/§3.1)
+//! and the Gear/FastCDC kernel ([`crate::gear`]) are interchangeable end
+//! to end. The §3.1 substream split
+//! ([`raw_cuts_substreams`](BoundaryKernel::raw_cuts_substreams)) only
+//! needs to know how many bytes of lookback a kernel's rolling state
+//! requires.
 //!
 //! Raw candidates are [`RawCut`]s: an absolute offset plus a `strict`
-//! bit. Rabin and fixed-size kernels only produce strict candidates;
-//! the Gear kernel tags each loose-mask hit with whether the stricter
+//! bit. The Rabin kernel only produces strict candidates; the Gear
+//! kernel tags each loose-mask hit with whether the stricter
 //! normalization mask also matched, so the position-dependent FastCDC
 //! two-mask decision can run entirely in the post-pass (and therefore
 //! commutes with region splitting, exactly like Rabin's `CutFilter`).
 
-use crate::chunker::{apply_min_max, cuts_to_chunks, Chunk, ChunkParams, ParamError};
+use crate::chunker::{apply_min_max, cuts_to_chunks, Chunk, ChunkParams};
 use crate::tables::RabinTables;
 use serde::{Deserialize, Serialize};
 
@@ -31,8 +32,8 @@ pub struct RawCut {
     /// here spans `[previous cut, offset)`).
     pub offset: u64,
     /// Whether the candidate also satisfies the kernel's *strict*
-    /// criterion. Kernels with a single criterion (Rabin, fixed) always
-    /// set this; the Gear kernel sets it only when the
+    /// criterion. Kernels with a single criterion (Rabin) always set
+    /// this; the Gear kernel sets it only when the
     /// higher-normalization mask matched too.
     pub strict: bool,
 }
@@ -53,23 +54,22 @@ pub fn cut_offsets(raw: &[RawCut]) -> Vec<u64> {
     raw.iter().map(|c| c.offset).collect()
 }
 
-/// A content-defined (or fixed) boundary detection kernel: raw scan
-/// plus size policy.
+/// A content-defined boundary detection kernel: raw scan plus size
+/// policy.
 ///
 /// Implementations must make `scan_region` a *pure function of the
 /// trailing [`overlap`](BoundaryKernel::overlap)`+1` bytes*: a
 /// candidate at offset `c` depends only on bytes
-/// `[c − overlap − 1, c)`. That property is what makes the provided
-/// SPMD helpers ([`raw_cuts_substreams`](BoundaryKernel::raw_cuts_substreams),
-/// [`parallel_raw_cuts`]) produce candidate lists bit-identical to a
-/// sequential scan.
-pub trait BoundaryKernel: Send + Sync {
-    /// Short kernel name for reports ("rabin", "gear", "fixed").
+/// `[c − overlap − 1, c)`. That property is what makes the §3.1
+/// substream split ([`raw_cuts_substreams`](BoundaryKernel::raw_cuts_substreams))
+/// produce candidate lists bit-identical to a sequential scan.
+pub trait BoundaryKernel {
+    /// Short kernel name for reports ("rabin", "gear").
     fn name(&self) -> &'static str;
 
     /// Bytes of lookback a region scan needs before its owned range so
     /// candidates near the region seam are evaluated with full rolling
-    /// state (`window − 1` for Rabin, 63 for Gear, 0 for fixed).
+    /// state (`window − 1` for Rabin, 63 for Gear).
     fn overlap(&self) -> usize;
 
     /// Scans `region`, whose first byte sits at absolute stream offset
@@ -93,7 +93,9 @@ pub trait BoundaryKernel: Send + Sync {
     /// Scans `substreams` equal-size regions *sequentially*, each with
     /// the kernel's overlap lookback — the work distribution of the
     /// paper's GPU chunking kernel (§3.1). Produces the same candidates
-    /// as [`raw_cuts`](Self::raw_cuts) (property-tested).
+    /// as [`raw_cuts`](Self::raw_cuts) (property-tested), so the
+    /// simulated kernels scan once with `raw_cuts` and keep this split
+    /// as the test oracle for what their modeled threads would find.
     ///
     /// # Panics
     ///
@@ -126,50 +128,6 @@ pub trait BoundaryKernel: Send + Sync {
         let cuts = self.apply_policy(&raw, data.len() as u64);
         cuts_to_chunks(&cuts, data.len() as u64)
     }
-}
-
-/// Computes a kernel's raw candidates with one OS thread per region —
-/// the §5.1 SPMD path, generalized over [`BoundaryKernel`]. Regions
-/// carry the kernel's overlap lookback and each worker emits only the
-/// cuts it owns, so the merged list is bit-identical to a sequential
-/// scan.
-pub fn parallel_raw_cuts(kernel: &dyn BoundaryKernel, data: &[u8], threads: usize) -> Vec<RawCut> {
-    assert!(threads > 0, "thread count must be non-zero");
-    let step = kernel.overlap() + 1;
-    if data.len() <= step || threads == 1 {
-        return kernel.raw_cuts(data);
-    }
-    let n = threads.min(data.len() / step).max(1);
-    let region = data.len().div_ceil(n);
-
-    let mut results: Vec<Vec<RawCut>> = Vec::with_capacity(n);
-    // shredder-lint: allow(R3) — deterministic despite threads: regions are owner-disjoint and merged in region order; parallel ≡ sequential is property-tested below
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for t in 0..n {
-            let start = t * region;
-            let end = ((t + 1) * region).min(data.len());
-            if start >= end {
-                break;
-            }
-            handles.push(scope.spawn(move || {
-                let scan_start = start.saturating_sub(kernel.overlap());
-                let mut out = Vec::new();
-                kernel.scan_region(&data[scan_start..end], scan_start, start, &mut out);
-                out
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("chunking worker panicked"));
-        }
-    });
-
-    let mut merged = Vec::with_capacity(results.iter().map(Vec::len).sum());
-    for r in results {
-        merged.extend_from_slice(&r);
-    }
-    debug_assert!(merged.windows(2).all(|p| p[0].offset < p[1].offset));
-    merged
 }
 
 /// The Rabin fingerprinting scheme of §2.1/§3.1 as a [`BoundaryKernel`]:
@@ -254,66 +212,10 @@ impl BoundaryKernel for RabinKernel {
     }
 }
 
-/// The fixed-size baseline (plain HDFS splitting, paper §6.2) as a
-/// [`BoundaryKernel`]: cuts at every multiple of `size`, no rolling
-/// state (overlap 0), identity policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedKernel {
-    size: usize,
-}
-
-impl FixedKernel {
-    /// Builds the kernel.
-    ///
-    /// # Errors
-    ///
-    /// [`ParamError::ZeroChunkSize`] if `size` is zero.
-    pub fn new(size: usize) -> Result<Self, ParamError> {
-        if size == 0 {
-            return Err(ParamError::ZeroChunkSize);
-        }
-        Ok(FixedKernel { size })
-    }
-
-    /// The fixed chunk size.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-}
-
-impl BoundaryKernel for FixedKernel {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn overlap(&self) -> usize {
-        0
-    }
-
-    fn scan_region(&self, region: &[u8], base: usize, own_from: usize, out: &mut Vec<RawCut>) {
-        let end = base + region.len();
-        // First multiple of `size` strictly greater than both bounds.
-        let from = base.max(own_from);
-        let mut cut = (from / self.size + 1) * self.size;
-        while cut <= end {
-            out.push(RawCut::strict(cut as u64));
-            cut += self.size;
-        }
-    }
-
-    fn apply_policy(&self, raw: &[RawCut], len: u64) -> Vec<u64> {
-        raw.iter()
-            .map(|c| c.offset)
-            .filter(|&c| c > 0 && c < len)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chunker::{chunk_all, raw_cuts};
-    use crate::fixed::chunk_fixed;
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
@@ -351,55 +253,26 @@ mod tests {
     }
 
     #[test]
-    fn rabin_parallel_matches_sequential() {
-        let params = ChunkParams::paper();
-        let data = pseudo_random(300_000, 11);
-        let kernel = RabinKernel::new(&params);
-        let seq = kernel.raw_cuts(&data);
-        for threads in [1usize, 2, 3, 8, 64] {
-            assert_eq!(
-                parallel_raw_cuts(&kernel, &data, threads),
-                seq,
-                "{threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn fixed_kernel_matches_chunk_fixed() {
-        let data = pseudo_random(100_001, 13);
-        let kernel = FixedKernel::new(4096).unwrap();
-        assert_eq!(kernel.chunks(&data), chunk_fixed(&data, 4096));
-        // And via the SPMD paths too.
-        let seq = kernel.raw_cuts(&data);
-        assert_eq!(kernel.raw_cuts_substreams(&data, 7), seq);
-        assert_eq!(parallel_raw_cuts(&kernel, &data, 5), seq);
-    }
-
-    #[test]
-    fn fixed_kernel_rejects_zero() {
-        assert_eq!(FixedKernel::new(0), Err(ParamError::ZeroChunkSize));
-    }
-
-    #[test]
     fn tiny_inputs_all_kernels() {
         let rabin = RabinKernel::new(&ChunkParams::paper());
-        let fixed = FixedKernel::new(64).unwrap();
+        // A one-byte window has no lookback (the overlap-0 split); the
+        // 4-bit mask makes it hit on about one byte in 16.
+        let rabin_w1 = RabinKernel::new(&ChunkParams {
+            window: 1,
+            mask_bits: 4,
+            ..ChunkParams::paper()
+        });
+        assert_eq!(rabin_w1.overlap(), 0);
+        assert!(!rabin_w1.raw_cuts(&pseudo_random(100, 101)).is_empty());
         for len in [0usize, 1, 47, 48, 63, 64, 65, 100] {
             let data = pseudo_random(len, len as u64 + 1);
-            for kernel in [&rabin as &dyn BoundaryKernel, &fixed] {
-                let seq = kernel.raw_cuts(&data);
+            for kernel in [&rabin as &dyn BoundaryKernel, &rabin_w1] {
                 assert_eq!(
                     kernel.raw_cuts_substreams(&data, 16),
-                    seq,
-                    "{} len {len}",
-                    kernel.name()
-                );
-                assert_eq!(
-                    parallel_raw_cuts(kernel, &data, 4),
-                    seq,
-                    "{} len {len}",
-                    kernel.name()
+                    kernel.raw_cuts(&data),
+                    "{} overlap {} len {len}",
+                    kernel.name(),
+                    kernel.overlap()
                 );
             }
         }

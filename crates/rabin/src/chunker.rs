@@ -6,8 +6,8 @@
 //! window, 13 bits, expected chunk size `2^13` bytes).
 //!
 //! The fingerprint is a pure function of the window contents — cuts do
-//! *not* reset the rolling state — which is what makes parallel chunking
-//! (and the GPU kernels) produce boundaries identical to the sequential
+//! *not* reset the rolling state — which is what makes the GPU kernels'
+//! §3.1 substream split produce boundaries identical to the sequential
 //! scan. Minimum/maximum chunk-size constraints are applied by a separate
 //! deterministic [`CutFilter`] state machine, mirroring the paper's Store
 //! thread which "discards all chunk boundaries within the minimum chunk
@@ -51,8 +51,6 @@ pub enum ParamError {
         /// Configured mask bits.
         mask_bits: u32,
     },
-    /// A fixed chunk size of zero bytes.
-    ZeroChunkSize,
 }
 
 impl std::fmt::Display for ParamError {
@@ -74,7 +72,6 @@ impl std::fmt::Display for ParamError {
                 f,
                 "normalization level {norm_level} must be below mask_bits {mask_bits}"
             ),
-            ParamError::ZeroChunkSize => write!(f, "chunk size must be non-zero"),
         }
     }
 }
@@ -432,19 +429,6 @@ impl Chunker {
     pub fn finish(self) -> u64 {
         self.offset
     }
-
-    /// Resets the chunker to the beginning of a fresh stream, reusing the
-    /// allocated tables.
-    pub fn reset(&mut self, params: &ChunkParams) {
-        self.filter = CutFilter::new(params);
-        self.win.iter_mut().for_each(|b| *b = 0);
-        self.pos = 0;
-        self.filled = 0;
-        self.fp = 0;
-        self.offset = 0;
-        self.mask = params.mask();
-        self.marker = params.marker & params.mask();
-    }
 }
 
 /// Chunks an in-memory buffer in one call, returning the chunk list.
@@ -477,7 +461,7 @@ pub fn chunk_all(data: &[u8], params: &ChunkParams) -> Vec<Chunk> {
 
 /// Returns the raw marker cut offsets of `data` with **no** min/max
 /// filtering — the exact set every Shredder execution engine (sequential,
-/// parallel SPMD, GPU basic, GPU coalesced) must discover.
+/// host executor, GPU basic, GPU coalesced) must discover.
 pub fn raw_cuts(data: &[u8], params: &ChunkParams) -> Vec<u64> {
     let unfiltered = ChunkParams {
         min_size: 0,
@@ -708,20 +692,5 @@ mod tests {
             cuts_to_chunks(&[4], 10),
             vec![Chunk { offset: 0, len: 4 }, Chunk { offset: 4, len: 6 }]
         );
-    }
-
-    #[test]
-    fn reset_reuses_chunker() {
-        let params = ChunkParams::paper();
-        let data = pseudo_random(64 * 1024, 21);
-        let fresh = chunk_all(&data, &params);
-
-        let mut chunker = Chunker::new(&params);
-        chunker.update(&pseudo_random(10_000, 22), |_| {});
-        chunker.reset(&params);
-        let mut cuts = Vec::new();
-        chunker.update(&data, |c| cuts.push(c));
-        let len = chunker.finish();
-        assert_eq!(cuts_to_chunks(&cuts, len), fresh);
     }
 }

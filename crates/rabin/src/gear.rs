@@ -41,7 +41,7 @@ use crate::chunker::ParamError;
 pub const GEAR_WINDOW: usize = 64;
 
 /// Default seed for the gear table derivation. Fixed so every engine
-/// (CPU, SPMD, simulated GPU) chunks identically without plumbing.
+/// (CPU, simulated GPU) chunks identically without plumbing.
 pub const GEAR_SEED: u64 = 0x5368_7265_6464_6572; // "Shredder"
 
 /// Parameters of the Gear/FastCDC chunking scheme.
@@ -356,7 +356,7 @@ impl BoundaryKernel for GearKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boundary::{cut_offsets, parallel_raw_cuts};
+    use crate::boundary::cut_offsets;
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
@@ -442,20 +442,13 @@ mod tests {
     }
 
     #[test]
-    fn substreams_and_parallel_match_sequential() {
+    fn substreams_match_sequential() {
         let kernel = GearKernel::new(&GearParams::default()).unwrap();
         let data = pseudo_random(1 << 20, 13);
         let seq = kernel.raw_cuts(&data);
         assert!(!seq.is_empty());
         for n in [1usize, 2, 16, 100, 1000] {
             assert_eq!(kernel.raw_cuts_substreams(&data, n), seq, "{n} substreams");
-        }
-        for threads in [2usize, 3, 8, 64] {
-            assert_eq!(
-                parallel_raw_cuts(&kernel, &data, threads),
-                seq,
-                "{threads} threads"
-            );
         }
     }
 

@@ -10,9 +10,9 @@
 //! * the **pop** table `U[b] = (b · x^{8(w−1)}) mod P` removes the oldest
 //!   byte's contribution when the window slides.
 //!
-//! The same table pair drives the sequential CPU chunker, the parallel
-//! SPMD chunker, and both GPU kernels, so all four produce bit-identical
-//! fingerprints (and therefore identical chunk boundaries).
+//! The same table pair drives the sequential CPU chunker, the host
+//! executor and both Rabin GPU kernels, so all of them produce
+//! bit-identical fingerprints (and therefore identical chunk boundaries).
 
 use crate::poly::Polynomial;
 

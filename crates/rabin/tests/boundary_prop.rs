@@ -1,6 +1,6 @@
 //! Property tests for the [`BoundaryKernel`] family: Gear/FastCDC
-//! tiling and determinism (sequential ≡ substream-split ≡ OS-thread
-//! SPMD), and shift-resilience — inserting bytes mid-stream perturbs
+//! tiling and determinism (sequential ≡ substream split), and
+//! shift-resilience — inserting bytes mid-stream perturbs
 //! only a bounded neighborhood of the edit — for both the Rabin and
 //! Gear kernels.
 
@@ -10,8 +10,7 @@ use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
 use shredder_rabin::{
-    parallel_raw_cuts, BoundaryKernel, ChunkParams, GearKernel, GearParams, RabinKernel, RawCut,
-    GEAR_SEED,
+    BoundaryKernel, ChunkParams, GearKernel, GearParams, RabinKernel, RawCut, GEAR_SEED,
 };
 
 /// Gear parameters scaled down so small proptest inputs still produce
@@ -109,18 +108,6 @@ proptest! {
             kernel.raw_cuts_substreams(&data, substreams),
             kernel.raw_cuts(&data)
         );
-    }
-
-    /// The SPMD OS-thread path merges to the same candidates (and so,
-    /// after the shared policy pass, the same chunks) as a sequential
-    /// scan.
-    #[test]
-    fn gear_parallel_equals_sequential(data in data_strategy(64 * 1024), threads in 1usize..9) {
-        let kernel = small_gear();
-        let raw = kernel.raw_cuts(&data);
-        prop_assert_eq!(parallel_raw_cuts(&kernel, &data, threads), raw.clone());
-        let cuts = kernel.apply_policy(&raw, data.len() as u64);
-        prop_assert!(cuts.iter().all(|&c| c > 0 && c < data.len() as u64));
     }
 
     /// Two independently constructed kernels from the same parameters

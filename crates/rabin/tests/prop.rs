@@ -1,13 +1,24 @@
 //! Property-based tests for Rabin fingerprinting and chunking invariants.
 
 use proptest::prelude::*;
-use shredder_rabin::chunker::{apply_min_max, cuts_to_chunks, raw_cuts};
-use shredder_rabin::{chunk_all, chunk_parallel, ChunkParams, Chunker, Polynomial, RabinTables};
+use shredder_rabin::chunker::{apply_min_max, cuts_to_chunks, raw_cuts, Chunk};
+use shredder_rabin::{
+    chunk_all, BoundaryKernel, ChunkParams, Chunker, Polynomial, RabinKernel, RabinTables,
+};
 
 /// Strategy: data with enough repetition to produce marker hits but
 /// arbitrary structure.
 fn data_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..max_len)
+}
+
+/// Chunks `data` from the candidates of `threads` overlapped
+/// substreams.
+fn substream_chunks(data: &[u8], params: &ChunkParams, threads: usize) -> Vec<Chunk> {
+    let kernel = RabinKernel::new(params);
+    let len = data.len() as u64;
+    let raw = kernel.raw_cuts_substreams(data, threads);
+    cuts_to_chunks(&kernel.apply_policy(&raw, len), len)
 }
 
 proptest! {
@@ -26,12 +37,14 @@ proptest! {
         prop_assert_eq!(off, data.len() as u64);
     }
 
-    /// Parallel SPMD chunking is bit-identical to sequential chunking.
+    /// The §3.1 SPMD split (one overlapped substream per thread), with
+    /// the size policy applied to the merged candidates, chunks
+    /// bit-identically to sequential chunking.
     #[test]
     fn parallel_equals_sequential(data in data_strategy(128 * 1024), threads in 1usize..9) {
         let params = ChunkParams::paper();
         prop_assert_eq!(
-            chunk_parallel(&data, &params, threads),
+            substream_chunks(&data, &params, threads),
             chunk_all(&data, &params)
         );
     }
@@ -45,7 +58,7 @@ proptest! {
             ..ChunkParams::paper()
         };
         prop_assert_eq!(
-            chunk_parallel(&data, &params, threads),
+            substream_chunks(&data, &params, threads),
             chunk_all(&data, &params)
         );
     }

@@ -11,7 +11,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`rabin`] — Rabin fingerprinting over GF(2) and content-defined
-//!   chunking (sequential, fixed-size and parallel SPMD).
+//!   chunking (sequential Rabin and Gear, fixed-size).
 //! * [`hash`] — SHA-256 chunk digests and fast index hashing.
 //! * [`des`] — the deterministic discrete-event simulation kernel that
 //!   underpins every timing result.

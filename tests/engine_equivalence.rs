@@ -2,15 +2,16 @@
 //! bit-identical chunk boundaries.
 //!
 //! This is the load-bearing correctness property of the reproduction:
-//! the GPU kernels, the host executor, the parallel SPMD chunker, the
-//! streaming chunker and the batch chunker must all agree, with and
-//! without min/max constraints, on every kind of workload.
+//! the GPU kernels (and the §3.1 substream split their modeled threads
+//! scan), the host executor, the streaming chunker and the batch
+//! chunker must all agree, with and without min/max constraints, on
+//! every kind of workload.
 
 use shredder::core::{Shredder, ShredderConfig};
 use shredder::gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder::gpu::DeviceConfig;
 use shredder::rabin::chunker::raw_cuts;
-use shredder::rabin::{chunk_all, chunk_parallel, ChunkParams};
+use shredder::rabin::{chunk_all, ChunkParams};
 use shredder::workloads;
 
 fn workloads_under_test() -> Vec<(&'static str, Vec<u8>)> {
@@ -32,9 +33,6 @@ fn all_engines_agree_on_boundaries() {
     let params = ChunkParams::paper();
     for (name, data) in workloads_under_test() {
         let reference = chunk_all(&data, &params);
-
-        let parallel = chunk_parallel(&data, &params, 8);
-        assert_eq!(parallel, reference, "{name}: parallel CPU");
 
         for preset in [
             ShredderConfig::gpu_basic(),
@@ -90,6 +88,12 @@ fn gpu_kernels_agree_with_sequential_raw_cuts() {
         for variant in KernelVariant::ALL {
             let kernel = ChunkKernel::new(params.clone(), variant);
             let sequential = kernel.boundary().raw_cuts(&data);
+            let threads = kernel.thread_count(&cfg, data.len()) as usize;
+            assert_eq!(
+                kernel.boundary().raw_cuts_substreams(&data, threads),
+                sequential,
+                "{name}: {variant} substreams"
+            );
             let out = kernel.run(&cfg, &data).expect("kernel");
             assert_eq!(out.raw_cuts, sequential, "{name}: {variant}");
             if !variant.is_gear() {
