@@ -4,11 +4,12 @@
 //! These are *not* paper figures — the paper's timing is reproduced by
 //! the simulated experiments — but they measure the actual Rust
 //! implementations: Rabin table fingerprinting and construction,
-//! sequential Rabin and Gear CDC, fixed-size chunking, SHA-256, one GPU
-//! kernel launch on a small buffer, the online service path over a
-//! growing number of small requests (whose per-request cost should stay
-//! flat as the count grows), and the Word-Count and Co-occurrence map
-//! functions on one 64 KiB split of the fig15 words corpus.
+//! streaming Rabin CDC, the Rabin and Gear boundary kernels, fixed-size
+//! chunking, SHA-256, one GPU kernel launch on a small buffer, the
+//! online service path over a growing number of small requests (whose
+//! per-request cost should stay flat as the count grows), and the
+//! Word-Count and Co-occurrence map functions on one 64 KiB split of
+//! the fig15 words corpus.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use shredder_core::{
@@ -19,7 +20,10 @@ use shredder_gpu::DeviceConfig;
 use shredder_hash::{sha256, sha256_many};
 use shredder_mapreduce::apps::{Cooccurrence, WordCount};
 use shredder_mapreduce::MapReduceJob;
-use shredder_rabin::{chunk_all, chunk_fixed, ChunkParams, GearKernel, Polynomial, RabinTables};
+use shredder_rabin::{
+    chunk_all, chunk_fixed, BoundaryKernel, ChunkParams, GearKernel, Polynomial, RabinKernel,
+    RabinTables,
+};
 
 fn test_data(len: usize) -> Vec<u8> {
     let mut state = 0x1234_5678_9abc_def0u64;
@@ -88,11 +92,13 @@ fn bench_chunking(c: &mut Criterion) {
 
     group.bench_function("sequential_cdc", |b| b.iter(|| chunk_all(&data, &params)));
     group.bench_function("fixed_size", |b| b.iter(|| chunk_fixed(&data, 8192)));
+    // The library's boundary scan (`BoundaryKernel::chunks`), which the
+    // engine's kernels run; `sequential_cdc` times the streaming
+    // `Chunker`.
+    let rabin = RabinKernel::new(&params);
+    group.bench_function("rabin_kernel", |b| b.iter(|| rabin.chunks(&data)));
     let gear = GearKernel::matched(&params);
-    group.bench_function("gear_cdc", |b| {
-        use shredder_rabin::BoundaryKernel;
-        b.iter(|| gear.chunks(&data))
-    });
+    group.bench_function("gear_cdc", |b| b.iter(|| gear.chunks(&data)));
     group.finish();
 }
 

@@ -423,9 +423,10 @@ impl Chunker {
         }
     }
 
-    /// Ends the stream: emits any final forced cuts through `on_cut`
-    /// beforehand via `update`; returns the total stream length. The
-    /// final chunk spans from the last emitted cut to this length.
+    /// Ends the stream and returns its total length. It emits no cut:
+    /// [`update`](Self::update) has already emitted every cut, each
+    /// forced `max_size` cut included, so the final chunk spans from the
+    /// last emitted cut to this length.
     pub fn finish(self) -> u64 {
         self.offset
     }
@@ -553,6 +554,34 @@ mod tests {
         assert_eq!(chunks.len(), 5); // 4 full 4096 chunks + 3616 tail
         assert!(chunks[..4].iter().all(|c| c.len == 4096));
         assert_eq!(chunks[4].len, 20_000 - 4 * 4096);
+    }
+
+    #[test]
+    fn finish_adds_no_cut_after_forced_ones() {
+        // Constant data never hits the marker, so every cut is forced.
+        let params = ChunkParams {
+            max_size: 1000,
+            ..ChunkParams::paper()
+        };
+        let data = vec![0u8; 10_500];
+        let mut chunker = Chunker::new(&params);
+        let mut cuts = Vec::new();
+        let mut fed = 0;
+        for piece in [1usize, 7, 999, 1001, 333, 2500].into_iter().cycle() {
+            let end = (fed + piece).min(data.len());
+            chunker.update(&data[fed..end], |c| cuts.push(c));
+            fed = end;
+            if fed == data.len() {
+                break;
+            }
+        }
+        assert_eq!(cuts, (1..=10).map(|k| k * 1000).collect::<Vec<u64>>());
+        let len = chunker.finish();
+        assert_eq!(len, data.len() as u64);
+        let chunks = cuts_to_chunks(&cuts, len);
+        assert_eq!(chunks.iter().map(|c| c.len).sum::<usize>(), data.len());
+        assert!(chunks.iter().all(|c| c.len <= params.max_size));
+        assert_eq!(chunks.last().map(|c| c.len), Some(500));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::boundary::{BoundaryKernel, RawCut};
+use crate::boundary::{scan_lanes, BoundaryKernel, RawCut, RollingHash};
 use crate::chunker::ParamError;
 
 /// Bytes of history the Gear hash depends on: table values shifted
@@ -326,17 +326,7 @@ impl BoundaryKernel for GearKernel {
     }
 
     fn scan_region(&self, region: &[u8], base: usize, own_from: usize, out: &mut Vec<RawCut>) {
-        let mut hash = 0u64;
-        for (i, &b) in region.iter().enumerate() {
-            hash = (hash << 1).wrapping_add(self.table[b as usize]);
-            let cut = base + i + 1;
-            if cut > own_from && hash & self.loose_mask == 0 {
-                out.push(RawCut {
-                    offset: cut as u64,
-                    strict: hash & self.strict_mask == 0,
-                });
-            }
-        }
+        scan_lanes(self, region, base, own_from, out);
     }
 
     fn apply_policy(&self, raw: &[RawCut], len: u64) -> Vec<u64> {
@@ -350,6 +340,37 @@ impl BoundaryKernel for GearKernel {
         }
         filter.finish(len, |x| out.push(x));
         out
+    }
+}
+
+impl RollingHash for GearKernel {
+    fn width(&self) -> usize {
+        GEAR_WINDOW
+    }
+
+    fn first_cut(&self) -> usize {
+        1
+    }
+
+    #[inline(always)]
+    fn push(&self, h: u64, b: u8) -> u64 {
+        self.step(h, b)
+    }
+
+    /// The shifts already drop `b_out`: it has been shifted 64 times.
+    #[inline(always)]
+    fn roll(&self, h: u64, _b_out: u8, b_in: u8) -> u64 {
+        self.step(h, b_in)
+    }
+
+    #[inline(always)]
+    fn is_cut(&self, h: u64) -> bool {
+        h & self.loose_mask == 0
+    }
+
+    #[inline(always)]
+    fn is_strict(&self, h: u64) -> bool {
+        h & self.strict_mask == 0
     }
 }
 

@@ -1,5 +1,6 @@
 //! Property tests for the [`BoundaryKernel`] family: Gear/FastCDC
-//! tiling and determinism (sequential ≡ substream split), and
+//! tiling and determinism (sequential ≡ substream split), the
+//! two-lane region scan against one rolling chain, and
 //! shift-resilience — inserting bytes mid-stream perturbs
 //! only a bounded neighborhood of the edit — for both the Rabin and
 //! Gear kernels.
@@ -9,6 +10,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
+use shredder_rabin::chunker::raw_cuts;
 use shredder_rabin::{
     BoundaryKernel, ChunkParams, GearKernel, GearParams, RabinKernel, RawCut, GEAR_SEED,
 };
@@ -143,6 +145,202 @@ proptest! {
         let kernel = RabinKernel::new(&ChunkParams::paper());
         let pos = data.len() * pos_mil / 1000;
         assert_raw_shift_resilience(&kernel, &data, pos, &insert);
+    }
+}
+
+/// The single-chain Rabin reference: the streaming `Chunker`'s raw
+/// marker cuts over `region`, moved to absolute offsets from `base` and
+/// kept past `own_from`.
+fn rabin_reference(
+    params: &ChunkParams,
+    region: &[u8],
+    base: usize,
+    own_from: usize,
+) -> Vec<RawCut> {
+    raw_cuts(region, params)
+        .into_iter()
+        .map(|c| c + base as u64)
+        .filter(|&c| c > own_from as u64)
+        .map(RawCut::strict)
+        .collect()
+}
+
+/// The single-chain Gear reference: one shift-add hash over the whole
+/// region, each loose-mask hit tagged with the strict mask.
+fn gear_reference(kernel: &GearKernel, region: &[u8], base: usize, own_from: usize) -> Vec<RawCut> {
+    let (loose, strict) = (kernel.params().loose_mask(), kernel.params().strict_mask());
+    let mut hash = 0u64;
+    let mut out = Vec::new();
+    for (i, &b) in region.iter().enumerate() {
+        hash = kernel.step(hash, b);
+        let cut = base + i + 1;
+        if cut > own_from && hash & loose == 0 {
+            out.push(RawCut {
+                offset: cut as u64,
+                strict: hash & strict == 0,
+            });
+        }
+    }
+    out
+}
+
+/// Rolling chains the lane scan runs (`LANES` in `boundary.rs`).
+const LANES: usize = 2;
+
+/// Shortest region the lane scan splits for a hash over `width` bytes:
+/// one head window plus `LANES` lanes of `max(256, width)` bytes each
+/// (`MIN_LANE_SPAN` in `boundary.rs`).
+fn lane_threshold(width: usize) -> usize {
+    width + LANES * width.max(256)
+}
+
+/// The lane scan's seams: where lanes 1.. start owning, relative to the
+/// region start.
+fn lane_seams(width: usize, len: usize) -> [usize; LANES - 1] {
+    let span = len.saturating_sub(width) / LANES;
+    std::array::from_fn(|j| (width + (j + 1) * span).min(len))
+}
+
+/// A region length drawn from the lane scan's edge classes: within two
+/// overlaps of empty, within 8 bytes of the split threshold, every
+/// residue mod `LANES` just past it, or anywhere up to 6 KiB.
+fn pick_len(width: usize, class: usize, r: usize) -> usize {
+    let threshold = lane_threshold(width);
+    match class {
+        0 => r % (2 * width - 1),
+        1 => threshold - 8 + r % 17,
+        2 => threshold + r % 64,
+        _ => r % (6 << 10),
+    }
+}
+
+/// An `own_from` for a region at `base`: the region start, a point
+/// inside it, exactly a lane seam, or one byte either side of a seam.
+fn pick_own_from(width: usize, len: usize, base: usize, pick: usize, r: usize) -> usize {
+    let seams = lane_seams(width, len);
+    let seam = seams[r % seams.len()];
+    base + match pick {
+        0 => 0,
+        1 => r % (len + 1),
+        2 | 3 => seam,
+        _ => (seam + (r / seams.len()) % 3).saturating_sub(1),
+    }
+}
+
+/// Runs `scan_region` after a sentinel candidate and checks that it
+/// appends exactly `expected`, leaving what `out` held untouched.
+fn check_scan(
+    kernel: &dyn BoundaryKernel,
+    region: &[u8],
+    (base, own_from): (usize, usize),
+    expected: &[RawCut],
+) -> Result<(), TestCaseError> {
+    let sentinel = RawCut::strict(u64::MAX);
+    let mut out = vec![sentinel];
+    kernel.scan_region(region, base, own_from, &mut out);
+    prop_assert_eq!(out[0], sentinel);
+    prop_assert_eq!(
+        &out[1..],
+        expected,
+        "{} width {} len {} base {} own_from {}",
+        kernel.name(),
+        kernel.overlap() + 1,
+        region.len(),
+        base,
+        own_from
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Rabin's lane scan finds exactly the streaming chunker's raw
+    /// cuts, for windows 1..=64, masks of 3–6 bits (a hit every 8–64
+    /// bytes, so hits land on seams and in the last lane's leftover
+    /// bytes), nonzero bases and `own_from` on or around the seams.
+    #[test]
+    fn rabin_lanes_match_one_chain(
+        window in 1usize..=64,
+        mask_bits in 3u32..=6,
+        class in 0usize..4,
+        r in 0usize..1 << 20,
+        seed in any::<u64>(),
+        base_raw in 0usize..1 << 30,
+        own_pick in 0usize..6,
+    ) {
+        let params = ChunkParams { window, mask_bits, ..ChunkParams::paper() };
+        let kernel = RabinKernel::new(&params);
+        let len = pick_len(window, class, r);
+        let data = pseudo_random(len, seed);
+        let base = if base_raw % 2 == 0 { 0 } else { base_raw };
+        let own_from = pick_own_from(window, len, base, own_pick, r / 7);
+        let expected = rabin_reference(&params, &data, base, own_from);
+        check_scan(&kernel, &data, (base, own_from), &expected)?;
+    }
+
+    /// Gear's lane scan finds exactly the one-chain loop's candidates,
+    /// `strict` bits included, under the same edge cases.
+    #[test]
+    fn gear_lanes_match_one_chain(
+        mask_bits in 3u32..=6,
+        norm_level in 1u32..=2,
+        class in 0usize..4,
+        r in 0usize..1 << 20,
+        seed in any::<u64>(),
+        table_seed in any::<u64>(),
+        base_raw in 0usize..1 << 30,
+        own_pick in 0usize..6,
+    ) {
+        let kernel = GearKernel::new(&GearParams {
+            mask_bits,
+            min_size: 0,
+            max_size: 1 << 10,
+            norm_level,
+            seed: table_seed,
+        })
+        .expect("valid test params");
+        let width = kernel.overlap() + 1;
+        let len = pick_len(width, class, r);
+        let data = pseudo_random(len, seed);
+        let base = if base_raw % 2 == 0 { 0 } else { base_raw };
+        let own_from = pick_own_from(width, len, base, own_pick, r / 7);
+        let expected = gear_reference(&kernel, &data, base, own_from);
+        check_scan(&kernel, &data, (base, own_from), &expected)?;
+    }
+}
+
+/// Every length up to just past the lane split, for both detectors at
+/// hit-dense masks: the lane scan equals one chain at each length.
+#[test]
+fn lanes_match_one_chain_at_every_length_to_the_split() {
+    let params = ChunkParams {
+        mask_bits: 3,
+        ..ChunkParams::paper()
+    };
+    let rabin = RabinKernel::new(&params);
+    let gear = GearKernel::new(&GearParams {
+        mask_bits: 4,
+        min_size: 0,
+        max_size: 1 << 10,
+        norm_level: 2,
+        seed: GEAR_SEED,
+    })
+    .expect("valid test params");
+    let data = pseudo_random(lane_threshold(64) + 16, 0x1a7e5);
+    for len in 0..=data.len() {
+        let region = &data[..len];
+        let own_from = lane_seams(params.window, len)[0];
+        let mut out = Vec::new();
+        rabin.scan_region(region, 0, own_from, &mut out);
+        assert_eq!(
+            out,
+            rabin_reference(&params, region, 0, own_from),
+            "rabin len {len}"
+        );
+        out.clear();
+        gear.scan_region(region, 0, 0, &mut out);
+        assert_eq!(out, gear_reference(&gear, region, 0, 0), "gear len {len}");
     }
 }
 
