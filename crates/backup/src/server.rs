@@ -239,7 +239,8 @@ impl BackupServer {
     /// handling many remote sites). Chunking, fingerprinting, index
     /// lookup and shipping for all sites contend for and overlap on the
     /// same simulated hardware; the returned [`EngineReport`] carries
-    /// per-stage (chunk/hash/dedup/ship) busy and queue-wait times.
+    /// per-stage (chunk/hash/dedup/ship) busy and queue-wait times. The
+    /// engine fingerprints every image's chunks in one batch.
     ///
     /// # Errors
     ///
@@ -299,10 +300,11 @@ impl BackupServer {
     /// per-class form of the reader cap
     /// [`backup_batch`](Self::backup_batch) sets on the whole engine.
     ///
-    /// A shed request touches nothing: its image is not hashed, its
-    /// fingerprints never enter the index, and the site stores no
-    /// payloads for it — accepted images' chunk streams are
-    /// bit-identical to a run without the shed traffic.
+    /// A shed request touches nothing: its fingerprints never enter the
+    /// index and the site stores no payloads for it — accepted images'
+    /// chunk streams are bit-identical to a run without the shed
+    /// traffic. (Its chunks may still be hashed in the engine's one
+    /// fingerprint batch; digests are pure, so that changes no state.)
     ///
     /// # Errors
     ///

@@ -162,6 +162,24 @@ fn bench_sha256(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(data.len() as u64));
     group.bench_function("many_1024x8KiB", |b| b.iter(|| sha256_many(&chunks)));
     group.finish();
+
+    // A fleet run's worth of 4 KiB requests: one batch over all of them
+    // (the engine's fingerprint batch) against one call per message
+    // (each request hashing its own stream).
+    let data = test_data(16384 * 4096);
+    let messages: Vec<&[u8]> = data.chunks(4096).collect();
+    let mut group = c.benchmark_group("sha256");
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.bench_function("many_16384x4KiB", |b| b.iter(|| sha256_many(&messages)));
+    group.bench_function("per_message_16384x4KiB", |b| {
+        b.iter(|| {
+            messages
+                .iter()
+                .map(|m| sha256_many(&[m]))
+                .collect::<Vec<_>>()
+        })
+    });
+    group.finish();
 }
 
 fn bench_mapreduce_map(c: &mut Criterion) {

@@ -72,6 +72,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
@@ -80,6 +81,7 @@ use shredder_gpu::calibration;
 use shredder_gpu::hostmem::{HostAllocModel, HostMemKind};
 use shredder_gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder_gpu::pool::{BufferJob, DevicePool, PooledDevice};
+use shredder_hash::{sha256_many, Digest};
 use shredder_rabin::chunker::cuts_to_chunks;
 use shredder_rabin::{Chunk, RawCut};
 use shredder_telemetry::{ArgValue, Lane, TelemetryReport, TraceRecorder};
@@ -440,6 +442,10 @@ impl<'a> ShredderEngine<'a> {
                 cuts_to_chunks(&cuts, plan.bytes)
             })
             .collect();
+        // Part 2: the run's one fingerprint batch. Digests are pure, so
+        // hashing a request that is later shed changes nothing but the
+        // host's work.
+        let fingerprints = fingerprint_batch(&mut bindings, &chunk_sets);
 
         // Timing pass: one shared simulation for every session —
         // arrival events, the admission queue, the chunking pipeline
@@ -454,6 +460,7 @@ impl<'a> ShredderEngine<'a> {
                 control: self.control,
                 classes: &classes,
                 bindings,
+                fingerprints,
             },
         );
 
@@ -654,6 +661,7 @@ impl<'a> ShredderEngine<'a> {
         let binding = request.sink.map(|sink| SinkBinding {
             sink,
             data: retained,
+            digests: 0..0,
         });
         Ok((
             SessionPlan {
@@ -684,6 +692,7 @@ impl<'a> ShredderEngine<'a> {
                 control: AdmissionControl::unbounded(),
                 classes: &[ClassRuntime::from(&TenantClass::new("default"))],
                 bindings: plans.iter().map(|_| None).collect(),
+                fingerprints: Vec::new(),
             },
         )
     }
@@ -710,6 +719,29 @@ pub(crate) fn host_scan_time(bytes: u64, allocator: Allocator) -> Dur {
 pub(crate) struct SinkBinding<'a> {
     sink: Box<dyn ChunkSink + 'a>,
     data: PooledBuf,
+    /// The session's range of the run's fingerprint batch: one digest
+    /// per chunk when its sink fingerprints chunks, empty otherwise.
+    digests: Range<usize>,
+}
+
+/// Fingerprints the chunks of every session whose sink
+/// [fingerprints chunks](ChunkSink::fingerprints_chunks) in one
+/// [`sha256_many`] call, so small streams share the hashing lanes
+/// instead of each paying a batch of its own. Sets each such binding's
+/// range of the returned batch.
+fn fingerprint_batch(
+    bindings: &mut [Option<SinkBinding<'_>>],
+    chunk_sets: &[Vec<Chunk>],
+) -> Vec<Digest> {
+    let mut payloads: Vec<&[u8]> = Vec::new();
+    for (binding, chunks) in bindings.iter_mut().zip(chunk_sets) {
+        if let Some(binding) = binding.as_mut().filter(|b| b.sink.fingerprints_chunks()) {
+            let start = payloads.len();
+            payloads.extend(chunks.iter().map(|c| c.slice(&binding.data)));
+            binding.digests = start..payloads.len();
+        }
+    }
+    sha256_many(&payloads)
 }
 
 /// One buffer's downstream work: `(global stage index, service)` per
@@ -727,6 +759,9 @@ pub(crate) struct ServiceInputs<'s, 'a> {
     /// request is dispatched (in dispatch order), never for shed
     /// requests.
     pub(crate) bindings: Vec<Option<SinkBinding<'a>>>,
+    /// The run's fingerprint batch, indexed by each binding's
+    /// `digests` range.
+    pub(crate) fingerprints: Vec<Digest>,
 }
 
 impl std::fmt::Debug for ShredderEngine<'_> {
@@ -1529,18 +1564,29 @@ fn apply_fault(ctx: &PipeCtx, sim: &mut Simulation, kind: FaultKind) {
 fn run_deferred_sink<'a>(
     ctx: &PipeCtx,
     bindings: &mut [Option<SinkBinding<'a>>],
+    fingerprints: &[Digest],
     stage_map: &[Vec<usize>],
-    plans: &[SessionPlan],
     chunk_sets: &[Vec<Chunk>],
     buffer_size: usize,
     sid: usize,
 ) {
-    let Some(SinkBinding { mut sink, data }) = bindings[sid].take() else {
+    let Some(SinkBinding {
+        mut sink,
+        data,
+        digests,
+    }) = bindings[sid].take()
+    else {
         return;
     };
-    let nbuf = plans[sid].buffers.len();
-    let per_buffer =
-        crate::sink::drive_sink_functional(&mut *sink, &chunk_sets[sid], &data, nbuf, buffer_size);
+    let nbuf = ctx.buffers[sid].len();
+    let per_buffer = crate::sink::drive_sink_functional(
+        &mut *sink,
+        &chunk_sets[sid],
+        &data,
+        &fingerprints[digests],
+        nbuf,
+        buffer_size,
+    );
     let map = &stage_map[sid];
     ctx.svc.borrow_mut().session_service[sid] = per_buffer.iter().flatten().copied().sum();
     ctx.sink_work.borrow_mut()[sid] = per_buffer
@@ -1817,6 +1863,7 @@ fn simulate_service<'a>(
     // sink stage chain (a buffer must clear read → H2D → kernel → store
     // first, all strictly later in virtual time).
     let mut bindings = inputs.bindings;
+    let fingerprints = inputs.fingerprints;
     let buffer_size = config.buffer_size;
     loop {
         loop {
@@ -1825,8 +1872,8 @@ fn simulate_service<'a>(
                 Some(sid) => run_deferred_sink(
                     &ctx,
                     &mut bindings,
+                    &fingerprints,
                     &stage_map,
-                    plans,
                     chunk_sets,
                     buffer_size,
                     sid,

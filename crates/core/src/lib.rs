@@ -35,7 +35,10 @@
 //!   downstream stages ([`FingerprintStage`], [`DedupStage`],
 //!   [`ShipStage`], [`StoreStage`]) to a request and consumes the whole
 //!   stream in one call ([`ChunkSink::consume`]), returning a
-//!   [`SinkDemand`] row per chunk plus an end-of-stream tail; the stages
+//!   [`SinkDemand`] row per chunk plus an end-of-stream tail. A sink
+//!   that declares [`ChunkSink::fingerprints_chunks`] gets each chunk's
+//!   SHA-256 from the engine, which hashes every such session of a run
+//!   in one batch; the stages
 //!   execute *inside* the shared simulation with their own service
 //!   times, queues and backpressure onto the kernel FIFO, reported per
 //!   stage in the [`EngineReport`]. This replaces the old

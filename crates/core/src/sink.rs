@@ -17,8 +17,11 @@
 //! * the *functional* half runs for real: [`ChunkSink::consume`] is
 //!   called once per stream with the stream's bytes and its final
 //!   chunks, so digests, dedup decisions and ship payloads are computed
-//!   for real (a hashing sink fingerprints the whole stream as one
-//!   [`sha256_many`] batch);
+//!   for real. A sink that fingerprints its chunks declares it
+//!   ([`ChunkSink::fingerprints_chunks`]) and hashes nothing itself: the
+//!   engine fingerprints every declaring session's chunks of the run in
+//!   one [`sha256_many`] batch and hands each `consume` its slice of
+//!   digests;
 //! * the *timing* half is the [`SinkDemand`] `consume` returns — per
 //!   stage, one row per chunk plus an end-of-stream tail — which the
 //!   engine schedules through shared per-stage FIFO servers **inside
@@ -37,7 +40,9 @@
 //!
 //! # Examples
 //!
-//! A fingerprint-only sink inside a shared engine run:
+//! A fingerprint-only sink inside a shared engine run. It declares that
+//! it fingerprints its chunks, so the engine hands it one SHA-256 per
+//! chunk and the sink charges each its hashing time:
 //!
 //! ```
 //! use shredder_core::{
@@ -45,7 +50,7 @@
 //!     SliceSource, StageSpec, Workload,
 //! };
 //! use shredder_des::Dur;
-//! use shredder_hash::Digest;
+//! use shredder_hash::{sha256, Digest};
 //! use shredder_rabin::Chunk;
 //!
 //! struct HashSink {
@@ -56,13 +61,12 @@
 //!     fn stages(&self) -> Vec<StageSpec> {
 //!         vec![self.stage.spec()]
 //!     }
-//!     fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand {
-//!         let payloads: Vec<&[u8]> = chunks.iter().map(|c| c.slice(data)).collect();
-//!         let mut rows = Vec::new();
-//!         for (digest, service) in self.stage.process(&payloads) {
-//!             self.digests.push(digest);
-//!             rows.push(vec![service]);
-//!         }
+//!     fn fingerprints_chunks(&self) -> bool {
+//!         true
+//!     }
+//!     fn consume(&mut self, _data: &[u8], chunks: &[Chunk], digests: &[Digest]) -> SinkDemand {
+//!         self.digests.extend_from_slice(digests);
+//!         let rows = chunks.iter().map(|c| vec![self.stage.service(c.len)]).collect();
 //!         SinkDemand { rows, tail: Vec::new() }
 //!     }
 //! }
@@ -80,11 +84,12 @@
 //! drop(engine);
 //!
 //! // Hashing ran inside the shared simulation: the fingerprint stage
-//! // reports busy time, and every chunk got a real digest.
+//! // reports busy time, and every chunk got its real digest.
 //! assert_eq!(outcome.report.sink_stages.len(), 1);
 //! assert!(outcome.report.sink_stages[0].busy > Dur::ZERO);
 //! let session = outcome.completed().next().unwrap();
-//! assert_eq!(sink.digests.len(), session.chunks.len());
+//! let expected: Vec<Digest> = session.chunks.iter().map(|c| sha256(c.slice(&data))).collect();
+//! assert_eq!(sink.digests, expected);
 //! ```
 
 use std::cell::RefCell;
@@ -152,24 +157,40 @@ pub struct SinkDemand {
 /// A typed graph of downstream stages consuming chunk boundaries inside
 /// the simulation.
 ///
-/// Implementations do the *real* downstream work (hash, dedup, collect)
-/// in [`consume`](Self::consume) and return the simulated service
-/// demand each attached stage charges. The engine aggregates the demand
-/// per pipeline buffer — chunk `i`'s row goes to the buffer holding
-/// `chunks[i].offset`, the tail to the last buffer — and schedules it
-/// through shared per-stage FIFO servers in the same simulation as the
-/// chunking pipeline, holding the buffer's admission slot until the
-/// last stage finishes (backpressure).
+/// Implementations do the *real* downstream work (dedup, store,
+/// collect) in [`consume`](Self::consume) and return the simulated
+/// service demand each attached stage charges. A sink that fingerprints
+/// its chunks says so with
+/// [`fingerprints_chunks`](Self::fingerprints_chunks) and takes the
+/// digests the engine hands it; a sink that hashes something else
+/// (Inc-HDFS's record-aligned splits) hashes that itself. The engine
+/// aggregates the demand per pipeline buffer — chunk `i`'s row goes to
+/// the buffer holding `chunks[i].offset`, the tail to the last buffer —
+/// and schedules it through shared per-stage FIFO servers in the same
+/// simulation as the chunking pipeline, holding the buffer's admission
+/// slot until the last stage finishes (backpressure).
 pub trait ChunkSink {
     /// The downstream stages, in pipeline order. Must be stable for the
     /// sink's lifetime.
     fn stages(&self) -> Vec<StageSpec>;
 
+    /// Whether the sink needs the SHA-256 of every chunk. The engine
+    /// fingerprints the chunks of every declaring session of a run in
+    /// one [`sha256_many`] batch, before the timing pass, and hands each
+    /// `consume` its slice. Must be stable for the sink's lifetime.
+    /// Defaults to `false`: no chunk of the stream is hashed for it.
+    fn fingerprints_chunks(&self) -> bool {
+        false
+    }
+
     /// Consumes one whole stream: `data` is its bytes and `chunks` its
-    /// final chunks, tiling `data` in order. Called exactly once per
-    /// stream, an empty one included. Returns one demand row per chunk
-    /// plus the end-of-stream tail.
-    fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand;
+    /// final chunks, tiling `data` in order. `digests` holds
+    /// `sha256(chunk)` for every chunk, in order, when the sink
+    /// [fingerprints chunks](Self::fingerprints_chunks), and is empty
+    /// otherwise. Called exactly once per stream, an empty one
+    /// included. Returns one demand row per chunk plus the
+    /// end-of-stream tail.
+    fn consume(&mut self, data: &[u8], chunks: &[Chunk], digests: &[Digest]) -> SinkDemand;
 }
 
 impl<S: ChunkSink + ?Sized> ChunkSink for &mut S {
@@ -177,14 +198,13 @@ impl<S: ChunkSink + ?Sized> ChunkSink for &mut S {
         (**self).stages()
     }
 
-    fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand {
-        (**self).consume(data, chunks)
+    fn fingerprints_chunks(&self) -> bool {
+        (**self).fingerprints_chunks()
     }
-}
 
-/// The payload of every chunk, in order.
-fn payloads<'d>(data: &'d [u8], chunks: &[Chunk]) -> Vec<&'d [u8]> {
-    chunks.iter().map(|c| c.slice(data)).collect()
+    fn consume(&mut self, data: &[u8], chunks: &[Chunk], digests: &[Digest]) -> SinkDemand {
+        (**self).consume(data, chunks, digests)
+    }
 }
 
 /// A fingerprint index a [`DedupStage`] consults: presence lookup plus
@@ -210,7 +230,11 @@ impl FingerprintIndex for HashSet<Digest> {
 /// SHA-256 fingerprinting at a configurable hashing bandwidth — the
 /// Store thread's "computes a hash for the overall chunk" step (§7.2),
 /// as an in-simulation stage. The stage keeps no digests: its sink
-/// keeps what it needs of them.
+/// keeps what it needs of them. A sink that
+/// [fingerprints chunks](ChunkSink::fingerprints_chunks) gets its
+/// digests from the engine and charges each chunk
+/// [`service`](Self::service); [`process`](Self::process) is for a sink
+/// that hashes something else.
 #[derive(Debug, Clone, Copy)]
 pub struct FingerprintStage {
     hash_bw: f64,
@@ -238,16 +262,19 @@ impl FingerprintStage {
         }
     }
 
+    /// The simulated time to hash `len` bytes.
+    pub fn service(&self, len: usize) -> Dur {
+        Dur::from_bytes_at(len as u64, self.hash_bw)
+    }
+
     /// Fingerprints `payloads` as one [`sha256_many`] batch and yields
     /// each payload's digest with its simulated service time, in order.
     pub fn process<'p>(&self, payloads: &'p [&[u8]]) -> impl Iterator<Item = (Digest, Dur)> + 'p {
-        let hash_bw = self.hash_bw;
+        let stage = *self;
         sha256_many(payloads)
             .into_iter()
             .zip(payloads)
-            .map(move |(digest, payload)| {
-                (digest, Dur::from_bytes_at(payload.len() as u64, hash_bw))
-            })
+            .map(move |(digest, payload)| (digest, stage.service(payload.len())))
     }
 }
 
@@ -453,9 +480,10 @@ impl Default for StoreSinkConfig {
 /// A sink that commits every chunk — and, at stream end, the snapshot
 /// manifest — into a shared
 /// [`ChunkStore`](shredder_store::ChunkStore) *in-simulation*:
-/// fingerprints are hashed by a [`FingerprintStage`], store index
-/// lookups and segment writes are charged to a [`StoreStage`], and the
-/// stream becomes one new generation of its store stream.
+/// fingerprint hashing is charged to a [`FingerprintStage`] (the
+/// digests come from the engine's batch), store index lookups and
+/// segment writes to a [`StoreStage`], and the stream becomes one new
+/// generation of its store stream.
 ///
 /// The functional half is real: payloads land in the store's segment
 /// log, dedup decisions come from its index, and after the engine run
@@ -553,7 +581,11 @@ impl ChunkSink for StoreSink {
         vec![self.fingerprint.spec(), self.stage.spec()]
     }
 
-    fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand {
+    fn fingerprints_chunks(&self) -> bool {
+        true
+    }
+
+    fn consume(&mut self, data: &[u8], chunks: &[Chunk], digests: &[Digest]) -> SinkDemand {
         assert!(
             self.generation.is_none(),
             "StoreSink already committed stream '{}' as generation {:?}; \
@@ -561,15 +593,14 @@ impl ChunkSink for StoreSink {
             self.stream,
             self.generation
         );
-        let payloads = payloads(data, chunks);
-        let hashed = self.fingerprint.process(&payloads);
+        assert_eq!(digests.len(), chunks.len(), "one digest per chunk");
         let mut store = self.store.borrow_mut();
         let mut recipe = Vec::with_capacity(chunks.len());
         let mut rows = Vec::with_capacity(chunks.len());
-        for ((chunk, payload), (digest, hash_service)) in chunks.iter().zip(&payloads).zip(hashed) {
+        for (chunk, &digest) in chunks.iter().zip(digests) {
             // `put_slice`: a dedup hit copies nothing — only new payloads
             // land in the segment log.
-            let new = store.put_slice(digest, payload);
+            let new = store.put_slice(digest, chunk.slice(data));
             if new {
                 self.new_chunks += 1;
                 self.new_bytes += chunk.len as u64;
@@ -577,7 +608,10 @@ impl ChunkSink for StoreSink {
                 self.dedup_bytes += chunk.len as u64;
             }
             recipe.push((digest, chunk.len));
-            rows.push(vec![hash_service, self.stage.process(new, chunk.len)]);
+            rows.push(vec![
+                self.fingerprint.service(chunk.len),
+                self.stage.process(new, chunk.len),
+            ]);
         }
         let generation = store
             .commit_snapshot(&self.stream, &recipe)
@@ -677,11 +711,14 @@ impl ChunkSink for DedupSink {
         vec![self.fingerprint.spec(), self.dedup.spec(), self.ship.spec()]
     }
 
-    fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand {
-        let payloads = payloads(data, chunks);
-        let hashed = self.fingerprint.process(&payloads);
+    fn fingerprints_chunks(&self) -> bool {
+        true
+    }
+
+    fn consume(&mut self, _data: &[u8], chunks: &[Chunk], digests: &[Digest]) -> SinkDemand {
+        assert_eq!(digests.len(), chunks.len(), "one digest per chunk");
         let mut rows = Vec::with_capacity(chunks.len());
-        for (&chunk, (digest, hash_service)) in chunks.iter().zip(hashed) {
+        for (&chunk, &digest) in chunks.iter().zip(digests) {
             let (duplicate, dedup_service) = self.dedup.process(digest);
             let (ship_bytes, ship_service) = self.ship.process(duplicate, chunk.len);
             self.verdicts.push(ChunkVerdict {
@@ -690,7 +727,11 @@ impl ChunkSink for DedupSink {
                 duplicate,
                 ship_bytes,
             });
-            rows.push(vec![hash_service, dedup_service, ship_service]);
+            rows.push(vec![
+                self.fingerprint.service(chunk.len),
+                dedup_service,
+                ship_service,
+            ]);
         }
         SinkDemand {
             rows,
@@ -708,20 +749,22 @@ impl std::fmt::Debug for DedupSink {
 }
 
 /// The shared functional pass over one stream's final chunks: hands
-/// the sink the whole stream ([`ChunkSink::consume`]) and aggregates
-/// its demand into `buckets` buckets of `bucket_size` stream bytes (the
-/// engine's pipeline buffers), returned as `[bucket][stage]`. Chunk
+/// the sink the whole stream and its chunk digests
+/// ([`ChunkSink::consume`]) and aggregates its demand into `buckets`
+/// buckets of `bucket_size` stream bytes (the engine's pipeline
+/// buffers), returned as `[bucket][stage]`. Chunk
 /// `i`'s row goes to bucket `chunks[i].offset / bucket_size`, clamped
 /// to the last; the tail goes to the last bucket.
 pub(crate) fn drive_sink_functional(
     sink: &mut dyn ChunkSink,
     chunks: &[Chunk],
     data: &[u8],
+    digests: &[Digest],
     buckets: usize,
     bucket_size: usize,
 ) -> Vec<Vec<Dur>> {
     let stages = sink.stages().len();
-    let demand = sink.consume(data, chunks);
+    let demand = sink.consume(data, chunks, digests);
     debug_assert_eq!(demand.rows.len(), chunks.len(), "one demand row per chunk");
     let mut per_bucket: Vec<Vec<Dur>> = vec![vec![Dur::ZERO; stages]; buckets];
     let Some(last) = buckets.checked_sub(1) else {
@@ -767,6 +810,11 @@ mod tests {
         (data, chunks)
     }
 
+    /// What the engine hands a declaring sink: `sha256` of every chunk.
+    fn digests_of(data: &[u8], chunks: &[Chunk]) -> Vec<Digest> {
+        chunks.iter().map(|c| sha256(c.slice(data))).collect()
+    }
+
     fn dedup_config() -> DedupSinkConfig {
         DedupSinkConfig {
             hash_bw: 1.5e9,
@@ -790,6 +838,7 @@ mod tests {
                 (sha256(&b), Dur::from_bytes_at(70, 1e9)),
             ]
         );
+        assert_eq!(stage.service(70), Dur::from_bytes_at(70, 1e9));
     }
 
     #[test]
@@ -822,7 +871,8 @@ mod tests {
         let mut sink = DedupSink::new(dedup_config(), index);
         let piece = payload(4096, 9);
         let (data, chunks) = stream_of(&[&piece, &piece]);
-        let demand = sink.consume(&data, &chunks);
+        assert!(sink.fingerprints_chunks());
+        let demand = sink.consume(&data, &chunks, &digests_of(&data, &chunks));
         let (first, second) = (&demand.rows[0], &demand.rows[1]);
         assert_eq!(first.len(), 3);
         assert!(second[2] < first[2], "duplicate ships only a pointer");
@@ -853,7 +903,8 @@ mod tests {
         let b = payload(2048, 5);
         // The third chunk repeats the first: it dedups.
         let (stream, chunks) = stream_of(&[&a, &b, &a]);
-        let demand = sink.consume(&stream, &chunks);
+        assert!(sink.fingerprints_chunks());
+        let demand = sink.consume(&stream, &chunks, &digests_of(&stream, &chunks));
         assert_eq!(demand.rows.len(), 3);
         assert_eq!(demand.rows[1].len(), 2);
         assert!(
@@ -882,8 +933,9 @@ mod tests {
         stream_of(&pieces)
     }
 
-    /// One batched `consume` equals hashing chunk by chunk with `sha256`
-    /// and charging each stage's formula per chunk.
+    /// One whole-stream `consume` over the chunks' digests equals
+    /// deciding chunk by chunk and charging each stage's formula per
+    /// chunk, hashing included.
     #[test]
     fn batched_sinks_match_per_chunk_hashing() {
         let (data, chunks) = stream_with_repeats();
@@ -891,7 +943,7 @@ mod tests {
 
         let config = dedup_config();
         let mut sink = DedupSink::new(config, Rc::new(RefCell::new(HashSet::new())));
-        let demand = sink.consume(&data, &chunks);
+        let demand = sink.consume(&data, &chunks, &digests_of(&data, &chunks));
         let ship = ShipStage::new(
             config.ship_bw,
             config.pointer_bytes,
@@ -924,7 +976,7 @@ mod tests {
         let store = Rc::new(RefCell::new(shredder_store::ChunkStore::new()));
         let config = StoreSinkConfig::default();
         let mut sink = StoreSink::new("vm", config, store.clone());
-        let demand = sink.consume(&data, &chunks);
+        let demand = sink.consume(&data, &chunks, &digests_of(&data, &chunks));
         let stage = StoreStage::new(config.write_bw, config.index_lookup, config.index_insert);
         let mut seen = HashSet::new();
         let rows: Vec<Vec<Dur>> = chunks
@@ -958,7 +1010,7 @@ mod tests {
             }]
         }
 
-        fn consume(&mut self, _data: &[u8], chunks: &[Chunk]) -> SinkDemand {
+        fn consume(&mut self, _data: &[u8], chunks: &[Chunk], _digests: &[Digest]) -> SinkDemand {
             SinkDemand {
                 rows: chunks
                     .iter()
@@ -981,17 +1033,17 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(
-            drive_sink_functional(&mut LenSink, &chunks, &data, 2, 128),
+            drive_sink_functional(&mut LenSink, &chunks, &data, &[], 2, 128),
             ns(&[100 + 150, 50 + 300 + 1])
         );
         assert_eq!(
-            drive_sink_functional(&mut LenSink, &chunks, &data, 4, 128),
+            drive_sink_functional(&mut LenSink, &chunks, &data, &[], 4, 128),
             ns(&[250, 50, 300, 1])
         );
 
         let store = Rc::new(RefCell::new(shredder_store::ChunkStore::new()));
         let mut sink = StoreSink::new("vm", StoreSinkConfig::default(), store.clone());
-        assert!(drive_sink_functional(&mut sink, &[], &[], 0, 128).is_empty());
+        assert!(drive_sink_functional(&mut sink, &[], &[], &[], 0, 128).is_empty());
         assert_eq!(sink.generation(), Some(0));
         assert_eq!(store.borrow().restore("vm", 0).unwrap(), Vec::<u8>::new());
     }
@@ -1002,7 +1054,7 @@ mod tests {
         let (data, chunks) = stream_of(&[&payload(4096, 9)]);
         for expected_gen in 0..3u64 {
             let mut sink = StoreSink::new("vm", StoreSinkConfig::default(), store.clone());
-            sink.consume(&data, &chunks);
+            sink.consume(&data, &chunks, &digests_of(&data, &chunks));
             assert_eq!(sink.generation(), Some(expected_gen));
         }
         // One physical copy across three generations.
@@ -1016,10 +1068,11 @@ mod tests {
         let store = Rc::new(RefCell::new(shredder_store::ChunkStore::new()));
         let mut sink = StoreSink::new("vm", StoreSinkConfig::default(), store);
         let (data, chunks) = stream_of(&[&payload(512, 2)]);
-        sink.consume(&data, &chunks);
+        let digests = digests_of(&data, &chunks);
+        sink.consume(&data, &chunks, &digests);
         // A second stream through the same sink would merge recipes
         // into a corrupt generation — it must panic instead.
-        sink.consume(&data, &chunks);
+        sink.consume(&data, &chunks, &digests);
     }
 
     #[test]

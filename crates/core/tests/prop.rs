@@ -12,9 +12,9 @@ use shredder_des::Dur;
 use shredder_hash::{sha256, Digest};
 use shredder_rabin::{chunk_all, Chunk, ChunkParams};
 
-/// A recording sink: collects every delivered chunk (and its payload
-/// digest) in delivery order, with a fingerprint stage attached so the
-/// delivery also runs through the simulation.
+/// A recording sink: collects every delivered chunk and the digest the
+/// engine hands it, in delivery order, with a fingerprint stage
+/// attached so the delivery also runs through the simulation.
 struct RecordingSink {
     fingerprint: FingerprintStage,
     delivered: Vec<Chunk>,
@@ -36,16 +36,18 @@ impl ChunkSink for RecordingSink {
         vec![self.fingerprint.spec()]
     }
 
-    fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand {
-        let payloads: Vec<&[u8]> = chunks.iter().map(|c| c.slice(data)).collect();
-        let mut rows = Vec::with_capacity(chunks.len());
-        for (digest, service) in self.fingerprint.process(&payloads) {
-            self.digests.push(digest);
-            rows.push(vec![service]);
-        }
+    fn fingerprints_chunks(&self) -> bool {
+        true
+    }
+
+    fn consume(&mut self, _data: &[u8], chunks: &[Chunk], digests: &[Digest]) -> SinkDemand {
+        self.digests.extend_from_slice(digests);
         self.delivered.extend_from_slice(chunks);
         SinkDemand {
-            rows,
+            rows: chunks
+                .iter()
+                .map(|c| vec![self.fingerprint.service(c.len)])
+                .collect(),
             tail: Vec::new(),
         }
     }
@@ -162,7 +164,7 @@ proptest! {
 
     /// Sink-delivery order ≡ collected order ≡ sequential scan: for any
     /// data and buffer size, the chunks a sink receives (with real
-    /// payloads, fingerprinted in-simulation) are exactly the chunks the
+    /// payloads, fingerprinted by the engine) are exactly the chunks the
     /// collect path returns, which are exactly a sequential scan.
     #[test]
     fn sink_delivery_equals_collect_equals_sequential(
@@ -184,8 +186,8 @@ proptest! {
 
         prop_assert_eq!(&sink.delivered, &collected.chunks);
         prop_assert_eq!(&collected.chunks, &reference);
-        // Digests computed inside the simulation equal the
-        // post-processed digests.
+        // The engine's fingerprint batch equals the post-processed
+        // digests.
         let collected_digests = collected.digests(&data);
         prop_assert_eq!(&sink.digests, &collected_digests);
         for (chunk, digest) in sink.delivered.iter().zip(&sink.digests) {

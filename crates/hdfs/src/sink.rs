@@ -67,7 +67,10 @@ impl ChunkSink for RecordAlignedSink<'_> {
         vec![self.fingerprint.spec()]
     }
 
-    fn consume(&mut self, data: &[u8], chunks: &[Chunk]) -> SinkDemand {
+    /// Hashes the record-aligned splits, not the chunks: the sink
+    /// leaves [`fingerprints_chunks`](ChunkSink::fingerprints_chunks)
+    /// at `false`, so `digests` is empty and no chunk is hashed for it.
+    fn consume(&mut self, data: &[u8], chunks: &[Chunk], _digests: &[Digest]) -> SinkDemand {
         // Every chunk start but the stream's first is a proposed cut.
         let cuts: Vec<u64> = chunks.iter().skip(1).map(|c| c.offset).collect();
         let splits = apply_input_format(data, &cuts, self.format);
@@ -113,7 +116,9 @@ mod tests {
     fn run_sink(data: &[u8], cuts: &[u64]) -> SinkDemand {
         let chunks = cuts_to_chunks(cuts, data.len() as u64);
         let mut sink = RecordAlignedSink::new(&TextInputFormat);
-        let demand = sink.consume(data, &chunks);
+        // It hashes splits, so the engine hashes no chunk for it.
+        assert!(!sink.fingerprints_chunks());
+        let demand = sink.consume(data, &chunks, &[]);
         let splits: Vec<Chunk> = sink.aligned().iter().map(|(c, _)| *c).collect();
         assert_eq!(splits, apply_input_format(data, cuts, &TextInputFormat));
         for (c, d) in sink.aligned() {
