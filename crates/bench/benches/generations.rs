@@ -19,7 +19,7 @@ use shredder_bench::{check, dump_bench_json, header, result_line, table};
 use shredder_core::{Shredder, ShredderConfig, StoreSink, StoreSinkConfig};
 use shredder_des::Dur;
 use shredder_rabin::ChunkParams;
-use shredder_store::ChunkStore;
+use shredder_store::{ChunkStore, StoreConfig};
 use shredder_telemetry::Json;
 use shredder_workloads::{mutate, MutationSpec};
 
@@ -45,11 +45,13 @@ fn main() {
 
     let cfg = ShredderConfig::gpu_streams_memory()
         .with_params(ChunkParams::backup())
-        .with_buffer_size(4 << 20)
-        .with_segment_bytes(2 << 20)
-        .with_gc_threshold(0.5);
-    let gpu = Shredder::new(cfg.clone());
-    let store = Rc::new(RefCell::new(ChunkStore::with_config(cfg.store_config())));
+        .with_buffer_size(4 << 20);
+    let gpu = Shredder::new(cfg);
+    let store = Rc::new(RefCell::new(ChunkStore::with_config(StoreConfig {
+        segment_bytes: 2 << 20,
+        gc_threshold: 0.5,
+        retention: None,
+    })));
 
     // Ingest K generations, each a 5% localized mutation of the last.
     let mut data = shredder_workloads::compressible_bytes(mb << 20, 512, 0x9e);
@@ -163,7 +165,7 @@ fn main() {
     check(
         "GC left no dead bytes above the compaction threshold",
         store.borrow().physical_bytes() as f64
-            <= store.borrow().live_bytes() as f64 / cfg.gc_threshold.max(0.01),
+            <= store.borrow().live_bytes() as f64 / store.borrow().config().gc_threshold.max(0.01),
     );
 
     dump_bench_json(

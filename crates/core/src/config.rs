@@ -77,18 +77,6 @@ pub struct ShredderConfig {
     /// it must provision a faster fabric via
     /// [`with_reader_bandwidth`](Self::with_reader_bandwidth).
     pub reader_bandwidth: f64,
-    /// Segment roll size of the downstream chunk store
-    /// ([`shredder_store::ChunkStore`]): payloads are packed into
-    /// append-only segments of this size.
-    pub segment_bytes: usize,
-    /// Store GC compaction threshold in `[0, 1]`: sealed segments whose
-    /// live fraction falls below this are compacted and retired.
-    pub gc_threshold: f64,
-    /// Snapshot retention per store stream: `Some(n)` keeps only the
-    /// latest `n` generations, enforced by the store whenever a new
-    /// snapshot opens; `None` keeps everything until explicitly
-    /// expired. Expired payloads are reclaimed by the store's GC.
-    pub retention: Option<u64>,
     /// Deterministic fault schedule injected into the timing simulation
     /// (device deaths, stragglers). The default plan is empty and the
     /// run is bit-identical to a fault-free config; see
@@ -121,9 +109,6 @@ impl ShredderConfig {
             placement: PlacementPolicy::LeastLoaded,
             ring_slots: None,
             reader_bandwidth: calibration::READER_IO_BW,
-            segment_bytes: 8 << 20,
-            gc_threshold: 0.5,
-            retention: None,
             faults: FaultPlan::default(),
             telemetry: TelemetryConfig::default(),
         }
@@ -275,47 +260,6 @@ impl ShredderConfig {
         self
     }
 
-    /// Sets the store segment roll size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is zero.
-    pub fn with_segment_bytes(mut self, bytes: usize) -> Self {
-        assert!(bytes > 0, "segment size must be non-zero");
-        self.segment_bytes = bytes;
-        self
-    }
-
-    /// Sets the store GC compaction threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is outside `[0, 1]`.
-    pub fn with_gc_threshold(mut self, threshold: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "gc threshold must be within [0, 1]"
-        );
-        self.gc_threshold = threshold;
-        self
-    }
-
-    /// Sets the per-stream snapshot retention (latest `n` generations,
-    /// enforced by the store at every snapshot open).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `generations` is zero (that would expire every
-    /// snapshot the moment it opens).
-    pub fn with_retention(mut self, generations: u64) -> Self {
-        assert!(
-            generations > 0,
-            "retention must keep at least one generation"
-        );
-        self.retention = Some(generations);
-        self
-    }
-
     /// Sets the deterministic fault schedule (device deaths and
     /// stragglers) replayed by the timing simulation. An empty plan is
     /// equivalent to never calling this.
@@ -330,16 +274,6 @@ impl ShredderConfig {
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
         self
-    }
-
-    /// The downstream chunk-store configuration derived from this
-    /// pipeline configuration.
-    pub fn store_config(&self) -> shredder_store::StoreConfig {
-        shredder_store::StoreConfig {
-            segment_bytes: self.segment_bytes,
-            gc_threshold: self.gc_threshold,
-            retention: self.retention,
-        }
     }
 
     /// Whether buffers stage through each device's pinned ring: the
@@ -368,13 +302,13 @@ impl ShredderConfig {
 
     /// Validates the whole configuration, returning a typed
     /// [`ChunkError::InvalidConfig`](crate::ChunkError) instead of
-    /// panicking (or misbehaving deep inside `shredder-store`) later.
+    /// panicking (or misbehaving deep inside the run) later.
     ///
     /// The `with_*` builders already assert these invariants one by one,
     /// but the fields are public: a configuration assembled by struct
-    /// update or direct mutation can carry a zero `segment_bytes` or an
-    /// out-of-range `gc_threshold` that would otherwise only surface as
-    /// a panic inside the store's segment log.
+    /// update or direct mutation can carry a zero `ring_slots` or a
+    /// non-finite `reader_bandwidth` that would otherwise only surface
+    /// inside the timing simulation.
     /// [`ShredderEngine::run`](crate::ShredderEngine::run), the one
     /// engine entry point, calls this before doing any work.
     ///
@@ -427,20 +361,6 @@ impl ShredderConfig {
                 "reader bandwidth must be positive and finite, got {}",
                 self.reader_bandwidth
             )));
-        }
-        if self.segment_bytes == 0 {
-            return Err(InvalidConfig("store segment_bytes must be non-zero".into()));
-        }
-        if !(self.gc_threshold.is_finite() && (0.0..=1.0).contains(&self.gc_threshold)) {
-            return Err(InvalidConfig(format!(
-                "store gc_threshold must be within [0, 1], got {}",
-                self.gc_threshold
-            )));
-        }
-        if self.retention == Some(0) {
-            return Err(InvalidConfig(
-                "retention must keep at least one generation".into(),
-            ));
         }
         self.faults
             .check(self.gpus)
@@ -572,67 +492,13 @@ mod tests {
     }
 
     #[test]
-    fn store_builders_and_derived_config() {
-        let cfg = ShredderConfig::default()
-            .with_segment_bytes(4 << 20)
-            .with_gc_threshold(0.25)
-            .with_retention(3);
-        assert_eq!(cfg.segment_bytes, 4 << 20);
-        assert_eq!(cfg.gc_threshold, 0.25);
-        assert_eq!(cfg.retention, Some(3));
-        let store = cfg.store_config();
-        assert_eq!(store.segment_bytes, 4 << 20);
-        assert_eq!(store.gc_threshold, 0.25);
-        assert_eq!(store.retention, Some(3));
-        // Defaults: retain everything, 8 MiB segments, 0.5 threshold.
-        let default = ShredderConfig::default().store_config();
-        assert_eq!(default.retention, None);
-        assert_eq!(default.segment_bytes, 8 << 20);
-        assert_eq!(default.gc_threshold, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "segment size")]
-    fn zero_segment_bytes_panics() {
-        let _ = ShredderConfig::default().with_segment_bytes(0);
-    }
-
-    #[test]
     fn validate_rejects_field_level_mutation() {
-        use crate::ChunkError;
         assert_eq!(ShredderConfig::default().validate(), Ok(()));
 
         // The builders panic, but nothing stops struct-update
         // construction — validate() must catch it with a typed error
-        // instead of letting the bad value panic deep inside
-        // shredder-store.
-        let cfg = ShredderConfig {
-            segment_bytes: 0,
-            ..ShredderConfig::default()
-        };
-        match cfg.validate() {
-            Err(ChunkError::InvalidConfig(msg)) => assert!(msg.contains("segment_bytes"), "{msg}"),
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-
-        for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
-            let cfg = ShredderConfig {
-                gc_threshold: bad,
-                ..ShredderConfig::default()
-            };
-            match cfg.validate() {
-                Err(ChunkError::InvalidConfig(msg)) => {
-                    assert!(msg.contains("gc_threshold"), "{msg}")
-                }
-                other => panic!("expected InvalidConfig for {bad}, got {other:?}"),
-            }
-        }
-
+        // instead of letting the bad value panic deep inside the run.
         let broken = [
-            ShredderConfig {
-                retention: Some(0),
-                ..ShredderConfig::default()
-            },
             ShredderConfig {
                 reader_bandwidth: f64::NAN,
                 ..ShredderConfig::default()
@@ -645,12 +511,6 @@ mod tests {
         for cfg in broken {
             assert!(cfg.validate().is_err(), "{cfg:?}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "within [0, 1]")]
-    fn bad_gc_threshold_panics() {
-        let _ = ShredderConfig::default().with_gc_threshold(-0.1);
     }
 
     #[test]

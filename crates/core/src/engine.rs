@@ -86,7 +86,6 @@ use shredder_rabin::chunker::cuts_to_chunks;
 use shredder_rabin::{Chunk, RawCut};
 use shredder_telemetry::{ArgValue, Lane, TelemetryReport, TraceRecorder};
 
-use crate::bufpool::{BufferPool, PooledBuf};
 use crate::config::{Allocator, Executor, ShredderConfig};
 use crate::error::ChunkError;
 use crate::fault::{FaultKind, FaultReport};
@@ -288,7 +287,6 @@ pub struct ShredderEngine<'a> {
     control: AdmissionControl,
     classes: Vec<TenantClass>,
     requests: Vec<ChunkRequest<'a>>,
-    pool: BufferPool,
 }
 
 impl<'a> ShredderEngine<'a> {
@@ -303,17 +301,7 @@ impl<'a> ShredderEngine<'a> {
             control: AdmissionControl::unbounded(),
             classes: vec![TenantClass::new("default")],
             requests: Vec::new(),
-            pool: BufferPool::new(),
         }
-    }
-
-    /// The buffer pool backing this engine's host-side scan and
-    /// retention buffers. After the first session of a given shape, the
-    /// planning hot loop leases every buffer from here — the pool's
-    /// allocation counter staying flat across sessions is the
-    /// steady-state zero-allocation property.
-    pub fn buffer_pool(&self) -> &BufferPool {
-        &self.pool
     }
 
     /// Sets the *buffer-level* admission policy: how dispatched
@@ -420,11 +408,13 @@ impl<'a> ShredderEngine<'a> {
 
         // Functional pass: real chunk boundaries per session. Sessions
         // with a sink also retain their stream bytes so the sink's
-        // functional half can see real payloads.
+        // functional half can see real payloads. Every session scans
+        // through the run's one `[carry][buffer]` window.
         let mut plans = Vec::with_capacity(requests.len());
         let mut bindings = Vec::with_capacity(requests.len());
+        let mut scan = vec![0u8; self.kernel.overlap() + self.config.buffer_size];
         for ((i, request), class) in requests.into_iter().enumerate().zip(class_of) {
-            let (plan, binding) = self.plan_session(i, class, request)?;
+            let (plan, binding) = self.plan_session(i, class, request, &mut scan)?;
             plans.push(plan);
             bindings.push(binding);
         }
@@ -574,11 +564,20 @@ impl<'a> ShredderEngine<'a> {
     /// chunking kernel on each buffer. Kernel errors propagate. When the
     /// session has a sink, the stream's bytes are retained alongside it
     /// so the sink's functional pass can hash/inspect real payloads.
+    ///
+    /// `scan` is the run's `[carry][current buffer]` window of
+    /// `overlap + buffer_size` bytes, lent to each session in turn. The
+    /// carry — the last `overlap` bytes already scanned — is shifted to
+    /// the front and the source reads into the tail, so the per-buffer
+    /// loop neither allocates nor copies twice. A session starts with
+    /// an empty carry and scans only the bytes it read, so whatever an
+    /// earlier session left in the window is never seen.
     fn plan_session(
         &self,
         index: usize,
         class: usize,
         mut request: ChunkRequest<'a>,
+        scan: &mut [u8],
     ) -> Result<(SessionPlan, Option<SinkBinding<'a>>), ChunkError> {
         // The boundary kernel knows its own carry requirement: `window − 1`
         // bytes for Rabin, `GEAR_WINDOW − 1` for Gear.
@@ -591,15 +590,7 @@ impl<'a> ShredderEngine<'a> {
         let mut cuts: Vec<RawCut> = Vec::new();
         let mut buffers: Vec<PlannedBuffer> = Vec::new();
         let mut start: u64 = 0;
-        // One reused scan buffer, leased from the engine pool:
-        // `[carry][current buffer]`. The carry — the last `overlap`
-        // bytes already scanned — is shifted to the front and the source
-        // reads into the tail, so no per-buffer allocation or second
-        // copy happens, and repeat sessions of the same shape allocate
-        // nothing at all. Leased before `retained` so the sized request
-        // gets best-fit first and the open-ended one takes what's left.
-        let mut scan = self.pool.get(overlap + size);
-        let mut retained = self.pool.with_capacity(if retain {
+        let mut retained = Vec::with_capacity(if retain {
             request.source.size_hint().unwrap_or(0) as usize
         } else {
             0
@@ -713,12 +704,10 @@ pub(crate) fn host_scan_time(bytes: u64, allocator: Allocator) -> Dur {
 }
 
 /// A session's sink plus the stream bytes retained for its functional
-/// pass. The bytes are a pooled lease: chunk verdicts reference them as
-/// `(offset, len)` ranges, and the buffer returns to the engine pool
-/// when the binding is consumed.
+/// pass. Chunk verdicts reference the bytes as `(offset, len)` ranges.
 pub(crate) struct SinkBinding<'a> {
     sink: Box<dyn ChunkSink + 'a>,
-    data: PooledBuf,
+    data: Vec<u8>,
     /// The session's range of the run's fingerprint batch: one digest
     /// per chunk when its sink fingerprints chunks, empty otherwise.
     digests: Range<usize>,
@@ -2212,26 +2201,45 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_sessions_are_allocation_free() {
-        let data = pseudo_random(512 << 10, 11);
-        let mut engine = ShredderEngine::new(small_config());
-        // Warm-up run: the pool learns the session's buffer shapes.
-        engine.submit(ChunkRequest::new(SliceSource::new(&data)));
-        engine.run(&Workload::Batch).unwrap();
-        let warm = engine.buffer_pool().allocations();
-        assert!(warm > 0, "warm-up must have leased something");
-        // Steady state: identical sessions lease everything from the
-        // pool — the hot loop makes zero new allocations.
-        for _ in 0..4 {
-            engine.submit(ChunkRequest::new(SliceSource::new(&data)));
-            engine.run(&Workload::Batch).unwrap();
+    fn shared_scan_window_leaks_nothing_between_sessions() {
+        // Every session of a run scans through one window. Short
+        // streams after a long one must not see its leftover bytes, and
+        // the long one after them must not see theirs: each session's
+        // chunks and raw cut count are those of its stream alone.
+        let buffer = 64 << 10;
+        let params = ChunkParams::paper();
+        for variant in [KernelVariant::Coalesced, KernelVariant::GearCoalesced] {
+            let kernel = ChunkKernel::new(params.clone(), variant);
+            let window = kernel.overlap() + 1;
+            let lens = [300_000, 0, 1, window - 1, window, buffer + 1, 250_000];
+            let streams: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| pseudo_random(len, 500 + i as u64))
+                .collect();
+            let mut engine = ShredderEngine::new(
+                small_config()
+                    .with_buffer_size(buffer)
+                    .with_chunk_kernel(variant),
+            );
+            for s in &streams {
+                engine.submit(ChunkRequest::new(SliceSource::new(s)));
+            }
+            let out = engine.run(&Workload::Batch).unwrap();
+            assert_eq!(out.completed().count(), streams.len());
+            for ((session, report), data) in out.completed().zip(&out.report.sessions).zip(&streams)
+            {
+                let reference = if variant.is_gear() {
+                    kernel.boundary().chunks(data)
+                } else {
+                    chunk_all(data, &params)
+                };
+                let len = data.len();
+                assert_eq!(session.chunks, reference, "{variant}: {len} bytes");
+                let raw_cuts = kernel.boundary().raw_cuts(data).len();
+                assert_eq!(report.raw_cuts, raw_cuts, "{variant}: {len} bytes");
+            }
         }
-        assert_eq!(
-            engine.buffer_pool().allocations(),
-            warm,
-            "steady-state sessions must not allocate"
-        );
-        assert!(engine.buffer_pool().recycles() >= 4);
     }
 
     #[test]

@@ -151,7 +151,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bufpool;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -165,7 +164,6 @@ pub mod sink;
 pub mod source;
 pub mod workload;
 
-pub use bufpool::{BufferPool, PooledBuf};
 pub use config::{Allocator, Executor, ShredderConfig};
 pub use engine::{AdmissionPolicy, EngineOutcome, PlacementPolicy, ShredderEngine};
 pub use error::ChunkError;

@@ -615,7 +615,7 @@ impl ChunkSink for StoreSink {
         }
         let generation = store
             .commit_snapshot(&self.stream, &recipe)
-            // shredder-lint: allow(R5) — every recipe digest was stored by this sink, and ShredderConfig::validate rejects retention Some(0)
+            // shredder-lint: allow(R5) — every recipe digest was stored by this sink, and ChunkStore::with_config rejects retention Some(0)
             .expect("recipe chunks were just stored");
         self.generation = Some(generation);
         self.chunks = chunks.len();

@@ -101,7 +101,6 @@ impl Default for LintConfig {
                 "crates/core/src/pipeline.rs",
                 "crates/core/src/sink.rs",
                 "crates/core/src/frontend.rs",
-                "crates/core/src/bufpool.rs",
                 "crates/store/src/store.rs",
                 "crates/store/src/segment.rs",
             ]

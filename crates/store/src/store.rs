@@ -1403,6 +1403,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "segment size must be non-zero")]
+    fn zero_segment_bytes_panics() {
+        let _ = ChunkStore::with_config(StoreConfig {
+            segment_bytes: 0,
+            ..StoreConfig::default()
+        });
+    }
+
+    #[test]
     #[should_panic(expected = "4 GiB")]
     fn oversized_segment_config_panics() {
         let _ = ChunkStore::with_config(StoreConfig {

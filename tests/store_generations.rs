@@ -12,7 +12,7 @@ use shredder::core::{
     StoreSinkConfig, Workload,
 };
 use shredder::hash::Digest;
-use shredder::store::ChunkStore;
+use shredder::store::{ChunkStore, StoreConfig};
 use shredder::workloads::{mutate, MutationSpec};
 use shredder_rabin::ChunkParams;
 
@@ -26,11 +26,17 @@ fn config() -> ShredderConfig {
             ..ChunkParams::paper().with_expected_size(4 << 10)
         })
         .with_buffer_size(256 << 10)
-        .with_segment_bytes(256 << 10)
+}
+
+fn store() -> Rc<RefCell<ChunkStore>> {
+    Rc::new(RefCell::new(ChunkStore::with_config(StoreConfig {
+        segment_bytes: 256 << 10,
         // Aggressive compaction: any segment with a dead byte is
         // rewritten, so GC reclaims expired bytes immediately (a lower
         // threshold defers reclaim until segments are mostly dead).
-        .with_gc_threshold(1.0)
+        gc_threshold: 1.0,
+        retention: None,
+    })))
 }
 
 /// Digest → bytes map of one generation's manifest (for the oracle).
@@ -47,7 +53,7 @@ fn manifest_digests(store: &ChunkStore, gen: u64) -> HashMap<Digest, u64> {
 #[test]
 fn eight_generations_ingest_restore_expire_gc() {
     let cfg = config();
-    let store = Rc::new(RefCell::new(ChunkStore::with_config(cfg.store_config())));
+    let store = store();
 
     let mut data = shredder::workloads::compressible_bytes(2 << 20, 256, 0xe2e);
     let mut kept: Vec<(u64, Vec<u8>)> = Vec::new();
@@ -170,7 +176,7 @@ fn batched_generations_share_one_engine_and_store() {
     // run, committing into one shared store: cross-stream dedup works
     // and each stream restores independently.
     let cfg = config();
-    let store = Rc::new(RefCell::new(ChunkStore::with_config(cfg.store_config())));
+    let store = store();
     let a = shredder::workloads::compressible_bytes(1 << 20, 256, 77);
     let b = mutate(&a, &MutationSpec::replace(0.1, 78));
 
