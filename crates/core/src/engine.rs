@@ -97,6 +97,7 @@ use crate::report::{
 };
 use crate::session::{SessionId, SessionOutcome};
 use crate::sink::{ChunkSink, StageSpec};
+use crate::source::StreamSource;
 use crate::workload::{AdmissionControl, ArrivalSchedule, TenantClass, Workload};
 
 /// How the shared admission slots are handed to sessions.
@@ -406,15 +407,13 @@ impl<'a> ShredderEngine<'a> {
         let arrivals = workload.schedule(requests.len());
         let classes: Vec<ClassRuntime> = self.classes.iter().map(ClassRuntime::from).collect();
 
-        // Functional pass: real chunk boundaries per session. Sessions
-        // with a sink also retain their stream bytes so the sink's
-        // functional half can see real payloads. Every session scans
-        // through the run's one `[carry][buffer]` window.
+        // Functional pass: real chunk boundaries per session, scanned
+        // in place. Sessions with a sink keep their source so the
+        // sink's functional half sees the real payloads.
         let mut plans = Vec::with_capacity(requests.len());
         let mut bindings = Vec::with_capacity(requests.len());
-        let mut scan = vec![0u8; self.kernel.overlap() + self.config.buffer_size];
         for ((i, request), class) in requests.into_iter().enumerate().zip(class_of) {
-            let (plan, binding) = self.plan_session(i, class, request, &mut scan)?;
+            let (plan, binding) = self.plan_session(i, class, request)?;
             plans.push(plan);
             bindings.push(binding);
         }
@@ -558,100 +557,60 @@ impl<'a> ShredderEngine<'a> {
         Ok(EngineOutcome { sessions, report })
     }
 
-    /// Functional pass over one session: pull the stream one pipeline
-    /// buffer at a time, keep a kernel-overlap byte carry so windows
-    /// spanning buffer boundaries are found exactly once, and run the
-    /// chunking kernel on each buffer. Kernel errors propagate. When the
-    /// session has a sink, the stream's bytes are retained alongside it
-    /// so the sink's functional pass can hash/inspect real payloads.
-    ///
-    /// `scan` is the run's `[carry][current buffer]` window of
-    /// `overlap + buffer_size` bytes, lent to each session in turn. The
-    /// carry — the last `overlap` bytes already scanned — is shifted to
-    /// the front and the source reads into the tail, so the per-buffer
-    /// loop neither allocates nor copies twice. A session starts with
-    /// an empty carry and scans only the bytes it read, so whatever an
-    /// earlier session left in the window is never seen.
+    /// Functional pass over one session: scan the stream in place one
+    /// pipeline buffer at a time, each buffer preceded by the
+    /// kernel-overlap byte carry (the last `overlap` bytes before it, or
+    /// all of them near the stream's start) so windows spanning buffer
+    /// boundaries are found exactly once. Kernel errors propagate. When
+    /// the session has a sink, the binding keeps the request's source so
+    /// the sink's functional pass reads the same bytes.
     fn plan_session(
         &self,
         index: usize,
         class: usize,
-        mut request: ChunkRequest<'a>,
-        scan: &mut [u8],
+        request: ChunkRequest<'a>,
     ) -> Result<(SessionPlan, Option<SinkBinding<'a>>), ChunkError> {
         // The boundary kernel knows its own carry requirement: `window − 1`
         // bytes for Rabin, `GEAR_WINDOW − 1` for Gear.
         let overlap = self.kernel.overlap();
-        let size = self.config.buffer_size;
-        // Retain the stream only for a sink: a sink-less request (the
-        // boundaries-only path) stays zero-copy.
-        let retain = request.sink.is_some();
+        let data = request.source.bytes();
+        let len = data.len() as u64;
 
         let mut cuts: Vec<RawCut> = Vec::new();
         let mut buffers: Vec<PlannedBuffer> = Vec::new();
-        let mut start: u64 = 0;
-        let mut retained = Vec::with_capacity(if retain {
-            request.source.size_hint().unwrap_or(0) as usize
-        } else {
-            0
-        });
-        let mut carry_len = 0usize;
-
-        loop {
-            let mut filled = 0usize;
-            while filled < size {
-                let n = request
-                    .source
-                    .read(&mut scan[carry_len + filled..carry_len + size]);
-                if n == 0 {
-                    break;
-                }
-                filled += n;
-            }
-            if filled == 0 {
-                break;
-            }
-            if retain {
-                retained.extend_from_slice(&scan[carry_len..carry_len + filled]);
-            }
-
+        for start in (0..data.len()).step_by(self.config.buffer_size) {
+            let end = (start + self.config.buffer_size).min(data.len());
+            let scan_start = start - overlap.min(start);
             // Scan carry + buffer so boundary-spanning windows are seen.
             let out = self
                 .kernel
-                .run(&self.config.device, &scan[..carry_len + filled])?;
+                .run(&self.config.device, &data[scan_start..end])?;
 
-            let scan_base = start - carry_len as u64;
             let before = cuts.len();
             cuts.extend(
                 out.raw_cuts
                     .iter()
                     .map(|c| RawCut {
-                        offset: c.offset + scan_base,
+                        offset: c.offset + scan_start as u64,
                         strict: c.strict,
                     })
-                    .filter(|c| c.offset > start),
+                    .filter(|c| c.offset > start as u64),
             );
+            let filled = (end - start) as u64;
             let kernel_dur = match self.config.executor {
                 Executor::Gpu => out.stats.duration,
-                Executor::Host(allocator) => host_scan_time(filled as u64, allocator),
+                Executor::Host(allocator) => host_scan_time(filled, allocator),
             };
             buffers.push(PlannedBuffer {
-                bytes: filled as u64,
+                bytes: filled,
                 cut_count: (cuts.len() - before) as u64,
                 kernel_dur,
             });
-
-            // Keep the last `window − 1` scanned bytes for the next buffer.
-            start += filled as u64;
-            let total = carry_len + filled;
-            let keep = overlap.min(total);
-            scan.copy_within(total - keep..total, 0);
-            carry_len = keep;
         }
 
         let binding = request.sink.map(|sink| SinkBinding {
             sink,
-            data: retained,
+            source: request.source,
             digests: 0..0,
         });
         Ok((
@@ -660,7 +619,7 @@ impl<'a> ShredderEngine<'a> {
                 weight: request.weight,
                 class,
                 pin: request.pin,
-                bytes: start,
+                bytes: len,
                 cuts,
                 buffers,
             },
@@ -703,11 +662,12 @@ pub(crate) fn host_scan_time(bytes: u64, allocator: Allocator) -> Dur {
         + Dur::from_nanos(threads * calibration::HOST_SYNC_NS_PER_THREAD)
 }
 
-/// A session's sink plus the stream bytes retained for its functional
-/// pass. Chunk verdicts reference the bytes as `(offset, len)` ranges.
+/// A session's sink plus the request's source, whose bytes its
+/// functional pass reads in place. Chunk verdicts reference the bytes
+/// as `(offset, len)` ranges.
 pub(crate) struct SinkBinding<'a> {
     sink: Box<dyn ChunkSink + 'a>,
-    data: Vec<u8>,
+    source: Box<dyn StreamSource + 'a>,
     /// The session's range of the run's fingerprint batch: one digest
     /// per chunk when its sink fingerprints chunks, empty otherwise.
     digests: Range<usize>,
@@ -723,14 +683,22 @@ fn fingerprint_batch(
     chunk_sets: &[Vec<Chunk>],
 ) -> Vec<Digest> {
     let mut payloads: Vec<&[u8]> = Vec::new();
-    for (binding, chunks) in bindings.iter_mut().zip(chunk_sets) {
-        if let Some(binding) = binding.as_mut().filter(|b| b.sink.fingerprints_chunks()) {
-            let start = payloads.len();
-            payloads.extend(chunks.iter().map(|c| c.slice(&binding.data)));
-            binding.digests = start..payloads.len();
+    let mut ranges = Vec::with_capacity(bindings.len());
+    for (binding, chunks) in bindings.iter().zip(chunk_sets) {
+        let start = payloads.len();
+        if let Some(binding) = binding.as_ref().filter(|b| b.sink.fingerprints_chunks()) {
+            let data = binding.source.bytes();
+            payloads.extend(chunks.iter().map(|c| c.slice(data)));
+        }
+        ranges.push(start..payloads.len());
+    }
+    let digests = sha256_many(&payloads);
+    for (binding, range) in bindings.iter_mut().zip(ranges) {
+        if let Some(binding) = binding {
+            binding.digests = range;
         }
     }
-    sha256_many(&payloads)
+    digests
 }
 
 /// One buffer's downstream work: `(global stage index, service)` per
@@ -1561,7 +1529,7 @@ fn run_deferred_sink<'a>(
 ) {
     let Some(SinkBinding {
         mut sink,
-        data,
+        source,
         digests,
     }) = bindings[sid].take()
     else {
@@ -1571,7 +1539,7 @@ fn run_deferred_sink<'a>(
     let per_buffer = crate::sink::drive_sink_functional(
         &mut *sink,
         &chunk_sets[sid],
-        &data,
+        source.bytes(),
         &fingerprints[digests],
         nbuf,
         buffer_size,
@@ -2201,43 +2169,67 @@ mod tests {
     }
 
     #[test]
-    fn shared_scan_window_leaks_nothing_between_sessions() {
-        // Every session of a run scans through one window. Short
-        // streams after a long one must not see its leftover bytes, and
-        // the long one after them must not see theirs: each session's
-        // chunks and raw cut count are those of its stream alone.
-        let buffer = 64 << 10;
-        let params = ChunkParams::paper();
+    fn in_place_scan_matches_sequential_chunking_at_every_seam() {
+        // Each buffer is scanned in place behind a carry of the
+        // `overlap.min(start)` bytes before it. Every session's chunks
+        // and raw cut count must be those of a sequential scan of its
+        // stream alone: for streams shorter than a window, around one
+        // buffer and long, and for buffers shorter than the carry (so
+        // the first carries are partial). The dense parameters put a
+        // raw cut near many of the tiny buffers' seams.
+        let paper = ChunkParams::paper();
+        let dense = ChunkParams::paper().with_expected_size(256);
+        let configs = [
+            (64 << 10, &paper, 300_000),
+            (40, &dense, 20_000),
+            (16, &dense, 20_000),
+        ];
         for variant in [KernelVariant::Coalesced, KernelVariant::GearCoalesced] {
-            let kernel = ChunkKernel::new(params.clone(), variant);
-            let window = kernel.overlap() + 1;
-            let lens = [300_000, 0, 1, window - 1, window, buffer + 1, 250_000];
-            let streams: Vec<Vec<u8>> = lens
-                .iter()
-                .enumerate()
-                .map(|(i, &len)| pseudo_random(len, 500 + i as u64))
-                .collect();
-            let mut engine = ShredderEngine::new(
-                small_config()
-                    .with_buffer_size(buffer)
-                    .with_chunk_kernel(variant),
-            );
-            for s in &streams {
-                engine.submit(ChunkRequest::new(SliceSource::new(s)));
-            }
-            let out = engine.run(&Workload::Batch).unwrap();
-            assert_eq!(out.completed().count(), streams.len());
-            for ((session, report), data) in out.completed().zip(&out.report.sessions).zip(&streams)
-            {
-                let reference = if variant.is_gear() {
-                    kernel.boundary().chunks(data)
-                } else {
-                    chunk_all(data, &params)
-                };
-                let len = data.len();
-                assert_eq!(session.chunks, reference, "{variant}: {len} bytes");
-                let raw_cuts = kernel.boundary().raw_cuts(data).len();
-                assert_eq!(report.raw_cuts, raw_cuts, "{variant}: {len} bytes");
+            for &(buffer, params, long) in &configs {
+                let kernel = ChunkKernel::new(params.clone(), variant);
+                assert!(buffer > 4096 || buffer < kernel.overlap());
+                let window = kernel.overlap() + 1;
+                let lens = [
+                    long,
+                    0,
+                    1,
+                    window - 1,
+                    window,
+                    buffer - 1,
+                    buffer + 1,
+                    long - 7,
+                ];
+                let streams: Vec<Vec<u8>> = lens
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &len)| pseudo_random(len, 500 + i as u64))
+                    .collect();
+                let mut engine = ShredderEngine::new(
+                    small_config()
+                        .with_buffer_size(buffer)
+                        .with_params(params.clone())
+                        .with_chunk_kernel(variant),
+                );
+                for s in &streams {
+                    engine.submit(ChunkRequest::new(SliceSource::new(s)));
+                }
+                let out = engine.run(&Workload::Batch).unwrap();
+                assert_eq!(out.completed().count(), streams.len());
+                for ((session, report), data) in
+                    out.completed().zip(&out.report.sessions).zip(&streams)
+                {
+                    let reference = if variant.is_gear() {
+                        kernel.boundary().chunks(data)
+                    } else {
+                        chunk_all(data, params)
+                    };
+                    let len = data.len();
+                    let at = format!("{variant}, buffer {buffer}: {len} bytes");
+                    assert_eq!(session.chunks, reference, "{at}");
+                    let raw_cuts = kernel.boundary().raw_cuts(data).len();
+                    assert_eq!(report.raw_cuts, raw_cuts, "{at}");
+                    assert_eq!(report.buffers, len.div_ceil(buffer), "{at}");
+                }
             }
         }
     }

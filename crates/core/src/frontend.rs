@@ -1,9 +1,11 @@
 //! The request side of the engine: what a caller submits, and how to
 //! find the load it sustains.
 //!
-//! A [`ChunkRequest`] is one stream to chunk: a source, an optional
-//! downstream sink, a name, a tenant class, an admission weight and an
-//! optional device pin. Requests are submitted to a
+//! A [`ChunkRequest`] is one stream to chunk: an in-memory source, an
+//! optional downstream sink, a name, a tenant class, an admission
+//! weight and an optional device pin. The engine scans the source's
+//! bytes in place and hands the sink those same bytes, so a request
+//! costs no host copy of its stream. Requests are submitted to a
 //! [`ShredderEngine`](crate::ShredderEngine) and *arrive* inside its
 //! discrete-event simulation according to the
 //! [`Workload`](crate::Workload) passed to
@@ -51,8 +53,8 @@ use crate::report::ServiceReport;
 use crate::sink::ChunkSink;
 use crate::source::StreamSource;
 
-/// One chunking request: a stream source plus an optional downstream
-/// sink, a tenant identity and an optional device pin.
+/// One chunking request: an in-memory stream source plus an optional
+/// downstream sink, a tenant identity and an optional device pin.
 pub struct ChunkRequest<'a> {
     pub(crate) name: Option<String>,
     pub(crate) class: Option<String>,

@@ -26,8 +26,9 @@
 //!   stragglers are routed around by least-loaded placement), with
 //!   per-fault counters in [`EngineReport::faults`].
 //! * [`source`] — [`StreamSource`] ingestion ([`SliceSource`],
-//!   [`MemorySource`]): streams feed the engine one pipeline buffer at a
-//!   time instead of as a fully-materialized slice.
+//!   [`MemorySource`]): in-memory streams the engine scans in place, one
+//!   pipeline buffer at a time, and whose bytes a sink consumes without
+//!   a copy.
 //! * [`session`] / [`report`] — per-stream [`SessionReport`]s (makespan,
 //!   queueing/contention time, per-buffer timeline) inside an aggregate
 //!   [`EngineReport`] (aggregate GB/s over the shared makespan).

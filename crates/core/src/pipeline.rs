@@ -107,7 +107,7 @@ impl Shredder {
     }
 
     /// Chunks an in-memory stream and returns its chunks: one sink-less
-    /// request, so no sink stages run and no bytes are retained.
+    /// request, so no sink stages run.
     ///
     /// # Errors
     ///
@@ -126,8 +126,8 @@ impl Shredder {
     /// run inside the same simulation as the chunking pipeline, so
     /// hashing overlaps (and backpressures) chunking. The sink's
     /// functional half (hashing, dedup decisions) runs for real, over
-    /// the whole stream at once. To model a capped intake link, lower
-    /// the config's
+    /// the whole stream at once: `data` itself, not a copy. To model a
+    /// capped intake link, lower the config's
     /// [`reader_bandwidth`](ShredderConfig::with_reader_bandwidth).
     ///
     /// # Errors

@@ -289,19 +289,13 @@ proptest! {
                     prop_assert_eq!(x, y);
                     let i = x.id.index();
                     // Digests recomputed over the request's own stream.
-                    let mut src = MemorySource::pseudo_random(sizes[i], i as u64);
-                    let mut data = Vec::new();
-                    let mut buf = [0u8; 4096];
-                    loop {
-                        let n = shredder_core::StreamSource::read(&mut src, &mut buf);
-                        if n == 0 { break; }
-                        data.extend_from_slice(&buf[..n]);
-                    }
-                    let dx: Vec<_> = x.chunks.iter().map(|c| sha256(c.slice(&data))).collect();
-                    let dy: Vec<_> = y.chunks.iter().map(|c| sha256(c.slice(&data))).collect();
+                    let src = MemorySource::pseudo_random(sizes[i], i as u64);
+                    let data = shredder_core::StreamSource::bytes(&src);
+                    let dx: Vec<_> = x.chunks.iter().map(|c| sha256(c.slice(data))).collect();
+                    let dy: Vec<_> = y.chunks.iter().map(|c| sha256(c.slice(data))).collect();
                     prop_assert_eq!(dx, dy);
                     // And the chunks equal a sequential scan of the stream.
-                    prop_assert_eq!(&x.chunks, &chunk_all(&data, &ChunkParams::paper()));
+                    prop_assert_eq!(&x.chunks, &chunk_all(data, &ChunkParams::paper()));
                 }
                 (Err(x), Err(y)) => prop_assert_eq!(x, y),
                 other => prop_assert!(false, "outcome mismatch across replays: {:?}", other),

@@ -116,7 +116,8 @@
 //!     AdmissionPolicy, ChunkRequest, ShredderConfig, ShredderEngine, SliceSource, Workload,
 //! };
 //!
-//! // Three tenant streams (any `StreamSource` works; slices are easiest).
+//! // Three tenant streams (any in-memory `StreamSource` works: a borrowed
+//! // `SliceSource` or an owned `MemorySource`, each scanned in place).
 //! let tenants: Vec<Vec<u8>> = (0..3u64)
 //!     .map(|t| {
 //!         (0..512u32 << 10)

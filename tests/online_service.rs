@@ -127,20 +127,12 @@ fn poisson_at_120_percent_of_capacity_sheds_with_bounded_queue_delay() {
     // Accepted requests' chunks are still bit-identical to sequential
     // scans of their own streams — overload isolation.
     for outcome in out.completed() {
-        let mut src = MemorySource::pseudo_random(REQ_BYTES, outcome.id.index() as u64);
-        let mut data = Vec::new();
-        let mut buf = [0u8; 8192];
-        loop {
-            let n = shredder::core::StreamSource::read(&mut src, &mut buf);
-            if n == 0 {
-                break;
-            }
-            data.extend_from_slice(&buf[..n]);
-        }
-        assert_eq!(outcome.chunks, chunk_all(&data, &ChunkParams::paper()));
+        let src = MemorySource::pseudo_random(REQ_BYTES, outcome.id.index() as u64);
+        let data = shredder::core::StreamSource::bytes(&src);
+        assert_eq!(outcome.chunks, chunk_all(data, &ChunkParams::paper()));
         // Digest spot check on the first chunk.
         if let Some(c) = outcome.chunks.first() {
-            let _ = sha256(c.slice(&data));
+            let _ = sha256(c.slice(data));
         }
     }
 }

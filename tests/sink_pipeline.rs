@@ -12,6 +12,8 @@
 //!   chunk fingerprinting exactly `sha256(chunk)` per chunk, hands
 //!   every other sink nothing, and leaves shed requests' sinks and
 //!   stores untouched; a fleet's stores equal per-stream hashing.
+//! * Sinks consume the caller's bytes in place: the stream a sink sees
+//!   is the request's own slice, never a copy.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
@@ -27,6 +29,7 @@ use shredder::core::{
 };
 use shredder::des::{Dur, SimTime};
 use shredder::hash::{sha256, Digest};
+use shredder::hdfs::{IncHdfs, InputFormat, TextInputFormat};
 use shredder::rabin::{Chunk, ChunkParams};
 use shredder::store::ChunkStore;
 use shredder::workloads;
@@ -40,6 +43,8 @@ struct HashSink {
     consumed: usize,
     delivered: Vec<Chunk>,
     digests: Vec<Digest>,
+    /// Where each consumed stream lives: `(address, length)`.
+    streams: Vec<(usize, usize)>,
 }
 
 impl HashSink {
@@ -54,6 +59,7 @@ impl HashSink {
             consumed: 0,
             delivered: Vec::new(),
             digests: Vec::new(),
+            streams: Vec::new(),
         }
     }
 }
@@ -67,8 +73,9 @@ impl ChunkSink for HashSink {
         self.declares
     }
 
-    fn consume(&mut self, _data: &[u8], chunks: &[Chunk], digests: &[Digest]) -> SinkDemand {
+    fn consume(&mut self, data: &[u8], chunks: &[Chunk], digests: &[Digest]) -> SinkDemand {
         self.consumed += 1;
+        self.streams.push(address(data));
         self.digests.extend_from_slice(digests);
         self.delivered.extend_from_slice(chunks);
         SinkDemand {
@@ -109,6 +116,68 @@ fn sink_path_is_bit_identical_to_collect_path() {
         assert_eq!(sink.delivered, collected.chunks, "{name}: chunks");
         assert_eq!(sink.digests, collected.digests(&data), "{name}: digests");
     }
+}
+
+fn address(data: &[u8]) -> (usize, usize) {
+    (data.as_ptr() as usize, data.len())
+}
+
+/// Newline records, remembering every stream it aligns.
+#[derive(Default)]
+struct RecordingFormat {
+    streams: RefCell<Vec<(usize, usize)>>,
+}
+
+impl InputFormat for RecordingFormat {
+    fn next_record_boundary(&self, data: &[u8], proposed: u64) -> u64 {
+        self.streams.borrow_mut().push(address(data));
+        TextInputFormat.next_record_boundary(data, proposed)
+    }
+
+    fn format_name(&self) -> &'static str {
+        "recording-text"
+    }
+}
+
+#[test]
+fn sinks_consume_the_callers_bytes_in_place() {
+    let streams: Vec<Vec<u8>> = (0..4)
+        .map(|i| workloads::compressible_bytes((1 << 20) + i * 4099, 64, 0x60 + i as u64))
+        .collect();
+
+    // One stream through `Shredder::chunk_stream_sink`.
+    let service = gpu_service();
+    let mut sink = HashSink::new();
+    service.chunk_stream_sink(&streams[0], &mut sink).unwrap();
+    assert_eq!(sink.streams, [address(&streams[0])]);
+
+    // Several sessions of one engine run, with and without declaring.
+    let mut sinks: Vec<HashSink> = (0..streams.len())
+        .map(|i| HashSink::declaring(i % 2 == 0))
+        .collect();
+    {
+        let mut engine = ShredderEngine::new(small_chunk_config());
+        for (data, sink) in streams.iter().zip(sinks.iter_mut()) {
+            engine.submit(ChunkRequest::new(SliceSource::new(data)).with_sink(sink));
+        }
+        engine.run(&Workload::Batch).unwrap();
+    }
+    for (sink, data) in sinks.iter().zip(&streams) {
+        assert_eq!(sink.streams, [address(data)]);
+    }
+
+    // An Inc-HDFS upload: its record-aligning sink hands the format the
+    // stream it consumed.
+    let text = workloads::words_corpus(1 << 20, 500, 0x61);
+    let format = RecordingFormat::default();
+    let mut fs = IncHdfs::new(3);
+    let upload = fs
+        .copy_from_local_gpu("/in", &text, &service, &format)
+        .unwrap();
+    assert!(upload.splits > 1, "{} splits", upload.splits);
+    let seen = format.streams.into_inner();
+    assert!(!seen.is_empty());
+    assert!(seen.iter().all(|&at| at == address(&text)), "{seen:?}");
 }
 
 #[test]
