@@ -308,8 +308,9 @@ impl BackupServer {
     ///
     /// # Errors
     ///
-    /// [`ChunkError`] if the engine rejects the configuration or a
-    /// kernel launch fails; no image is stored in that case. Per-image
+    /// [`ChunkError`] if the engine rejects the configuration or, on the
+    /// GPU executor, a buffer region (buffer plus carry) is larger than
+    /// device memory; no image is stored in that case. Per-image
     /// `Overloaded` rejections come back inside the report instead.
     pub fn backup_service(
         &mut self,

@@ -530,8 +530,9 @@ impl<'a> ShredderFleet<'a> {
     ///
     /// [`ChunkError::InvalidConfig`] for an invalid fleet config, an
     /// undefined tenant class, or a closed-loop workload (routing
-    /// needs precomputable arrivals); [`ChunkError::Gpu`] if a node's
-    /// kernel launch fails. Per-request sheds and losses are *not* run
+    /// needs precomputable arrivals); [`ChunkError::Gpu`] if, on the GPU
+    /// executor, a node's buffer region (buffer plus carry) is larger
+    /// than device memory. Per-request sheds and losses are *not* run
     /// errors — they come back inside [`FleetOutcome::requests`].
     pub fn run(&mut self, workload: &Workload) -> Result<FleetOutcome, ChunkError> {
         let cfg = self.config.clone();

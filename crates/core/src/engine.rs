@@ -366,7 +366,8 @@ impl<'a> ShredderEngine<'a> {
     /// [`ChunkError::InvalidConfig`] for unusable chunking parameters, a
     /// pin outside the pool or a request naming an undefined tenant
     /// class — these leave the submitted requests in place for a
-    /// corrected re-run; [`ChunkError::Gpu`] if a kernel launch fails.
+    /// corrected re-run; [`ChunkError::Gpu`] if, on the GPU executor, a
+    /// buffer region (buffer plus carry) is larger than device memory.
     /// Errors abort the whole run (no partial simulation is reported).
     /// Per-request `Overloaded` rejections are *not* run errors — they
     /// come back inside [`EngineOutcome::sessions`].
@@ -561,9 +562,10 @@ impl<'a> ShredderEngine<'a> {
     /// pipeline buffer at a time, each buffer preceded by the
     /// kernel-overlap byte carry (the last `overlap` bytes before it, or
     /// all of them near the stream's start) so windows spanning buffer
-    /// boundaries are found exactly once. Kernel errors propagate. When
-    /// the session has a sink, the binding keeps the request's source so
-    /// the sink's functional pass reads the same bytes.
+    /// boundaries are found exactly once. On the GPU executor a region
+    /// larger than device memory fails the run. When the session has a
+    /// sink, the binding keeps the request's source so the sink's
+    /// functional pass reads the same bytes.
     fn plan_session(
         &self,
         index: usize,
@@ -582,13 +584,23 @@ impl<'a> ShredderEngine<'a> {
             let end = (start + self.config.buffer_size).min(data.len());
             let scan_start = start - overlap.min(start);
             // Scan carry + buffer so boundary-spanning windows are seen.
-            let out = self
-                .kernel
-                .run(&self.config.device, &data[scan_start..end])?;
+            let region = &data[scan_start..end];
+            let filled = (end - start) as u64;
+            let (raw_cuts, kernel_dur) = match self.config.executor {
+                Executor::Gpu => {
+                    let out = self.kernel.run(&self.config.device, region)?;
+                    (out.raw_cuts, out.stats.duration)
+                }
+                // Host buffers never reach a device.
+                Executor::Host(allocator) => (
+                    self.kernel.boundary().raw_cuts(region),
+                    host_scan_time(filled, allocator),
+                ),
+            };
 
             let before = cuts.len();
             cuts.extend(
-                out.raw_cuts
+                raw_cuts
                     .iter()
                     .map(|c| RawCut {
                         offset: c.offset + scan_start as u64,
@@ -596,11 +608,6 @@ impl<'a> ShredderEngine<'a> {
                     })
                     .filter(|c| c.offset > start as u64),
             );
-            let filled = (end - start) as u64;
-            let kernel_dur = match self.config.executor {
-                Executor::Gpu => out.stats.duration,
-                Executor::Host(allocator) => host_scan_time(filled, allocator),
-            };
             buffers.push(PlannedBuffer {
                 bytes: filled,
                 cut_count: (cuts.len() - before) as u64,
@@ -2132,6 +2139,7 @@ fn build_service_report(
 mod tests {
     use super::*;
     use crate::source::SliceSource;
+    use shredder_gpu::GpuError;
     use shredder_rabin::{chunk_all, ChunkParams};
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
@@ -2341,6 +2349,42 @@ mod tests {
             Err(ChunkError::InvalidConfig(msg)) => assert!(msg.contains("window")),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
+    }
+
+    /// A device that holds a whole 64 KiB buffer but not buffer plus
+    /// carry: every buffer after the first is one byte too long.
+    fn device_one_byte_short_of_the_carry(cfg: ShredderConfig) -> ShredderConfig {
+        let mut cfg = cfg.with_buffer_size(64 << 10);
+        cfg.device.global_mem_bytes = (64 << 10) + ChunkParams::paper().window - 2;
+        cfg
+    }
+
+    #[test]
+    fn gpu_region_larger_than_device_memory_fails_the_run() {
+        let cfg = device_one_byte_short_of_the_carry(ShredderConfig::gpu_streams_memory());
+        let data = pseudo_random(3 * (64 << 10), 14);
+        let mut engine = ShredderEngine::new(cfg.clone());
+        engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+        assert_eq!(
+            engine.run(&Workload::Batch).unwrap_err(),
+            ChunkError::Gpu(GpuError::OutOfMemory {
+                requested: (64 << 10) + ChunkParams::paper().window - 1,
+                available: cfg.device.global_mem_bytes,
+            })
+        );
+    }
+
+    #[test]
+    fn host_buffers_never_reach_device_memory() {
+        let cfg = device_one_byte_short_of_the_carry(ShredderConfig::cpu_pthreads());
+        let data = pseudo_random(3 * (64 << 10) + 123, 15);
+        let mut engine = ShredderEngine::new(cfg);
+        engine.submit(ChunkRequest::new(SliceSource::new(&data)));
+        let out = engine.run(&Workload::Batch).unwrap();
+        assert_eq!(
+            out.sessions[0].as_ref().unwrap().chunks,
+            chunk_all(&data, &ChunkParams::paper())
+        );
     }
 
     #[test]

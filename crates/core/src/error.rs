@@ -7,15 +7,16 @@ use shredder_gpu::GpuError;
 
 /// An error from the session-based chunking engine.
 ///
-/// Kernel launches and device transfers can fail (invalid buffers,
-/// out-of-memory) and misconfigured chunking parameters are rejected up
-/// front; both propagate through the session API instead of panicking
-/// inside the pipeline. Under a bounded
-/// [`AdmissionControl`](crate::AdmissionControl) a request can
+/// On the GPU executor a kernel launch fails when its buffer region
+/// (buffer plus carry) is larger than device memory, and misconfigured
+/// chunking parameters are rejected up front; both propagate through
+/// the session API instead of panicking inside the pipeline. Under a
+/// bounded [`AdmissionControl`](crate::AdmissionControl) a request can
 /// additionally be rejected by admission control under overload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChunkError {
-    /// The GPU model rejected an operation.
+    /// A GPU-executor buffer region (buffer plus carry) is larger than
+    /// device memory.
     Gpu(GpuError),
     /// The engine configuration is unusable (e.g. a zero-byte Rabin
     /// window, which would make the buffer-overlap math meaningless).
@@ -34,7 +35,7 @@ pub enum ChunkError {
 impl fmt::Display for ChunkError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ChunkError::Gpu(e) => write!(f, "gpu error: {e:?}"),
+            ChunkError::Gpu(e) => write!(f, "gpu error: {e}"),
             ChunkError::InvalidConfig(msg) => write!(f, "invalid engine config: {msg}"),
             ChunkError::Overloaded { queued } => write!(
                 f,
@@ -60,12 +61,17 @@ mod tests {
     #[test]
     fn display_and_conversion() {
         let e: ChunkError = GpuError::OutOfMemory {
-            requested: 1,
-            available: 0,
+            requested: 4097,
+            available: 4096,
         }
         .into();
         assert!(matches!(e, ChunkError::Gpu(_)));
-        assert!(e.to_string().contains("gpu error"));
+        let msg = e.to_string();
+        assert!(msg.contains("gpu error"), "{msg}");
+        assert!(
+            msg.contains("requested 4097 bytes, 4096 available"),
+            "{msg}"
+        );
         let c = ChunkError::InvalidConfig("window must be non-zero".into());
         assert!(c.to_string().contains("window"));
     }

@@ -111,8 +111,9 @@ impl Shredder {
     ///
     /// # Errors
     ///
-    /// [`ChunkError`] when the engine rejects the configuration or a
-    /// kernel launch fails.
+    /// [`ChunkError`] when the engine rejects the configuration or, on
+    /// the GPU executor, a buffer region (buffer plus carry) is larger
+    /// than device memory.
     pub fn chunk_stream(&self, data: &[u8]) -> Result<ChunkOutcome, ChunkError> {
         let mut outcome = self.run_one(ChunkRequest::new(SliceSource::new(data)))?;
         let session = outcome.sessions.swap_remove(0)?;

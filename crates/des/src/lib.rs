@@ -49,5 +49,5 @@ pub mod time;
 pub use channel::BandwidthChannel;
 pub use engine::Simulation;
 pub use resources::{FifoServer, Semaphore};
-pub use stats::{nearest_rank, Counter, Histogram, TimeSeries};
+pub use stats::{nearest_rank, Histogram, TimeSeries};
 pub use time::{Dur, SimTime};

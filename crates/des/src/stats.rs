@@ -1,5 +1,5 @@
-//! Measurement utilities: counters, time series, histograms and the
-//! one nearest-rank percentile implementation.
+//! Measurement utilities: time series, histograms and the one
+//! nearest-rank percentile implementation.
 //!
 //! The experiment harness records per-stage timings and throughput
 //! series with these types; they are intentionally simple and
@@ -35,54 +35,6 @@ pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
     }
     let rank = (q * sorted.len() as f64).ceil() as usize;
     Some(sorted[rank.clamp(1, sorted.len()) - 1])
-}
-
-/// A monotonically increasing named counter.
-///
-/// # Examples
-///
-/// ```
-/// use shredder_des::Counter;
-///
-/// let mut hits = Counter::new("memo-hits");
-/// hits.add(3);
-/// hits.add(1);
-/// assert_eq!(hits.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// The counter's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
 }
 
 /// A (time, value) series sampled during a simulation.
@@ -334,15 +286,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("c");
-        c.incr();
-        c.add(5);
-        assert_eq!(c.value(), 6);
-        assert_eq!(c.name(), "c");
-    }
 
     #[test]
     fn series_stats() {

@@ -4,7 +4,8 @@
 //! so the pager cannot move it (§4.1.1). Pinning is expensive (Figure 6)
 //! and excessive pinning "can increase paging activity for unpinned
 //! pages" (§4.1.2), so Shredder allocates a small circular ring of pinned
-//! buffers once at startup and reuses them round-robin — [`PinnedRing`].
+//! buffers once at startup and reuses them round-robin; [`PinnedRing`]
+//! prices that ring.
 
 use serde::{Deserialize, Serialize};
 use shredder_des::Dur;
@@ -68,15 +69,13 @@ impl HostAllocModel {
     }
 }
 
-/// A circular ring of pre-allocated pinned buffers (§4.1.2, Figure 7).
+/// The cost model of a circular ring of pre-allocated pinned buffers
+/// (§4.1.2, Figure 7).
 ///
-/// Buffers are allocated once; [`acquire`](PinnedRing::acquire) hands out
-/// slots round-robin and [`release`](PinnedRing::release) returns them.
-/// The ring tracks how much one-time allocation cost it paid and how much
-/// per-iteration pinning cost it *avoided* — the Figure 6 comparison.
-///
-/// This type models *slot accounting and cost*; actual slot-availability
-/// scheduling in the pipeline uses a DES semaphore sized to
+/// The ring prices the one-time allocation it pays and the
+/// per-iteration pinning it *avoids* — the Figure 6 comparison. Which
+/// slots are free during a run is the pool's per-device ring semaphore
+/// ([`PooledDevice::ring`](crate::PooledDevice::ring)), sized to
 /// [`slots`](PinnedRing::slots).
 ///
 /// # Examples
@@ -84,21 +83,17 @@ impl HostAllocModel {
 /// ```
 /// use shredder_gpu::PinnedRing;
 ///
-/// let mut ring = PinnedRing::new(4, 32 << 20);
-/// let a = ring.acquire().unwrap();
-/// let b = ring.acquire().unwrap();
-/// assert_ne!(a, b);
-/// ring.release(a);
-/// ring.release(b);
-/// assert_eq!(ring.in_use(), 0);
+/// let ring = PinnedRing::new(4, 32 << 20);
+/// assert_eq!(ring.slots(), 4);
+/// // Pinning every slot once at startup costs more than one buffer
+/// // without the ring, and each reuse is far cheaper than that.
+/// assert!(ring.setup_time() > ring.per_buffer_time_without_ring());
+/// assert!(ring.per_buffer_time() < ring.per_buffer_time_without_ring());
 /// ```
 #[derive(Debug, Clone)]
 pub struct PinnedRing {
     slots: usize,
     buffer_bytes: usize,
-    free: Vec<usize>,
-    in_use: usize,
-    acquisitions: u64,
     alloc_model: HostAllocModel,
 }
 
@@ -113,9 +108,6 @@ impl PinnedRing {
         PinnedRing {
             slots,
             buffer_bytes,
-            free: (0..slots).rev().collect(),
-            in_use: 0,
-            acquisitions: 0,
             alloc_model: HostAllocModel::new(),
         }
     }
@@ -128,36 +120,6 @@ impl PinnedRing {
     /// Bytes per slot.
     pub fn buffer_bytes(&self) -> usize {
         self.buffer_bytes
-    }
-
-    /// Slots currently handed out.
-    pub fn in_use(&self) -> usize {
-        self.in_use
-    }
-
-    /// Total acquisitions served.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
-    /// Takes a free slot, or `None` if all are in use.
-    pub fn acquire(&mut self) -> Option<usize> {
-        let slot = self.free.pop()?;
-        self.in_use += 1;
-        self.acquisitions += 1;
-        Some(slot)
-    }
-
-    /// Returns a slot to the ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot index is out of range or already free.
-    pub fn release(&mut self, slot: usize) {
-        assert!(slot < self.slots, "slot {slot} out of range");
-        assert!(!self.free.contains(&slot), "slot {slot} double-released");
-        self.free.push(slot);
-        self.in_use -= 1;
     }
 
     /// One-time setup cost: pinning every slot at initialization
@@ -211,66 +173,6 @@ mod tests {
         let m = HostAllocModel::new();
         let t = m.alloc_time(HostMemKind::Pinned, 256 << 20).as_millis_f64();
         assert!(t > 300.0 && t < 1000.0, "256MB pinned alloc {t}ms");
-    }
-
-    #[test]
-    fn ring_slot_accounting() {
-        let mut ring = PinnedRing::new(2, 1024);
-        let a = ring.acquire().unwrap();
-        let b = ring.acquire().unwrap();
-        assert!(ring.acquire().is_none());
-        ring.release(a);
-        let c = ring.acquire().unwrap();
-        assert_eq!(c, a); // round-robin reuse
-        ring.release(b);
-        ring.release(c);
-        assert_eq!(ring.acquisitions(), 3);
-    }
-
-    #[test]
-    fn ring_exhaustion_and_release_reuse_cycles() {
-        // The overlap scheduler leans on slot reuse: drain the ring,
-        // verify exhaustion, then cycle release→acquire many times and
-        // check every handed-out slot index stays in range and unique
-        // among in-flight slots.
-        let slots = 3;
-        let mut ring = PinnedRing::new(slots, 4096);
-        let mut held: Vec<usize> = (0..slots).map(|_| ring.acquire().unwrap()).collect();
-        assert_eq!(ring.in_use(), slots);
-        assert!(ring.acquire().is_none(), "exhausted ring must refuse");
-        assert!(ring.acquire().is_none(), "exhaustion is stable");
-
-        for round in 0..10 {
-            let freed = held.remove(round % held.len());
-            ring.release(freed);
-            assert_eq!(ring.in_use(), slots - 1);
-            let got = ring.acquire().expect("slot just freed");
-            assert!(got < slots, "slot {got} out of range");
-            assert!(!held.contains(&got), "slot {got} double-issued");
-            held.push(got);
-            assert!(ring.acquire().is_none(), "ring full again");
-        }
-        assert_eq!(ring.acquisitions(), slots as u64 + 10);
-        for s in held {
-            ring.release(s);
-        }
-        assert_eq!(ring.in_use(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_release_panics() {
-        let mut ring = PinnedRing::new(2, 1024);
-        ring.release(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "double-released")]
-    fn double_release_panics() {
-        let mut ring = PinnedRing::new(2, 1024);
-        let a = ring.acquire().unwrap();
-        ring.release(a);
-        ring.release(a);
     }
 
     #[test]

@@ -41,7 +41,6 @@ use crate::coalesce::{
     classify_half_warp, cooperative_addresses, substream_addresses, CoalesceClass,
 };
 use crate::config::DeviceConfig;
-use crate::device::{BufferId, Device, GpuError};
 use crate::dram::{AccessModel, AccessPattern, Locality, MemCost};
 use crate::simt::{KernelWorkload, SimtEngine, SimtReport};
 
@@ -98,6 +97,35 @@ impl std::fmt::Display for KernelVariant {
     }
 }
 
+/// A kernel launch the device cannot hold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GpuError {
+    /// The scanned region (buffer plus carry) is longer than device
+    /// global memory — the 2.6 GB of the C2050 (§5.3) that makes
+    /// Shredder stream bounded buffers rather than whole files.
+    OutOfMemory {
+        /// Bytes the launch needs resident.
+        requested: usize,
+        /// Device global memory, bytes.
+        available: usize,
+    },
+}
+
+impl std::fmt::Display for GpuError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let GpuError::OutOfMemory {
+            requested,
+            available,
+        } = self;
+        write!(
+            f,
+            "device out of memory: requested {requested} bytes, {available} available"
+        )
+    }
+}
+
+impl std::error::Error for GpuError {}
+
 /// Execution statistics of one kernel launch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelStats {
@@ -152,16 +180,13 @@ impl KernelOutput {
 ///
 /// ```
 /// use shredder_gpu::kernel::{ChunkKernel, KernelVariant};
-/// use shredder_gpu::{Device, DeviceConfig};
+/// use shredder_gpu::DeviceConfig;
 /// use shredder_rabin::{chunker::raw_cuts, ChunkParams};
 ///
-/// let mut dev = Device::new(DeviceConfig::tesla_c2050());
 /// let data: Vec<u8> = (0..1u32 << 18).map(|i| (i.wrapping_mul(2654435761) >> 7) as u8).collect();
-/// let buf = dev.alloc(data.len())?;
-/// dev.memcpy_h2d(buf, &data)?;
-///
 /// let params = ChunkParams::paper();
-/// let out = ChunkKernel::new(params.clone(), KernelVariant::Basic).launch(&dev, buf)?;
+/// let kernel = ChunkKernel::new(params.clone(), KernelVariant::Basic);
+/// let out = kernel.run(&DeviceConfig::tesla_c2050(), &data)?;
 /// // GPU boundaries are bit-identical to the sequential CPU scan.
 /// assert_eq!(out.cut_offsets(), raw_cuts(&data, &params));
 /// # Ok::<(), shredder_gpu::GpuError>(())
@@ -265,19 +290,21 @@ impl ChunkKernel {
         full.min(max_useful).max(1)
     }
 
-    /// Launches the kernel over a device buffer.
+    /// Launches the kernel over `data`, the region one launch holds in
+    /// device global memory (a pipeline buffer plus its carry): the
+    /// region's raw cuts and the launch's simulated timing.
     ///
     /// # Errors
     ///
-    /// [`GpuError::InvalidBuffer`] if the buffer is not allocated.
-    pub fn launch(&self, device: &Device, buf: BufferId) -> Result<KernelOutput, GpuError> {
-        let data = device.buffer(buf)?;
-        self.run(device.config(), data)
-    }
-
-    /// Runs the kernel over a byte slice directly (the device-buffer-less
-    /// path used by unit tests and calibration sweeps).
+    /// [`GpuError::OutOfMemory`] if `data` is longer than
+    /// `config.global_mem_bytes`.
     pub fn run(&self, config: &DeviceConfig, data: &[u8]) -> Result<KernelOutput, GpuError> {
+        if data.len() > config.global_mem_bytes {
+            return Err(GpuError::OutOfMemory {
+                requested: data.len(),
+                available: config.global_mem_bytes,
+            });
+        }
         let threads = self.thread_count(config, data.len());
 
         // ----- Functional half: real chunk boundaries. -----
@@ -512,16 +539,22 @@ mod tests {
     }
 
     #[test]
-    fn launch_via_device_buffer() {
-        let params = ChunkParams::paper();
-        let data = pseudo_random(1 << 19, 5);
-        let mut dev = Device::new(config());
-        let buf = dev.alloc(data.len()).unwrap();
-        dev.memcpy_h2d(buf, &data).unwrap();
-        let out = ChunkKernel::new(params.clone(), KernelVariant::Coalesced)
-            .launch(&dev, buf)
-            .unwrap();
-        assert_eq!(out.cut_offsets(), raw_cuts(&data, &params));
+    fn region_longer_than_device_memory_is_out_of_memory() {
+        let cfg = DeviceConfig {
+            global_mem_bytes: 4096,
+            ..config()
+        };
+        let data = pseudo_random(4097, 5);
+        let kernel = ChunkKernel::new(ChunkParams::paper(), KernelVariant::Coalesced);
+        let fits = kernel.run(&cfg, &data[..4096]).unwrap();
+        assert_eq!(fits.stats.bytes, 4096);
+        assert_eq!(
+            kernel.run(&cfg, &data),
+            Err(GpuError::OutOfMemory {
+                requested: 4097,
+                available: 4096,
+            })
+        );
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! * [`config`]/[`calibration`] — the C2050's published characteristics
 //!   (paper Table 1) and every timing constant, each documented with the
 //!   paper measurement it is calibrated against.
-//! * [`device`] — device global memory: allocation, byte-accurate
-//!   `memcpy` H2D/D2H (the *functional* half: kernels chunk real bytes).
 //! * [`dram`] — the GDDR5 bank/row model of §2.3: sense amplifiers,
 //!   `ACT`/`PRE` penalties, bank conflicts; both a cycle-walking
 //!   [`BankArray`](dram::BankArray) for address traces and a closed-form
@@ -20,15 +18,21 @@
 //! * [`coalesce`] — the half-warp coalescing rules of §4.3 (element size
 //!   4/8/16 B, Nth thread → Nth element, 16-byte segment alignment).
 //! * [`hostmem`] — pageable vs pinned host memory: allocation cost,
-//!   staging copies, and the pinned circular ring of §4.1.2.
+//!   staging copies, and the cost of the pinned circular ring of §4.1.2
+//!   (its slots are the [`pool`]'s per-device ring semaphore).
 //! * [`dma`] — the PCIe DMA engine with the Figure 3 bandwidth behaviour
 //!   (per-transfer setup cost, pageable staging penalty).
 //! * [`simt`] — SIMT execution timing: warps, occupancy-based latency
 //!   hiding, warp-divergence penalties (§5.2.2).
-//! * [`kernel`] — the two chunking kernels (basic §3.1 and coalesced
-//!   §4.3). Both produce *bit-identical* raw chunk boundaries — verified
-//!   against the sequential CPU chunker — and differ only in their memory
-//!   access pattern, hence simulated duration.
+//! * [`kernel`] — the chunking kernels (basic §3.1 and coalesced §4.3,
+//!   each with a Rabin and a Gear detector) and the one launch path,
+//!   [`ChunkKernel::run`](kernel::ChunkKernel::run): the *functional*
+//!   half scans the real bytes of a buffer, producing raw chunk
+//!   boundaries *bit-identical* to the sequential CPU chunker, and the
+//!   timing half simulates the access pattern. A launch whose region is
+//!   longer than device global memory (2.6 GB on the C2050, §5.3 — the
+//!   reason Shredder streams bounded twin buffers) fails with
+//!   [`GpuError::OutOfMemory`].
 //! * [`executor`] — the device-side engines (H2D DMA, D2H DMA, compute)
 //!   as discrete-event resources, supporting synchronous or
 //!   stream-overlapped operation (double buffering).
@@ -48,18 +52,19 @@
 //! # Examples
 //!
 //! ```
-//! use shredder_gpu::{Device, DeviceConfig};
 //! use shredder_gpu::kernel::{ChunkKernel, KernelVariant};
+//! use shredder_gpu::{DeviceConfig, GpuError};
 //! use shredder_rabin::ChunkParams;
 //!
-//! let mut device = Device::new(DeviceConfig::tesla_c2050());
+//! let config = DeviceConfig::tesla_c2050();
 //! let data = vec![0x5au8; 1 << 20];
-//! let buf = device.alloc(data.len()).unwrap();
-//! device.memcpy_h2d(buf, &data).unwrap();
-//!
 //! let kernel = ChunkKernel::new(ChunkParams::paper(), KernelVariant::Coalesced);
-//! let out = kernel.launch(&device, buf).unwrap();
+//! let out = kernel.run(&config, &data).unwrap();
 //! assert!(out.stats.duration.as_millis_f64() > 0.0);
+//!
+//! // A region the device cannot hold never launches.
+//! let tiny = DeviceConfig { global_mem_bytes: 1 << 10, ..config };
+//! assert!(matches!(kernel.run(&tiny, &data), Err(GpuError::OutOfMemory { .. })));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -68,7 +73,6 @@
 pub mod calibration;
 pub mod coalesce;
 pub mod config;
-pub mod device;
 pub mod dma;
 pub mod dram;
 pub mod executor;
@@ -79,9 +83,9 @@ pub mod simt;
 pub mod stream;
 
 pub use config::DeviceConfig;
-pub use device::{BufferId, Device, GpuError};
 pub use dma::DmaModel;
 pub use executor::GpuExecutor;
 pub use hostmem::{HostAllocModel, HostMemKind, PinnedRing};
+pub use kernel::GpuError;
 pub use pool::{BufferJob, DevicePool, PooledDevice};
 pub use stream::{Event, Stream};

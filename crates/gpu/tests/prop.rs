@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use shredder_gpu::coalesce::{classify_half_warp, CoalesceClass};
 use shredder_gpu::dram::{AccessModel, AccessPattern, BankArray, Locality};
 use shredder_gpu::kernel::{ChunkKernel, KernelVariant};
-use shredder_gpu::{Device, DeviceConfig};
+use shredder_gpu::DeviceConfig;
 use shredder_rabin::chunker::raw_cuts;
 use shredder_rabin::ChunkParams;
 
@@ -49,38 +49,6 @@ proptest! {
             let tb = k.run(&config(), &b).unwrap().stats.duration;
             prop_assert!(tb > ta, "{variant}: {tb:?} !> {ta:?}");
         }
-    }
-
-    /// Device memcpy round-trips arbitrary payloads at arbitrary
-    /// offsets.
-    #[test]
-    fn device_memcpy_roundtrip(payload in proptest::collection::vec(any::<u8>(), 1..4096), pad in 0usize..512) {
-        let mut dev = Device::new(config());
-        let buf = dev.alloc(payload.len() + pad).unwrap();
-        dev.memcpy_h2d_at(buf, pad, &payload).unwrap();
-        let mut out = vec![0u8; payload.len() + pad];
-        dev.memcpy_d2h(buf, &mut out).unwrap();
-        prop_assert_eq!(&out[pad..], &payload[..]);
-        prop_assert!(out[..pad].iter().all(|&b| b == 0));
-    }
-
-    /// Allocation accounting: used + available == capacity, always.
-    #[test]
-    fn device_allocation_accounting(sizes in proptest::collection::vec(1usize..(64 << 20), 1..10)) {
-        let mut dev = Device::new(config());
-        let cap = dev.config().global_mem_bytes;
-        let mut ids = Vec::new();
-        for s in sizes {
-            if let Ok(id) = dev.alloc(s) {
-                ids.push(id);
-            }
-            prop_assert_eq!(dev.used() + dev.available(), cap);
-        }
-        for id in ids {
-            dev.free(id).unwrap();
-            prop_assert_eq!(dev.used() + dev.available(), cap);
-        }
-        prop_assert_eq!(dev.used(), 0);
     }
 
     /// The coalescing classifier accepts exactly the §4.3 pattern:

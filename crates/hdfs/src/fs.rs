@@ -290,7 +290,8 @@ impl IncHdfs {
     /// # Errors
     ///
     /// [`HdfsError::Chunking`] if the engine rejects the configuration
-    /// or a kernel launch fails; no file is committed in that case.
+    /// or, on the GPU executor, a buffer region (buffer plus carry) is
+    /// larger than device memory; no file is committed in that case.
     #[allow(clippy::type_complexity)]
     pub fn copy_many_gpu(
         &mut self,

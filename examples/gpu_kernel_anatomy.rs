@@ -9,7 +9,7 @@
 
 use shredder::gpu::coalesce::{classify_half_warp, cooperative_addresses, substream_addresses};
 use shredder::gpu::kernel::{ChunkKernel, KernelVariant};
-use shredder::gpu::{Device, DeviceConfig};
+use shredder::gpu::DeviceConfig;
 use shredder::rabin::ChunkParams;
 use shredder::workloads;
 
@@ -24,15 +24,11 @@ fn main() {
         cfg.dram_banks
     );
 
-    // Stage the buffer in device global memory.
     let data = workloads::random_bytes(64 << 20, 7);
-    let mut device = Device::new(cfg.clone());
-    let buf = device.alloc(data.len()).expect("device allocation");
-    device.memcpy_h2d(buf, &data).expect("H2D memcpy");
 
     for variant in KernelVariant::ALL {
         let kernel = ChunkKernel::new(ChunkParams::paper(), variant);
-        let out = kernel.launch(&device, buf).expect("kernel launch");
+        let out = kernel.run(&cfg, &data).expect("buffer fits device memory");
         let s = &out.stats;
         println!("\n--- {variant} kernel ---");
         println!("  threads            : {}", s.threads);
