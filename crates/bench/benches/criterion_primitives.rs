@@ -179,6 +179,17 @@ fn bench_sha256(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
+    // The same bytes in batches of four, as a fleet restore verifies
+    // one generation's chunks per call.
+    let batches: Vec<&[&[u8]]> = messages.chunks(4).collect();
+    group.bench_function("batch_of_4x4KiB", |b| {
+        b.iter(|| {
+            batches
+                .iter()
+                .map(|batch| sha256_many(batch))
+                .collect::<Vec<_>>()
+        })
+    });
     group.finish();
 }
 

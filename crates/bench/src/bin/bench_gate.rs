@@ -20,6 +20,8 @@
 //! `_comment`) are skipped. Both files are read with
 //! [`shredder_telemetry::Json`], the parser behind every dump.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 

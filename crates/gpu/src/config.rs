@@ -7,8 +7,7 @@ use crate::calibration;
 /// Architecture parameters of the simulated GPU.
 ///
 /// Defaults come from [`DeviceConfig::tesla_c2050`], the paper's testbed
-/// (§5.3): 14 SMs × 32 SPs @ 1.15 GHz, 2.6 GB GDDR5 @ 144 GB/s, 48 KB
-/// shared memory per SM.
+/// (§5.3): 14 SMs × 32 SPs @ 1.15 GHz, 2.6 GB GDDR5 @ 144 GB/s.
 ///
 /// # Examples
 ///
@@ -31,10 +30,6 @@ pub struct DeviceConfig {
     pub mem_bandwidth: f64,
     /// Global-memory access latency in core cycles.
     pub mem_latency_cycles: u64,
-    /// Shared memory per SM (and per resident thread block here), bytes.
-    pub shared_mem_per_sm: usize,
-    /// 32-bit registers per SM.
-    pub registers_per_sm: u32,
     /// Threads per warp.
     pub warp_size: u32,
     /// DRAM banks visible to the memory controller.
@@ -59,8 +54,6 @@ impl DeviceConfig {
             global_mem_bytes: 2_600_000_000, // 2.6 GB (§5.3)
             mem_bandwidth: calibration::DEVICE_MEM_BW,
             mem_latency_cycles: calibration::DEVICE_MEM_LATENCY_CYCLES,
-            shared_mem_per_sm: 48 * 1024, // 48 KB (§5.3)
-            registers_per_sm: 32_768,     // (§5.3)
             warp_size: 32,
             dram_banks: 16,
             dram_row_bytes: 2048,
@@ -102,8 +95,6 @@ mod tests {
         assert_eq!(c.sms, 14);
         assert_eq!(c.sps_per_sm, 32);
         assert_eq!(c.total_cores(), 448);
-        assert_eq!(c.shared_mem_per_sm, 48 * 1024);
-        assert_eq!(c.registers_per_sm, 32_768);
         assert!((c.clock_hz - 1.15e9).abs() < 1.0);
         assert!((c.mem_bandwidth - 144e9).abs() < 1.0);
     }

@@ -117,11 +117,6 @@ impl PinnedRing {
         self.slots
     }
 
-    /// Bytes per slot.
-    pub fn buffer_bytes(&self) -> usize {
-        self.buffer_bytes
-    }
-
     /// One-time setup cost: pinning every slot at initialization
     /// (§4.1.2: "allocated only once during the system initialization").
     pub fn setup_time(&self) -> Dur {

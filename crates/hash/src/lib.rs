@@ -4,8 +4,8 @@
 //! and *matching*. This crate provides the hashing half: a from-scratch
 //! [SHA-256](fn@sha256) implementation used to compute collision-resistant
 //! chunk fingerprints (the paper's Store thread "computes a hash for the
-//! overall chunk", §7.2) — one message at a time, or a batch eight at a
-//! time with [`sha256_many`] — a fast non-cryptographic [FNV-1a](fnv) hash used
+//! overall chunk", §7.2) — one message at a time, or a batch with
+//! [`sha256_many`] — a fast non-cryptographic [FNV-1a](fnv) hash used
 //! by in-memory dedup indexes, the [`Digest`] newtype that the rest of
 //! the workspace uses as a chunk identity, and the shared seeded-hash /
 //! deterministic-PRNG utilities ([`mix`]) behind every reproducible
@@ -14,7 +14,13 @@
 //!
 //! SHA-256 is implemented here because the offline dependency set contains
 //! no cryptographic hash crate; it is tested against the NIST FIPS 180-4
-//! vectors.
+//! vectors. On an x86-64 CPU with the SHA extensions every digest runs
+//! on them, chosen at run time; elsewhere, a portable block function,
+//! with [`sha256_many`] hashing eight messages at a time in vector
+//! lanes. Calling the SHA-NI routine is the workspace's one `unsafe`
+//! block, so this crate denies `unsafe_code` where every other crate
+//! forbids it, and clippy's `undocumented_unsafe_blocks` holds that
+//! block to a `// SAFETY:` comment.
 //!
 //! # Examples
 //!
@@ -28,7 +34,8 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod digest;

@@ -5,9 +5,17 @@
 //! because the offline crate set contains no cryptographic hash; tested
 //! against the NIST example vectors.
 //!
-//! [`sha256_many`] hashes a batch of independent messages eight at a
-//! time in vector lanes; it needs an AVX2 build target (the workspace's
-//! `.cargo/config.toml`) to beat the scalar [`sha256`].
+//! Every digest path runs one block function, `compress_blocks`. On
+//! an x86-64 CPU with the SHA extensions (SHA-NI) it runs the hardware
+//! rounds; elsewhere it runs the portable `compress` block by block.
+//! The choice is made at run time from the CPU's feature flags, which
+//! the standard library detects once per process.
+//!
+//! Without SHA-NI, [`sha256_many`] hashes a batch of independent
+//! messages eight at a time in vector lanes; that needs an AVX2 build
+//! target (the workspace's `.cargo/config.toml`) to beat the scalar
+//! [`sha256`]. With SHA-NI it hashes them one by one on the hardware
+//! rounds, which beat the eight lanes.
 
 use crate::Digest;
 
@@ -56,21 +64,20 @@ const IDLE_BLOCK: [u8; 64] = [0; 64];
 pub fn sha256(data: &[u8]) -> Digest {
     let (blocks, tail) = data.as_chunks::<64>();
     let mut state = H0;
-    for block in blocks {
-        compress(&mut state, block);
-    }
+    compress_blocks(&mut state, blocks);
     finish(state, tail, data.len() as u64)
 }
 
 /// Computes the SHA-256 digest of every message, in order — the same
-/// digests as `messages.iter().map(|m| sha256(m))`, eight messages at
-/// a time.
+/// digests as `messages.iter().map(|m| sha256(m))`.
 ///
-/// Eight lanes each hold one message's state and compress one block
-/// per step, in lockstep; a lane whose message is done refills with
-/// the next one. Once no message is left and fewer than three lanes
-/// are busy, those messages finish on the scalar block function, so a
-/// batch of one costs what [`sha256`] does.
+/// On a CPU with SHA-NI that is exactly how it hashes them: one
+/// message at a time on the hardware rounds. Otherwise eight lanes
+/// each hold one message's state and compress one block per step, in
+/// lockstep; a lane whose message is done refills with the next one.
+/// Once no message is left and fewer than three lanes are busy, those
+/// messages finish on the scalar block function, so a batch of one
+/// costs what [`sha256`] does.
 ///
 /// # Examples
 ///
@@ -81,6 +88,15 @@ pub fn sha256(data: &[u8]) -> Digest {
 /// assert_eq!(sha256_many(&messages), messages.map(sha256));
 /// ```
 pub fn sha256_many(messages: &[&[u8]]) -> Vec<Digest> {
+    if sha_ni() {
+        return messages.iter().map(|m| sha256(m)).collect();
+    }
+    sha256_lanes(messages)
+}
+
+/// [`sha256_many`] without SHA-NI: eight messages at a time in vector
+/// lanes.
+fn sha256_lanes(messages: &[&[u8]]) -> Vec<Digest> {
     let mut out = vec![Digest::ZERO; messages.len()];
     let mut queue = messages.iter().enumerate();
     let mut lanes: [Option<Lane<'_>>; LANES] = Default::default();
@@ -189,9 +205,7 @@ fn pad(tail: &[u8], total_len: u64) -> ([[u8; 64]; 2], usize) {
 /// its full blocks) and returns the digest.
 fn finish(mut state: [u32; 8], tail: &[u8], total_len: u64) -> Digest {
     let (blocks, used) = pad(tail, total_len);
-    for block in &blocks[..used] {
-        compress(&mut state, block);
-    }
+    compress_blocks(&mut state, &blocks[..used]);
     digest_of(&state)
 }
 
@@ -204,7 +218,43 @@ fn digest_of(state: &[u32; 8]) -> Digest {
     Digest(out)
 }
 
-/// The SHA-256 block function on one message.
+/// The SHA-256 block function over consecutive blocks of one message,
+/// which every digest path runs: on the SHA-NI rounds when the CPU has
+/// them, else on the portable [`compress`] block by block.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni() {
+        // SAFETY: `ni::rounds` is safe to run on a CPU with every
+        // feature it enables: SHA, SSSE3 and SSE4.1 were detected just
+        // above by `sha_ni()`, and SSE2 is part of every x86-64 CPU.
+        #[allow(unsafe_code)]
+        unsafe {
+            ni::rounds(state, blocks)
+        };
+        return;
+    }
+    for block in blocks {
+        compress(state, block);
+    }
+}
+
+/// True when the CPU has SHA-NI and the SSE levels `ni::rounds` uses.
+/// The standard library detects the features once per process and
+/// caches them, so after the first call this is a few loads.
+fn sha_ni() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("sha")
+            && std::is_x86_feature_detected!("ssse3")
+            && std::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The portable SHA-256 block function on one message.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut lanes = state.map(|word| [word]);
     compress_lanes(&mut lanes, &[block]);
@@ -262,6 +312,93 @@ fn compress_lanes<const N: usize>(state: &mut [[u32; N]; 8], blocks: &[&[u8; 64]
     }
 }
 
+/// The SHA-256 block function on the x86 SHA extensions (SHA-NI).
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    use super::K;
+
+    /// The block function over a slice of blocks. The state stays in
+    /// two registers across the slice, as the SHA-NI rounds want it:
+    /// ABEF holds words a, b, e, f and CDGH words c, d, g, h, highest
+    /// lane first.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn rounds(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        let k = K.as_chunks::<4>().0;
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let [mut w0, mut w1, mut w2, mut w3] = message_words(block);
+            rounds4(&mut abef, &mut cdgh, w0, &k[0]);
+            rounds4(&mut abef, &mut cdgh, w1, &k[1]);
+            rounds4(&mut abef, &mut cdgh, w2, &k[2]);
+            rounds4(&mut abef, &mut cdgh, w3, &k[3]);
+            for i in (4..16).step_by(4) {
+                w0 = schedule(w0, w1, w2, w3);
+                rounds4(&mut abef, &mut cdgh, w0, &k[i]);
+                w1 = schedule(w1, w2, w3, w0);
+                rounds4(&mut abef, &mut cdgh, w1, &k[i + 1]);
+                w2 = schedule(w2, w3, w0, w1);
+                rounds4(&mut abef, &mut cdgh, w2, &k[i + 2]);
+                w3 = schedule(w3, w0, w1, w2);
+                rounds4(&mut abef, &mut cdgh, w3, &k[i + 3]);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|word| word as u32);
+    }
+
+    /// The block's sixteen big-endian message words, four per vector,
+    /// the first word in the lowest lane.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn message_words(block: &[u8; 64]) -> [__m128i; 4] {
+        let mut w = [0i32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes) as i32;
+        }
+        [0, 4, 8, 12].map(|i| _mm_set_epi32(w[i + 3], w[i + 2], w[i + 1], w[i]))
+    }
+
+    /// Four rounds on message words `w` with round constants `k`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, k: &[u32; 4]) {
+        let k = k.map(|k| k as i32);
+        let wk = _mm_add_epi32(w, _mm_set_epi32(k[3], k[2], k[1], k[0]));
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        // The second two rounds take the upper two words.
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+    }
+
+    /// The next four message words from the previous sixteen, oldest
+    /// first.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let sigma0 = _mm_sha256msg1_epu32(w0, w1);
+        let w7 = _mm_alignr_epi8::<4>(w3, w2);
+        _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w7), w3)
+    }
+}
+
 /// An incremental SHA-256 hasher.
 ///
 /// Feed data with [`update`](Sha256::update) and extract the digest with
@@ -313,14 +450,12 @@ impl Sha256 {
                 debug_assert!(rest.is_empty());
                 return;
             }
-            compress(&mut self.state, &self.buf);
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buf));
             self.buf_len = 0;
         }
 
         let (blocks, tail) = rest.as_chunks::<64>();
-        for block in blocks {
-            compress(&mut self.state, block);
-        }
+        compress_blocks(&mut self.state, blocks);
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
     }
@@ -339,6 +474,8 @@ impl Default for Sha256 {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     /// NIST FIPS 180-4 / common reference vectors.
@@ -365,6 +502,153 @@ mod tests {
         ),
     ];
 
+    /// The one-million-`a` vector (FIPS 180-4 example C.3).
+    const MILLION_A: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+
+    /// The digest of `data` with `blocks` as the block function.
+    fn digest_with(data: &[u8], mut blocks: impl FnMut(&mut [u32; 8], &[[u8; 64]])) -> Digest {
+        let (full, tail) = data.as_chunks::<64>();
+        let (pad, used) = pad(tail, data.len() as u64);
+        let mut state = H0;
+        blocks(&mut state, full);
+        blocks(&mut state, &pad[..used]);
+        digest_of(&state)
+    }
+
+    /// The portable block function, block by block.
+    fn portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        for block in blocks {
+            compress(state, block);
+        }
+    }
+
+    /// The SHA-NI block function: [`compress_blocks`] once `sha_ni()`
+    /// holds.
+    fn hardware(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        assert!(sha_ni(), "SHA-NI went away");
+        compress_blocks(state, blocks);
+    }
+
+    /// The portable digest of every message, one at a time.
+    fn portable_each(messages: &[&[u8]]) -> Vec<Digest> {
+        messages.iter().map(|m| digest_with(m, portable)).collect()
+    }
+
+    /// Message lengths at the padding edges: empty, one byte, the last
+    /// length whose padding fits one block (55), the first that needs
+    /// two (56), a block minus one, one block, and the same edge one
+    /// block on (119–121).
+    const EDGE_LENGTHS: [usize; 9] = [0, 1, 55, 56, 63, 64, 119, 120, 121];
+
+    /// Batch sizes around the lane count (8): none, one lane, a few,
+    /// one short of full, full, one over, and two full rounds plus one.
+    const BATCH_SIZES: [usize; 7] = [0, 1, 2, 7, 8, 9, 17];
+
+    #[test]
+    fn portable_compress_reproduces_vectors() {
+        for (input, expected) in VECTORS {
+            assert_eq!(
+                &digest_with(input, portable).to_hex(),
+                expected,
+                "input {input:?}"
+            );
+        }
+        let a = vec![b'a'; 1_000_000];
+        assert_eq!(digest_with(&a, portable).to_hex(), MILLION_A);
+    }
+
+    #[test]
+    fn lanes_reproduce_vectors() {
+        // Three copies: lanes refill, and the last ones finish on the
+        // scalar fallback.
+        let batch: Vec<&[u8]> = (0..3)
+            .flat_map(|_| VECTORS.iter().map(|(input, _)| *input))
+            .collect();
+        let digests = sha256_lanes(&batch);
+        assert_eq!(digests.len(), batch.len());
+        for (digest, (input, expected)) in digests.iter().zip(VECTORS.iter().cycle()) {
+            assert_eq!(&digest.to_hex(), expected, "input {input:?}");
+        }
+        // Three busy lanes run in lockstep to the end.
+        let a = vec![b'a'; 1_000_000];
+        for digest in sha256_lanes(&[&a, &a, &a]) {
+            assert_eq!(digest.to_hex(), MILLION_A);
+        }
+    }
+
+    #[test]
+    fn ni_reproduces_vectors() {
+        if !sha_ni() {
+            return;
+        }
+        for (input, expected) in VECTORS {
+            assert_eq!(
+                &digest_with(input, hardware).to_hex(),
+                expected,
+                "input {input:?}"
+            );
+        }
+        let a = vec![b'a'; 1_000_000];
+        assert_eq!(digest_with(&a, hardware).to_hex(), MILLION_A);
+    }
+
+    proptest! {
+        /// The SHA-NI rounds equal the portable ones on any message,
+        /// the padding edges and multi-block slices included.
+        #[test]
+        fn ni_matches_portable(
+            data in proptest::collection::vec(any::<u8>(), 1100..1101),
+            len in prop_oneof![0usize..1, 55..57, 63..65, 119..121, 0..1100],
+        ) {
+            if sha_ni() {
+                let message = &data[..len];
+                prop_assert_eq!(digest_with(message, hardware), digest_with(message, portable));
+                let (blocks, _) = message.as_chunks::<64>();
+                let (mut ni_state, mut state) = (H0, H0);
+                hardware(&mut ni_state, blocks);
+                portable(&mut state, blocks);
+                prop_assert_eq!(ni_state, state);
+            }
+        }
+
+        /// The lanes equal the portable digests for every listed batch
+        /// size over padding-edge lengths, with one long message
+        /// anywhere in the batch: the short messages' lanes refill
+        /// around it and it finishes its remaining full blocks alone on
+        /// the scalar fallback.
+        #[test]
+        fn lanes_match_portable(
+            batch in 0usize..BATCH_SIZES.len(),
+            lengths in proptest::collection::vec(0usize..EDGE_LENGTHS.len(), 17..18),
+            long in any::<bool>(),
+            long_at in 0usize..17,
+            long_len in 200usize..3000,
+            data in proptest::collection::vec(any::<u8>(), 3000..3001),
+        ) {
+            let n = BATCH_SIZES[batch];
+            let mut messages: Vec<&[u8]> = lengths[..n]
+                .iter()
+                .enumerate()
+                .map(|(k, &e)| &data[k * 7..k * 7 + EDGE_LENGTHS[e]])
+                .collect();
+            if long && n > 0 {
+                messages[long_at % n] = &data[..long_len];
+            }
+            prop_assert_eq!(sha256_lanes(&messages), portable_each(&messages));
+        }
+
+        /// The lanes equal the portable digests for random batches of
+        /// random lengths.
+        #[test]
+        fn lanes_match_portable_on_random_batches(
+            lengths in proptest::collection::vec(0usize..700, 0..40),
+            data in proptest::collection::vec(any::<u8>(), 700..701),
+        ) {
+            let messages: Vec<&[u8]> = lengths.iter().map(|&len| &data[..len]).collect();
+            prop_assert_eq!(sha256_lanes(&messages), portable_each(&messages));
+        }
+    }
+
     #[test]
     fn nist_vectors() {
         for (input, expected) in VECTORS {
@@ -374,8 +658,7 @@ mod tests {
 
     #[test]
     fn nist_vectors_through_sha256_many() {
-        // Three copies: lanes refill, and the last ones finish on the
-        // scalar fallback.
+        // Three copies, on whichever path this CPU takes.
         let batch: Vec<&[u8]> = (0..3)
             .flat_map(|_| VECTORS.iter().map(|(input, _)| *input))
             .collect();
@@ -390,10 +673,7 @@ mod tests {
     #[test]
     fn one_million_a() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(sha256(&data).to_hex(), MILLION_A);
     }
 
     #[test]

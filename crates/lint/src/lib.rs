@@ -17,11 +17,17 @@
 //! * **R6** — no wall clock at all (`SystemTime`, `Instant::now`, any
 //!   `std::time` path — imports included) in telemetry paths:
 //!   telemetry records sim time only
+//! * **R8** — `allow(unsafe_code)` only in `crates/hash/src/sha256.rs`
+//!   (the SHA-NI call); every other crate root carries
+//!   `#![forbid(unsafe_code)]`, so the compiler rejects `unsafe`
+//!   anywhere else
 //! * **A0** — suppression hygiene (every `allow` carries a reason)
 //!
-//! Test code is exempt: items behind `#[cfg(test)]`/`#[test]` are
-//! masked, and `tests/`, `benches/`, `examples/` and `vendor/` trees
-//! are never walked. Intentional exceptions are annotated inline:
+//! (R7 is reserved for a public-surface rule.) Test code is exempt
+//! from R1–R6: items behind `#[cfg(test)]`/`#[test]` are masked. R8
+//! covers them too, as the compiler's `unsafe_code` lint does. The
+//! `tests/`, `benches/`, `examples/` and `vendor/` trees are never
+//! walked. Intentional exceptions are annotated inline:
 //!
 //! ```text
 //! // shredder-lint: allow(R4) — collected into a Vec and sorted below
@@ -44,7 +50,8 @@ use std::path::{Path, PathBuf};
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`"R1"`…`"R6"`, or `"A0"` for suppression hygiene).
+    /// Rule id (`"R1"`…`"R6"`, `"R8"`, or `"A0"` for suppression
+    /// hygiene).
     pub rule: &'static str,
     /// Workspace-relative path with `/` separators.
     pub file: String,

@@ -6,6 +6,8 @@
 //! cargo run -p shredder-lint -- --root /path/to/workspace
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -27,7 +29,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "shredder-lint: determinism & invariant static analysis (R1-R5)\n\
+                    "shredder-lint: determinism & invariant static analysis (R1-R6, R8)\n\
                      usage: shredder-lint [--json] [--root <workspace>]"
                 );
                 return ExitCode::SUCCESS;

@@ -1,4 +1,5 @@
-//! The determinism rule set (R1–R5) over a scanned file.
+//! The determinism rule set (R1–R6) and the unsafe-surface rule (R8)
+//! over a scanned file.
 //!
 //! Every rule pattern-matches the significant-token stream; the lexer
 //! already removed comments and string/char literal interiors, and the
@@ -13,6 +14,7 @@
 //! | R4 | No order-dependent `HashMap`/`HashSet` iteration |
 //! | R5 | No `unwrap`/`expect`/`panic!` in hot-path library files |
 //! | R6 | No wall clock at all (`SystemTime`, `Instant::now`, any `std::time` path) in telemetry paths |
+//! | R8 | `allow(unsafe_code)` only in the one unsafe file; every other crate root forbids `unsafe_code` |
 //! | A0 | Suppression hygiene (reasonless or malformed `allow`) |
 
 use crate::lexer::TokKind;
@@ -62,6 +64,15 @@ const DECL_WALK_BAIL: &[&str] = &[
     "match", "if", "else", "in", "as", "move", "static", "const", "type", "crate", "self", "super",
     "mod",
 ];
+
+/// The one file (workspace-relative) where R8 lets
+/// `allow(unsafe_code)` appear: the SHA-NI call.
+pub const UNSAFE_FILE: &str = "crates/hash/src/sha256.rs";
+
+/// The one crate root R8 does not hold to `#![forbid(unsafe_code)]`:
+/// the root of [`UNSAFE_FILE`]'s crate, which denies `unsafe_code`
+/// instead.
+pub const UNSAFE_CRATE_ROOT: &str = "crates/hash/src/lib.rs";
 
 /// Runs every applicable rule on one scanned file. `rel_path` uses `/`
 /// separators and is relative to the workspace root.
@@ -245,6 +256,8 @@ pub fn check_file(rel_path: &str, scan: &ScanFile<'_>, config: &LintConfig) -> V
         }
     }
 
+    findings.extend(check_unsafe(rel_path, scan));
+
     // A0 — suppression hygiene.
     for s in &scan.suppressions {
         if !s.has_reason() {
@@ -279,6 +292,78 @@ pub fn check_file(rel_path: &str, scan: &ScanFile<'_>, config: &LintConfig) -> V
         }
     }
     findings
+}
+
+/// R8 — the unsafe surface. The compiler does the rest: every crate
+/// root but [`UNSAFE_CRATE_ROOT`] forbids `unsafe_code`, so `unsafe`
+/// compiles only where an `allow(unsafe_code)` lets it, and clippy's
+/// `undocumented_unsafe_blocks` holds each block to a `// SAFETY:`
+/// comment.
+///
+/// * An `allow(unsafe_code)` outside [`UNSAFE_FILE`] is a finding, test
+///   code included.
+/// * A crate root (`lib.rs`, `main.rs` or `bin/*.rs` under `src/` or
+///   `crates/<name>/src/`) other than [`UNSAFE_CRATE_ROOT`] must hold
+///   `#![forbid(unsafe_code)]`.
+fn check_unsafe(rel_path: &str, scan: &ScanFile<'_>) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut root_forbids = false;
+    for k in 0..scan.sig.len() {
+        if scan.kind(k) != TokKind::Ident || scan.text(k) != "unsafe_code" {
+            continue;
+        }
+        match lint_level(scan, k) {
+            Some(("allow", _)) if rel_path != UNSAFE_FILE => findings.push(Finding::new(
+                "R8",
+                rel_path,
+                scan.line(k),
+                &format!("`allow(unsafe_code)` outside `{UNSAFE_FILE}`"),
+            )),
+            Some(("forbid", true)) => root_forbids = true,
+            _ => {}
+        }
+    }
+    if is_crate_root(rel_path) && rel_path != UNSAFE_CRATE_ROOT && !root_forbids {
+        findings.push(Finding::new(
+            "R8",
+            rel_path,
+            1,
+            "crate root without `#![forbid(unsafe_code)]`",
+        ));
+    }
+    findings
+}
+
+/// For the lint name at `k` inside a lint attribute (`#[allow(a, b)]`,
+/// `#![forbid(b)]`), the attribute's level and whether it is an inner
+/// (`#!`) attribute.
+fn lint_level<'a>(scan: &ScanFile<'a>, k: usize) -> Option<(&'a str, bool)> {
+    let mut j = k;
+    while j > 0 && (scan.text(j - 1) == "," || scan.kind(j - 1) == TokKind::Ident) {
+        j -= 1;
+    }
+    if j < 4 || scan.text(j - 1) != "(" {
+        return None;
+    }
+    let level = scan.text(j - 2);
+    let inner = scan.text(j - 3) == "[" && scan.text(j - 4) == "!";
+    Some((level, inner))
+}
+
+/// True for `lib.rs`, `main.rs` and `bin/<file>.rs` under `src/` or
+/// `crates/<name>/src/`.
+fn is_crate_root(rel_path: &str) -> bool {
+    let in_src = rel_path.strip_prefix("src/").or_else(|| {
+        let (_, rest) = rel_path.strip_prefix("crates/")?.split_once('/')?;
+        rest.strip_prefix("src/")
+    });
+    match in_src {
+        Some("lib.rs" | "main.rs") => true,
+        Some(path) => path
+            .strip_prefix("bin/")
+            .is_some_and(|file| file.ends_with(".rs") && !file.contains('/')),
+        None => false,
+    }
 }
 
 /// Collects the names of bindings (fields, params, lets) declared with

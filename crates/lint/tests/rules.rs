@@ -1,7 +1,9 @@
 //! Fixture-corpus tests: each rule R1–R6 must fire on its seeded
 //! violation file, stay silent on the known-good file, respect reasoned
 //! `allow` suppressions, and report suppression-hygiene breaks (A0).
+//! R8 (the unsafe surface) is tested on inline sources.
 
+use shredder_lint::rules::{UNSAFE_CRATE_ROOT, UNSAFE_FILE};
 use shredder_lint::{lint_source, Finding, LintConfig};
 
 fn fixture(name: &str) -> String {
@@ -157,4 +159,65 @@ fn hygiene_breaks_report_a0_and_do_not_suppress() {
 fn good_file_is_silent_even_as_hot_path() {
     let findings = lint("good.rs", &["good.rs"]);
     assert!(findings.is_empty(), "{findings:?}");
+}
+
+/// R8 lines of `src` linted as `path`.
+fn r8_lines(path: &str, src: &str) -> Vec<u32> {
+    let findings = lint_source(path, src, &LintConfig::default());
+    unsuppressed(&findings, "R8")
+        .iter()
+        .map(|f| f.line)
+        .collect()
+}
+
+#[test]
+fn r8_allows_unsafe_code_only_in_the_unsafe_file() {
+    let src = "fn f() {\n\
+               \x20   // SAFETY: the CPU has the feature.\n\
+               \x20   #[allow(unsafe_code)]\n\
+               \x20   unsafe { g() };\n\
+               }\n\
+               #[cfg(test)]\n\
+               mod tests {\n\
+               \x20   #[allow(dead_code, unsafe_code)]\n\
+               \x20   fn h() {}\n\
+               }\n";
+    assert_eq!(r8_lines(UNSAFE_FILE, src), Vec::<u32>::new());
+    // Anywhere else each allow is a finding, test code included.
+    assert_eq!(r8_lines("crates/store/src/store.rs", src), vec![3, 8]);
+    // Other levels, and words in strings and comments, are not allows.
+    let quiet = "#[deny(unsafe_code)]\n\
+                 fn f() -> &'static str { \"allow(unsafe_code)\" } // allow(unsafe_code)\n";
+    assert_eq!(
+        r8_lines("crates/store/src/store.rs", quiet),
+        Vec::<u32>::new()
+    );
+}
+
+#[test]
+fn r8_requires_forbid_at_every_other_crate_root() {
+    let forbids = "//! A crate.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\npub mod a;\n";
+    let denies = "//! A crate.\n#![deny(unsafe_code)]\npub mod a;\n";
+    let outer = "//! A crate.\n#[forbid(unsafe_code)]\nmod a;\n";
+    for root in [
+        "src/lib.rs",
+        "crates/store/src/lib.rs",
+        "crates/lint/src/main.rs",
+        "crates/bench/src/bin/bench_gate.rs",
+    ] {
+        assert_eq!(r8_lines(root, forbids), Vec::<u32>::new(), "{root}");
+        assert_eq!(r8_lines(root, denies), vec![1], "{root}");
+        assert_eq!(r8_lines(root, outer), vec![1], "{root}");
+        assert_eq!(r8_lines(root, "pub mod a;\n"), vec![1], "{root}");
+    }
+    // The unsafe file's crate root may deny instead; modules are not
+    // crate roots.
+    assert_eq!(r8_lines(UNSAFE_CRATE_ROOT, denies), Vec::<u32>::new());
+    for module in [
+        "crates/store/src/index.rs",
+        "crates/store/src/index/lib.rs",
+        "crates/bench/src/bin/util/mod.rs",
+    ] {
+        assert_eq!(r8_lines(module, denies), Vec::<u32>::new(), "{module}");
+    }
 }

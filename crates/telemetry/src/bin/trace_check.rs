@@ -5,6 +5,8 @@
 //! unmatched `B`/`E`) in any input. CI runs this against every trace
 //! artifact the bench and fault-matrix jobs upload.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use shredder_telemetry::validate_chrome_trace;
