@@ -9,7 +9,8 @@
 //! online service path over a growing number of small requests (whose
 //! per-request cost should stay flat as the count grows), and the
 //! Word-Count and Co-occurrence map functions on one 64 KiB split of
-//! the fig15 words corpus.
+//! the fig15 words corpus, and one whole Word-Count run (map, shuffle
+//! and reduce) over 4 MiB of it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use shredder_core::{
@@ -19,7 +20,8 @@ use shredder_gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder_gpu::DeviceConfig;
 use shredder_hash::{sha256, sha256_many};
 use shredder_mapreduce::apps::{Cooccurrence, WordCount};
-use shredder_mapreduce::MapReduceJob;
+use shredder_mapreduce::runner::splits_from_bytes;
+use shredder_mapreduce::{ClusterConfig, IncrementalRunner, MapReduceJob};
 use shredder_rabin::{
     chunk_all, chunk_fixed, BoundaryKernel, ChunkParams, GearKernel, Polynomial, RabinKernel,
     RabinTables,
@@ -206,6 +208,20 @@ fn bench_mapreduce_map(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_mapreduce_run(c: &mut Criterion) {
+    // A fresh runner each iteration, so every split is mapped: the
+    // map, the shuffle and the reduce of one from-scratch job over 64
+    // 64 KiB splits.
+    let corpus = shredder_workloads::words_corpus(4 << 20, 2000, 7);
+    let splits = splits_from_bytes(&corpus, 64 << 10);
+    let mut group = c.benchmark_group("mapreduce_run");
+    group.throughput(Throughput::Bytes(corpus.len() as u64));
+    group.bench_function("wordcount_4MiB", |b| {
+        b.iter(|| IncrementalRunner::new(WordCount, ClusterConfig::paper()).run(&splits))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_rabin_tables,
@@ -214,6 +230,7 @@ criterion_group!(
     bench_kernel_small_buffer,
     bench_service_requests,
     bench_sha256,
-    bench_mapreduce_map
+    bench_mapreduce_map,
+    bench_mapreduce_run
 );
 criterion_main!(benches);

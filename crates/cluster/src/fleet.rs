@@ -118,34 +118,9 @@ impl FleetConfig {
         self
     }
 
-    /// Sets the virtual points per node.
-    pub fn with_vnodes(mut self, vnodes: usize) -> Self {
-        self.vnodes = vnodes;
-        self
-    }
-
-    /// Sets the ring seed.
-    pub fn with_ring_seed(mut self, seed: u64) -> Self {
-        self.ring_seed = seed;
-        self
-    }
-
     /// Sets the replication factor (total copies, primary included).
     pub fn with_replication(mut self, factor: usize) -> Self {
         self.replication = factor;
-        self
-    }
-
-    /// Sets the egress link bandwidth (bytes/s) and setup latency.
-    pub fn with_link(mut self, bytes_per_sec: f64, latency: Dur) -> Self {
-        self.link_bandwidth = bytes_per_sec;
-        self.link_latency = latency;
-        self
-    }
-
-    /// Sets the store-sink stage timing.
-    pub fn with_store(mut self, store: StoreSinkConfig) -> Self {
-        self.store = store;
         self
     }
 
@@ -507,11 +482,6 @@ impl<'a> ShredderFleet<'a> {
     /// The fleet configuration.
     pub fn config(&self) -> &FleetConfig {
         &self.config
-    }
-
-    /// Requests submitted and not yet run.
-    pub fn request_count(&self) -> usize {
-        self.requests.len()
     }
 
     /// Submits a request; returns its submit-order index.

@@ -144,11 +144,6 @@ impl HashRing {
         self.nodes.is_empty()
     }
 
-    /// Total virtual points resident (≈ `node_count × vnodes`).
-    pub fn point_count(&self) -> usize {
-        self.points.len()
-    }
-
     /// The primary owner of `key`: the node whose virtual point is
     /// first at or clockwise of the key's hash. `None` on an empty
     /// ring.

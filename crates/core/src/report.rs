@@ -143,15 +143,6 @@ impl ServiceReport {
         self.classes.iter().find(|c| c.class == name)
     }
 
-    /// Fraction of requests shed, in `[0, 1]`.
-    pub fn shed_fraction(&self) -> f64 {
-        let n = self.requests.len();
-        if n == 0 {
-            return 0.0;
-        }
-        self.shed as f64 / n as f64
-    }
-
     /// End-to-end latencies of all completed requests, ascending.
     pub fn latencies(&self) -> Vec<Dur> {
         let mut l: Vec<Dur> = self.requests.iter().filter_map(|r| r.latency()).collect();

@@ -150,11 +150,6 @@ impl Semaphore {
         self.inner.borrow().capacity
     }
 
-    /// Number of queued waiters.
-    pub fn queue_len(&self) -> usize {
-        self.inner.borrow().waiters.len()
-    }
-
     /// Peak queue length observed.
     pub fn max_queue_len(&self) -> usize {
         self.inner.borrow().max_queue

@@ -370,15 +370,6 @@ impl PooledDevice {
         self.stats.borrow().bytes
     }
 
-    /// Buffers completed on this device with the given kernel variant.
-    pub fn jobs_for(&self, variant: KernelVariant) -> u64 {
-        let slot = KernelVariant::ALL
-            .iter()
-            .position(|&v| v == variant)
-            .expect("every variant is in ALL");
-        self.stats.borrow().jobs_by_variant[slot]
-    }
-
     /// Busy time of the H2D DMA engine.
     pub fn transfer_busy(&self) -> Dur {
         self.gpu.h2d_busy()

@@ -209,11 +209,6 @@ impl IncHdfs {
         &self.namenode
     }
 
-    /// Number of DataNodes.
-    pub fn datanode_count(&self) -> usize {
-        self.datanodes.len()
-    }
-
     /// Total physical bytes stored across DataNodes.
     pub fn physical_bytes(&self) -> u64 {
         self.datanodes.iter().map(ChunkStore::physical_bytes).sum()

@@ -2,7 +2,9 @@
 //! formulation of the co-occurrence computation, a standard text-mining
 //! MapReduce benchmark).
 
-use crate::job::{Combiner, MapReduceJob};
+use std::cmp::Ordering;
+
+use crate::job::{exact, mix, words, Combiner, MapReduceJob, Word};
 
 /// Counts co-occurrences of words within a sliding window inside each
 /// record. Pair keys are `"left right"`; the map returns them sorted.
@@ -49,28 +51,30 @@ impl MapReduceJob for Cooccurrence {
 
     fn map(&self, split: &[u8]) -> Vec<(String, u64)> {
         let text = String::from_utf8_lossy(split);
-        let mut counts: Combiner<(&str, &str), u64> = Combiner::new();
-        let mut words: Vec<&str> = Vec::new();
-        for line in text.lines() {
-            words.clear();
-            words.extend(line.split_whitespace());
-            for (i, &left) in words.iter().enumerate() {
-                for &right in words.iter().skip(i + 1).take(self.window) {
-                    *counts.slot((left, right)) += 1;
-                }
+        // Room for `window` distinct pairs per 8 bytes, about the density
+        // of the words corpora, so a 64 KiB split's table never grows.
+        let mut counts: Combiner<Pair, u64> =
+            Combiner::with_capacity(split.len() / 8 * self.window);
+        // The current record's words so far, with their hashes.
+        let mut record: Vec<(u64, Word)> = Vec::new();
+        for (hash, right, new_line) in words(&text) {
+            if new_line {
+                record.clear();
             }
+            let lefts = &record[record.len().saturating_sub(self.window)..];
+            for &(left_hash, left) in lefts {
+                *counts.slot_hashed(mix(left_hash, hash), Pair(left, right)) += 1;
+            }
+            record.push((hash, right));
         }
-        // Format only the distinct pairs. Words hold no ' ', so distinct
-        // pairs format to distinct keys; sort the formatted keys, since
-        // tuple order differs from "left right" order for words holding
-        // a byte below ' '.
-        let mut pairs: Vec<(String, u64)> = counts
-            .into_groups()
-            .into_iter()
-            .map(|((left, right), n)| (format!("{left} {right}"), n))
-            .collect();
-        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        pairs
+        exact(counts.into_sorted().map(|(Pair(left, right), n)| {
+            let (left, right) = (left.as_str(), right.as_str());
+            let mut key = String::with_capacity(left.len() + 1 + right.len());
+            key.push_str(left);
+            key.push(' ');
+            key.push_str(right);
+            (key, n)
+        }))
     }
 
     fn reduce(&self, _key: &String, values: &[u64]) -> u64 {
@@ -84,6 +88,28 @@ impl MapReduceJob for Cooccurrence {
     fn map_cost_factor(&self) -> f64 {
         // Pair emission costs ~2× a plain counting scan.
         2.0
+    }
+}
+
+/// A pair of words, ordered as its `"left right"` key. That differs
+/// from the order of `(left, right)` when one left word is a prefix of
+/// the other and the longer one goes on with a byte below `' '`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pair<'a>(Word<'a>, Word<'a>);
+
+impl Ord for Pair<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self.0 == other.0 {
+            self.1.cmp(&other.1)
+        } else {
+            self.0.cmp_spaced(&other.0)
+        }
+    }
+}
+
+impl PartialOrd for Pair<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 

@@ -1,6 +1,6 @@
 //! Word-Count: the canonical MapReduce job.
 
-use crate::job::{Combiner, MapReduceJob};
+use crate::job::{exact, words, Combiner, MapReduceJob, Word};
 
 /// Counts word occurrences. The map combines within its split (one pair
 /// per distinct word, sorted by word), the classic combiner
@@ -25,15 +25,17 @@ impl MapReduceJob for WordCount {
 
     fn map(&self, split: &[u8]) -> Vec<(String, u64)> {
         let text = String::from_utf8_lossy(split);
-        let mut counts: Combiner<&str, u64> = Combiner::new();
-        for word in text.split_whitespace() {
-            *counts.slot(word) += 1;
+        // Room for a distinct word per 32 bytes, about the density of
+        // the words corpora, so a 64 KiB split's table never grows.
+        let mut counts: Combiner<Word, u64> = Combiner::with_capacity(split.len() / 32);
+        for (hash, word, _) in words(&text) {
+            *counts.slot_hashed(hash, word) += 1;
         }
-        counts
-            .into_sorted()
-            .into_iter()
-            .map(|(w, c)| (w.to_string(), c))
-            .collect()
+        exact(
+            counts
+                .into_sorted()
+                .map(|(w, c)| (w.as_str().to_owned(), c)),
+        )
     }
 
     fn reduce(&self, _key: &String, values: &[u64]) -> u64 {

@@ -150,7 +150,6 @@ impl<J: MapReduceJob> IncrementalRunner<J> {
         // Reduce, cloning each distinct key once.
         let output: BTreeMap<J::Key, J::Value> = grouped
             .into_sorted()
-            .into_iter()
             .map(|(k, vs)| (k.clone(), self.job.reduce(k, &vs)))
             .collect();
 

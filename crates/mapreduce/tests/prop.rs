@@ -70,6 +70,53 @@ fn messy_bytes() -> impl Strategy<Value = Vec<u8>> {
         .prop_map(|seeds| seeds.into_iter().flat_map(messy_piece).collect())
 }
 
+/// The `char::is_whitespace` characters that [`messy_piece`] lacks.
+const MORE_SPACES: [&str; 16] = [
+    "\u{1680}", "\u{2000}", "\u{2001}", "\u{2002}", "\u{2003}", "\u{2004}", "\u{2005}", "\u{2006}",
+    "\u{2007}", "\u{2008}", "\u{2009}", "\u{200A}", "\u{2028}", "\u{2029}", "\u{202F}", "\u{205F}",
+];
+
+/// One piece of [`edge_bytes`] input, chosen and shaped by `seed`.
+fn edge_piece([kind, a, b]: [u8; 3]) -> Vec<u8> {
+    match kind % 8 {
+        // "abcdefgh" and up to three more bytes out of `a`, `b` and NUL:
+        // words longer than 8 bytes that share their first 8, some of
+        // equal length.
+        0 | 1 => {
+            let mut word = b"abcdefgh".to_vec();
+            word.extend((0..a % 4).map(|i| b"ab\0"[(b >> (2 * i)) as usize % 3]));
+            word
+        }
+        // A prefix of "abcdefgh", so heads of every length meet.
+        2 => b"abcdefgh"[..1 + a as usize % 8].to_vec(),
+        // Short words holding NUL bytes: "ab" and "ab\0" share a head.
+        3 => [a, b][..1 + a as usize % 2]
+            .iter()
+            .map(|&x| b"a\0b"[x as usize % 3])
+            .collect(),
+        4 => MORE_SPACES[a as usize % 16].as_bytes().to_vec(),
+        5 | 6 => b" ".to_vec(),
+        _ => b"\n".to_vec(),
+    }
+}
+
+/// Bytes that stress the word scanner and the pre-hashed combiner:
+/// words longer than 8 bytes that share their first 8, words holding
+/// NUL bytes, and the Unicode whitespace of [`MORE_SPACES`].
+fn edge_bytes() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<[u8; 3]>(), 0..48)
+        .prop_map(|seeds| seeds.into_iter().flat_map(edge_piece).collect())
+}
+
+/// `split` cut to its first `len` bytes when `len` is 1 to 7: splits
+/// shorter than one 8-byte load, often ending inside a character.
+fn cut(mut split: Vec<u8>, len: usize) -> Vec<u8> {
+    if (1..8).contains(&len) {
+        split.truncate(len);
+    }
+    split
+}
+
 /// Random newline-record text out of a small alphabet.
 fn text_strategy(max_records: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(
@@ -106,6 +153,34 @@ proptest! {
             Cooccurrence::new(window).map(&split),
             cooccurrence_oracle(window, &split)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Word-Count equals the oracle on long, NUL-holding and
+    /// Unicode-separated words and on splits of 1 to 7 bytes, with no
+    /// spare capacity in its output.
+    #[test]
+    fn wordcount_map_equals_oracle_on_edge_words(split in edge_bytes(), len in 0usize..16) {
+        let split = cut(split, len);
+        let pairs = WordCount.map(&split);
+        prop_assert_eq!(pairs.capacity(), pairs.len());
+        prop_assert_eq!(pairs, wordcount_oracle(&split));
+    }
+
+    /// The same for Co-occurrence, at windows 1 to 3.
+    #[test]
+    fn cooccurrence_map_equals_oracle_on_edge_words(
+        split in edge_bytes(),
+        len in 0usize..16,
+        window in 1usize..4,
+    ) {
+        let split = cut(split, len);
+        let pairs = Cooccurrence::new(window).map(&split);
+        prop_assert_eq!(pairs.capacity(), pairs.len());
+        prop_assert_eq!(pairs, cooccurrence_oracle(window, &split));
     }
 }
 

@@ -101,11 +101,6 @@ impl MetricsRegistry {
         self.series.get(name)
     }
 
-    /// Histogram names, ascending.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
