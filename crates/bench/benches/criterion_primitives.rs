@@ -5,7 +5,8 @@
 //! the simulated experiments — but they measure the actual Rust
 //! implementations: Rabin table fingerprinting and construction,
 //! streaming Rabin CDC, the Rabin and Gear boundary kernels, fixed-size
-//! chunking, SHA-256, one GPU kernel launch on a small buffer, the
+//! chunking, SHA-256 (one message, equal-length batches and a backup
+//! image's variable-length chunks), one GPU kernel launch on a small buffer, the
 //! online service path over a growing number of small requests (whose
 //! per-request cost should stay flat as the count grows), and the
 //! Word-Count and Co-occurrence map functions on one 64 KiB split of
@@ -192,6 +193,19 @@ fn bench_sha256(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
+    group.finish();
+
+    // A backup restore's batch: the 2-16 KiB content-defined chunks of
+    // one 16 MiB image, whose varied lengths make lanes refill
+    // mid-step and leave stragglers.
+    let image = shredder_workloads::compressible_bytes(16 << 20, 1024, 7);
+    let chunks: Vec<&[u8]> = chunk_all(&image, &ChunkParams::backup())
+        .iter()
+        .map(|chunk| chunk.slice(&image))
+        .collect();
+    let mut group = c.benchmark_group("sha256");
+    group.throughput(Throughput::Bytes(image.len() as u64));
+    group.bench_function("many_backup_chunks", |b| b.iter(|| sha256_many(&chunks)));
     group.finish();
 }
 

@@ -7,8 +7,6 @@
 
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-const FNV32_OFFSET: u32 = 0x811c_9dc5;
-const FNV32_PRIME: u32 = 0x0100_0193;
 
 /// Computes the 64-bit FNV-1a hash of `data`.
 ///
@@ -23,23 +21,6 @@ pub fn fnv1a_64(data: &[u8]) -> u64 {
     let mut h = Fnv1a64::new();
     h.write(data);
     h.finish()
-}
-
-/// Computes the 32-bit FNV-1a hash of `data`.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(shredder_hash::fnv1a_32(b""), 0x811c9dc5);
-/// assert_eq!(shredder_hash::fnv1a_32(b"a"), 0xe40c292c);
-/// ```
-pub fn fnv1a_32(data: &[u8]) -> u32 {
-    let mut h = FNV32_OFFSET;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(FNV32_PRIME);
-    }
-    h
 }
 
 /// An incremental 64-bit FNV-1a hasher.
@@ -106,13 +87,6 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn known_vectors_32() {
-        assert_eq!(fnv1a_32(b""), 0x811c_9dc5);
-        assert_eq!(fnv1a_32(b"a"), 0xe40c_292c);
-        assert_eq!(fnv1a_32(b"foobar"), 0xbf9cf968);
     }
 
     #[test]

@@ -14,13 +14,16 @@
 //!
 //! SHA-256 is implemented here because the offline dependency set contains
 //! no cryptographic hash crate; it is tested against the NIST FIPS 180-4
-//! vectors. On an x86-64 CPU with the SHA extensions every digest runs
-//! on them, chosen at run time; elsewhere, a portable block function,
-//! with [`sha256_many`] hashing eight messages at a time in vector
-//! lanes. Calling the SHA-NI routine is the workspace's one `unsafe`
-//! block, so this crate denies `unsafe_code` where every other crate
-//! forbids it, and clippy's `undocumented_unsafe_blocks` holds that
-//! block to a `// SAFETY:` comment.
+//! vectors. On an x86-64 CPU with the SHA extensions every single
+//! digest runs on them, chosen at run time; elsewhere, a portable block
+//! function. [`sha256_many`] hashes sixteen messages at a time in
+//! AVX-512 lanes where the CPU has AVX-512F, one at a time on SHA-NI
+//! where it has only that, and eight at a time in portable lanes
+//! elsewhere. The two calls into those CPU-specific routines, both in
+//! `sha256.rs`, are the workspace's only `unsafe` blocks, so this crate
+//! denies `unsafe_code` where every other crate forbids it, and
+//! clippy's `undocumented_unsafe_blocks` holds each block to a
+//! `// SAFETY:` comment.
 //!
 //! # Examples
 //!
@@ -44,6 +47,6 @@ pub mod mix;
 pub mod sha256;
 
 pub use digest::Digest;
-pub use fnv::{fnv1a_32, fnv1a_64, Fnv1a64};
+pub use fnv::{fnv1a_64, Fnv1a64};
 pub use mix::{scramble_seed, splitmix64, SeededRng};
 pub use sha256::{sha256, sha256_many, Sha256};

@@ -9,9 +9,12 @@ use shredder_hash::{fnv1a_64, sha256, sha256_many, Digest, Fnv1a64, Sha256};
 /// (119–121).
 const EDGE_LENGTHS: [usize; 9] = [0, 1, 55, 56, 63, 64, 119, 120, 121];
 
-/// Batch sizes around the lane count (8): none, one lane, a few, one
-/// short of full, full, one over, and two full rounds plus one.
-const BATCH_SIZES: [usize; 7] = [0, 1, 2, 7, 8, 9, 17];
+/// Batch sizes around the lane counts (8 portable lanes, 16 with
+/// AVX-512) and the thresholds below which a batch is hashed one
+/// message at a time (3 portable; 9 with AVX-512 and SHA-NI): none,
+/// one, each threshold and one below it, sixteen and one either side,
+/// and two rounds of sixteen plus one.
+const BATCH_SIZES: [usize; 10] = [0, 1, 2, 3, 8, 9, 15, 16, 17, 33];
 
 /// `sha256` of every message, one at a time.
 fn one_by_one(messages: &[&[u8]]) -> Vec<Digest> {
@@ -70,26 +73,33 @@ proptest! {
     }
 
     /// Batch hashing equals hashing one message at a time, for every
-    /// listed batch size over padding-edge lengths, with one long
-    /// message anywhere in the batch: the short messages' lanes refill
-    /// around it and it finishes alone on the scalar fallback.
+    /// listed batch size over padding-edge lengths, with up to two long
+    /// messages (to 110 KiB) anywhere in the batch: the short messages'
+    /// lanes refill around them, and they finish alone from mid-message
+    /// once too few lanes are busy.
     #[test]
     fn sha256_many_matches_sha256(
         batch in 0usize..BATCH_SIZES.len(),
-        lengths in proptest::collection::vec(0usize..EDGE_LENGTHS.len(), 17..18),
-        long in any::<bool>(),
-        long_at in 0usize..17,
-        long_len in 200usize..3000,
+        lengths in proptest::collection::vec(0usize..EDGE_LENGTHS.len(), 33..34),
+        long_count in 0usize..3,
+        long_at in proptest::collection::vec(0usize..33, 2..3),
+        long_len in proptest::collection::vec(
+            prop_oneof![200usize..3000, 100_000usize..110_000],
+            2..3,
+        ),
         data in proptest::collection::vec(any::<u8>(), 3000..3001),
     ) {
         let n = BATCH_SIZES[batch];
+        let long: Vec<u8> = data.iter().copied().cycle().take(110_000).collect();
         let mut messages: Vec<&[u8]> = lengths[..n]
             .iter()
             .enumerate()
             .map(|(k, &e)| &data[k * 7..k * 7 + EDGE_LENGTHS[e]])
             .collect();
-        if long && n > 0 {
-            messages[long_at % n] = &data[..long_len];
+        for (&at, &len) in long_at.iter().zip(&long_len).take(long_count) {
+            if n > 0 {
+                messages[at % n] = &long[..len];
+            }
         }
         prop_assert_eq!(sha256_many(&messages), one_by_one(&messages));
     }
@@ -98,7 +108,7 @@ proptest! {
     /// batches of random lengths.
     #[test]
     fn sha256_many_matches_sha256_on_random_batches(
-        lengths in proptest::collection::vec(0usize..700, 0..40),
+        lengths in proptest::collection::vec(0usize..700, 0..70),
         data in proptest::collection::vec(any::<u8>(), 700..701),
     ) {
         let messages: Vec<&[u8]> = lengths.iter().map(|&len| &data[..len]).collect();
